@@ -1,0 +1,179 @@
+"""Differential cross-check of the Artinian machinery against sympy.groebner.
+
+On seeded random m-primary ideals, in grevlex and lex, in both the graded
+and the local context, three computations must agree with sympy:
+
+* the reduced Groebner basis of I + m^N, for N below, at and above the bound;
+* normal forms of random polynomials modulo that ideal;
+* the Hilbert profile dim (I + m^k) / (I + m^(k+1)), together with the bound.
+
+sympy only ever sees polynomial ideals that contain a power of the maximal
+ideal, where the polynomial and the power-series quotients agree.  Its
+profile is L(k+1) - L(k) with L(k) = dim P/(I + m^k) counted from its
+standard monomials; the bound is the first k with L(k) = L(k+1), which is
+Nakayama's criterion m^k <= I + m^(k+1).
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from invsys import (  # noqa: E402
+    GREVLEX,
+    LEX,
+    Ideal,
+    artinian_bound,
+    artinian_form,
+    context_from_names,
+    hilbert_data,
+)
+
+ORDERS = {"grevlex": GREVLEX, "lex": LEX}
+
+
+def _symbols(ctx):
+    return sympy.symbols(ctx.names)
+
+
+def _to_sympy(p, syms):
+    expr = sympy.Integer(0)
+    for e, c in p.terms.items():
+        mono = sympy.Integer(1)
+        for s, k in zip(syms, e):
+            mono *= s**k
+        expr += sympy.Rational(c.numerator, c.denominator) * mono
+    return expr
+
+
+def _from_sympy(ctx, expr, syms):
+    poly = sympy.Poly(expr, *syms, domain="QQ")
+    terms = {}
+    for e, c in poly.terms():
+        c = sympy.Rational(c)
+        terms[tuple(e)] = Fraction(int(c.p), int(c.q))
+    return ctx.from_terms(terms)
+
+
+def _monic_from_sympy(ctx, expr, syms, order):
+    return _from_sympy(ctx, expr, syms).monic(order)
+
+
+def _sympy_basis(ctx, gens, N, order_name):
+    """sympy's reduced basis of <gens> + m^N (m^N omitted when N is None)."""
+    syms = _symbols(ctx)
+    exprs = [_to_sympy(g, syms) for g in gens]
+    if N is not None:
+        exprs += [_to_sympy(ctx.monomial(e), syms) for e in ctx.exponents_of_degree(N)]
+    return sympy.groebner(exprs, *syms, order=order_name, domain="QQ")
+
+
+def _colength(ctx, gens, k, order_name):
+    """L(k) = dim P/(<gens> + m^k), from sympy's standard monomials."""
+    if k == 0:
+        return 0
+    G = _sympy_basis(ctx, gens, k, order_name)
+    syms = _symbols(ctx)
+    lms = [sympy.Poly(g, *syms).monoms(order=order_name)[0] for g in G.exprs]
+    return sum(
+        1
+        for e in ctx.exponents_upto(k - 1)
+        if not any(all(a <= b for a, b in zip(m, e)) for m in lms)
+    )
+
+
+def _oracle_profile(ctx, gens, order_name, ceiling=12):
+    L = [_colength(ctx, gens, 0, order_name)]
+    for k in range(ceiling + 1):
+        L.append(_colength(ctx, gens, k + 1, order_name))
+        if L[k] == L[k + 1]:
+            return k, [L[j + 1] - L[j] for j in range(k)]
+    raise AssertionError("oracle found no bound below its ceiling")
+
+
+def _random_terms(ctx, rng, lo, hi, count):
+    p = ctx.zero()
+    pool = [e for e in ctx.exponents_upto(hi) if sum(e) >= lo]
+    for _ in range(count):
+        p = p + ctx.monomial(rng.choice(pool), rng.choice([-3, -2, -1, 1, 2, Fraction(1, 2)]))
+    return p
+
+
+def _graded_ideal(seed):
+    """Pure powers make it m-primary; the random tails make the basis nontrivial."""
+    rng = random.Random(seed)
+    ctx = context_from_names("x,y,z" if seed % 2 else "x,y")
+    gens = [ctx.variable(i) ** rng.randint(3, 5) for i in range(ctx.nvars)]
+    for _ in range(rng.randint(1, 2)):
+        gens.append(_random_terms(ctx, rng, 1, 3, rng.randint(2, 3)))
+    return ctx, gens
+
+
+def _local_ideal(seed):
+    """x_i^d_i plus strictly higher-order terms: m-primary only locally."""
+    rng = random.Random(seed)
+    three = seed % 3 == 0
+    ctx = context_from_names("x,y,z" if three else "x,y", mode="local")
+    gens = []
+    for i in range(ctx.nvars):
+        d = 2 if three else rng.randint(2, 3)
+        gens.append(ctx.variable(i) ** d + _random_terms(ctx, rng, d + 1, d + 1 + (not three), rng.randint(1, 3)))
+    if rng.random() < 0.5:
+        gens.append(_random_terms(ctx, rng, 2, 3, 2))
+    return ctx, gens
+
+
+CASES = [(mode, name, seed) for mode in ("graded", "local") for name in ORDERS for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("mode,order_name,seed", CASES)
+def test_reduced_bases_normal_forms_and_profiles(mode, order_name, seed):
+    ctx, gens = (_graded_ideal if mode == "graded" else _local_ideal)(seed)
+    order = ORDERS[order_name]
+    syms = _symbols(ctx)
+    rng = random.Random(100 + seed)
+    I = Ideal(ctx, gens)
+
+    bound, profile = _oracle_profile(ctx, gens, order_name)
+    assert artinian_bound(I, order) == bound
+    assert list(hilbert_data(I, order).values) == profile
+
+    if mode == "graded":
+        G = _sympy_basis(ctx, gens, None, order_name)
+        assert sorted(map(str, I.groebner(order))) == sorted(
+            str(_monic_from_sympy(ctx, g, syms, order)) for g in G.exprs
+        )
+
+    for N in sorted({max(bound - 1, 1), bound, bound + 2}):
+        J = I.truncated(N)
+        G = _sympy_basis(ctx, gens, N, order_name)
+        ours = J.groebner(order)
+        theirs = [_monic_from_sympy(ctx, g, syms, order) for g in G.exprs]
+        assert sorted(map(str, ours)) == sorted(map(str, theirs))
+        for _ in range(4):
+            p = _random_terms(ctx, rng, 0, N + 1, rng.randint(2, 6))
+            nf = J.normal_form(p, order)
+            expected = _from_sympy(ctx, G.reduce(_to_sympy(p, syms))[1], syms)
+            assert nf == expected
+
+
+@pytest.mark.parametrize("order_name", sorted(ORDERS))
+def test_local_bound_beyond_the_hint(order_name):
+    # the search starts from a hint far below the true bound and must grow
+    ctx = context_from_names("x,y", mode="local")
+    x, y = ctx.variable(0), ctx.variable(1)
+    gens = [x**4 + y**5 + x**3 * y**2, y**3 + x**5 - x**2 * y**2]
+    order = ORDERS[order_name]
+    bound, profile = _oracle_profile(ctx, gens, order_name)
+    assert bound >= 4
+    I = Ideal(ctx, gens)
+    assert artinian_bound(I, order, hint=1) == bound
+    J, N = artinian_form(I, order)
+    assert N == bound
+    G = _sympy_basis(ctx, gens, N, order_name)
+    assert sorted(map(str, J.groebner(order))) == sorted(
+        str(_monic_from_sympy(ctx, g, _symbols(ctx), order)) for g in G.exprs
+    )
+    assert list(hilbert_data(I, order).values) == profile
