@@ -46,7 +46,7 @@ def _build_parser():
                        help="skip the z-block regularity verification")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("-o", "--output", default=None, help="write main output to a file")
-        p.add_argument("--jobs", type=int, default=1, help="parallel tower stages")
+        p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
 
     p = sub.add_parser("perp", help="inverse system of an Artinian (reduced) ideal")
     common(p)
@@ -213,10 +213,7 @@ def _run(args):
         return 0
 
     if args.command == "limit":
-        tower = dual_tower(
-            ideal, args.mmax, order, ceiling,
-            trust_regular=args.trust_regular, jobs=args.jobs,
-        )
+        tower = dual_tower(ideal, args.mmax, order, ceiling, trust_regular=args.trust_regular)
         H = section_lift(tower, order=order)
         report = verify_lis(H, order)
         if not report.passed:

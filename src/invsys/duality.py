@@ -11,15 +11,9 @@ from __future__ import annotations
 import warnings
 
 from .errors import ContextMismatchError
-from .groebner import (
-    ArtinianQuotient,
-    DEFAULT_CEILING,
-    Ideal,
-    artinian_form,
-    ideal_colon,
-)
+from .groebner import DEFAULT_CEILING, Ideal, artinian_form, ideal_colon
 from .linalg import Echelon, intersect_spans, nullspace
-from .ring import GREVLEX, Polynomial, e_divides, e_sub
+from .ring import GREVLEX, Polynomial, e_divides, e_sub, e_unit
 
 
 def _check_dual(p, F):
@@ -159,11 +153,10 @@ class DualModule:
         for F in elements:
             if ech.insert(F.terms) is not None:
                 queue.append(F)
-        unit = [tuple(1 if j == i else 0 for j in range(ring.nvars)) for i in range(ring.nvars)]
         while queue:
             F = queue.pop()
-            for e in unit:
-                G = contract_exp(e, F)
+            for i in range(ring.nvars):
+                G = contract_exp(e_unit(ring.nvars, i), F)
                 if G and ech.insert(G.terms) is not None:
                     queue.append(G)
         return cls(ring, degbound, [Polynomial(dual, r) for r in ech.basis()], order)
@@ -177,27 +170,25 @@ class DualModule:
 def perp_ideal(I, degbound=None, order=GREVLEX, ceiling=DEFAULT_CEILING):
     """Inverse system of an Artinian ideal inside the bounded dual.
 
-    Solved degree by degree: normal forms of the degree-k monomials extend
-    the echelonized slice of the truncated ideal, and the orthogonal
-    complement is assembled from its free coordinates.  Closure under the
-    module action is verified before returning.
+    W is the orthogonal complement of the rows of the ideal's quotient
+    matrix: each standard monomial v gives X^v minus c X^u for every pivot
+    row u with entry c at v.  Closure under the module action is verified
+    before returning.
     """
     J, N = artinian_form(I, order, ceiling)
     if degbound is None:
         degbound = max(N - 1, 0)
     if degbound < N - 1:
         raise ValueError(f"degbound {degbound} below the required {N - 1}")
-    aq = ArtinianQuotient(J, order)
+    aq = J.quotient(order)
     ring = I.ring
     dual = ring.dual
     fld = ring.field
-    columns = {}  # standard monomial -> accumulating dual coefficient dict
-    for v in aq.std:
-        columns[v] = {}
-    for k in range(degbound + 1):
-        for u in ring.exponents_of_degree(k):
-            for v, c in aq.monomial_nf(u).items():
-                columns[v][u] = c
+    columns = {v: {v: fld.one} for v in aq.std}  # standard monomial -> dual terms
+    for u, row in aq.rows.items():
+        for v, c in row.items():
+            if v != u:
+                columns[v][u] = fld.neg(c)
     basis = [Polynomial(dual, vec) for vec in columns.values()]
     W = DualModule(ring, degbound, basis, order)
     _verify_closed(W)
@@ -209,8 +200,7 @@ def _verify_closed(W):
     n = W.ring.nvars
     for F in W.basis:
         for i in range(n):
-            e = tuple(1 if j == i else 0 for j in range(n))
-            G = contract_exp(e, F)
+            G = contract_exp(e_unit(n, i), F)
             if G and not ech.contains(G.terms):
                 raise AssertionError("inverse system is not contraction-closed (internal)")
 
@@ -258,7 +248,7 @@ def perp_module(W, order=GREVLEX):
 def socle_basis(I, order=GREVLEX, ceiling=DEFAULT_CEILING):
     """K-basis of (I : m)/I, reduced residue representatives."""
     J, N = artinian_form(I, order, ceiling)
-    aq = ArtinianQuotient(J, order)
+    aq = J.quotient(order)
     if aq.length == 0:
         return []
     ring = I.ring
@@ -280,8 +270,7 @@ def minimal_cogenerators(W, order=GREVLEX):
     ech = Echelon(ring.field, order.key)
     for F in W.basis:
         for i in range(n):
-            e = tuple(1 if j == i else 0 for j in range(n))
-            G = contract_exp(e, F)
+            G = contract_exp(e_unit(n, i), F)
             if G:
                 ech.insert(G.terms)
     lower = set(ech.rows)

@@ -112,7 +112,7 @@ class PrimeField:
     def parse(self, text):
         try:
             return self.coerce(Fraction(text))
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise InputSyntaxError(f"bad field literal {text!r}") from exc
 
     def render(self, a):

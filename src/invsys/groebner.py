@@ -1,13 +1,26 @@
-"""Buchberger-based ideal arithmetic and Artinian-quotient linear algebra.
+"""Buchberger-based ideal arithmetic and one kernel for Artinian quotients.
 
-Local (power-series) inputs are handled through explicit truncation: every
-Artinian computation happens in P/m^N for an N certified by the Nakayama
-stopping rule, where polynomial and power-series arithmetic agree exactly.
-A truncated ideal object represents <gens> + m^N.
+Every Artinian computation happens in P/(J + m^N), and one matrix models it:
+the reduced row echelon form, in the monomial order, of the truncated
+multiples trunc_{<N}(x^a g) of the generators of J inside P_{<N}.  Its
+pivots are the lead monomials of J + m^N below degree N, for any order; its
+free columns are the standard monomials.  The reduced basis, normal forms,
+the truncation bound, inverse systems and Hilbert profiles are read off it.
+
+Local (power-series) inputs are truncated at an N certified by the Nakayama
+stopping rule m^N <= I + m^(N+1), where polynomial and power-series
+arithmetic agree exactly.  A truncated ideal object represents <gens> + m^N.
+
+Buchberger's algorithm serves untruncated work: intersection, colon on
+non-Artinian ideals, and graded ideals.  A graded ideal is finite only with a
+pure power of every variable among its lead monomials, so a
+positive-dimensional ideal fails before any enumeration; its bound comes
+from normal forms against the same basis.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 from .errors import (
@@ -25,31 +38,23 @@ from .ring import (
     e_divides,
     e_lcm,
     e_sub,
+    e_unit,
     elimination_order,
 )
 
 DEFAULT_CEILING = 64
-QUOTIENT_DIM_CAP = 100_000
 
 
 # ---------------------------------------------------------------------------
 # division and Buchberger
 
 
-def reduce_terms(ring, order, terms, reducers, drop=None):
-    """Full remainder of a term dict modulo monic reducers [(lm, tail)].
-
-    With drop = N, terms of total degree >= N are discarded; this is exact
-    reduction by the monomial block of m^N and is only used for ideals
-    containing that power.
-    """
+def reduce_terms(ring, order, terms, reducers):
+    """Full remainder of a term dict modulo monic reducers [(lm, tail)]."""
     fld = ring.field
     zero = fld.zero
     key = order.key
-    if drop is None:
-        work = dict(terms)
-    else:
-        work = {e: c for e, c in terms.items() if sum(e) < drop}
+    work = dict(terms)
     rem = {}
     while work:
         t = max(work, key=key)
@@ -66,8 +71,6 @@ def reduce_terms(ring, order, terms, reducers, drop=None):
         shift = e_sub(t, lm)
         for e2, c2 in tail.items():
             w = e_add(shift, e2)
-            if drop is not None and sum(w) >= drop:
-                continue
             s = fld.sub(work.get(w, zero), fld.mul(c, c2))
             if s == zero:
                 work.pop(w, None)
@@ -132,92 +135,53 @@ def _gm_update(order, lms, monos, pairs, t):
     return kept
 
 
-def _truncation_block(ring, trunc):
-    return [ring.monomial(e) for e in ring.exponents_of_degree(trunc)]
-
-
-def buchberger(ring, gens, order=GREVLEX, trunc=None):
-    """The unique reduced Groebner basis of <gens> (+ m^trunc when given).
+def buchberger(ring, gens, order=GREVLEX):
+    """The unique reduced Groebner basis of <gens>.
 
     Normal pair selection, Gebauer-Moeller pruning, deterministic queue.
     """
     seen = set()
-    polys = []
+    lms = []
+    monos = []
+    reducers = []  # (lm, tail) per basis element, in insertion order
+    pairs = set()
+
+    def append(poly, pairs):
+        lm, tail = _as_reducer(poly, order)
+        lms.append(lm)
+        monos.append(len(poly.terms) == 1)
+        reducers.append((lm, tail))
+        return _gm_update(order, lms, monos, pairs, len(lms) - 1)
+
     for g in gens:
-        if trunc is not None:
-            g = g.truncate(trunc)
         if g.is_zero():
             continue
         g = g.monic(order)
         fp = frozenset(g.terms.items())
         if fp not in seen:
             seen.add(fp)
-            polys.append(g)
-    blocks = []
-    if trunc is not None:
-        blocks = [b for b in _truncation_block(ring, trunc) if frozenset(b.terms.items()) not in seen]
-
-    lms = []
-    monos = []
-    entries = []  # (lm, tail) or None for truncation monomials
-    reducers = []  # live view of non-block entries used in division
-    pairs = set()
-
-    def append(poly, is_block):
-        idx = len(lms)
-        lm, tail = _as_reducer(poly, order)
-        lms.append(lm)
-        monos.append(len(poly.terms) == 1)
-        if is_block:
-            entries.append(None)
-        else:
-            entries.append((lm, tail))
-            reducers.append((lm, tail))
-        return idx
-
-    for g in polys:
-        i = append(g, False)
-        pairs = _gm_update(order, lms, monos, pairs, i)
-    for b in blocks:
-        i = append(b, True)
-        pairs = _gm_update(order, lms, monos, pairs, i)
+            pairs = append(g, pairs)
 
     while pairs:
         i, j = min(pairs, key=lambda p: (order.key(e_lcm(lms[p[0]], lms[p[1]])), p))
         pairs.remove((i, j))
-        fi = entries[i] if entries[i] is not None else (lms[i], {})
-        fj = entries[j] if entries[j] is not None else (lms[j], {})
-        s = s_poly_terms(ring, order, fi[0], fi[1], fj[0], fj[1])
-        rem = reduce_terms(ring, order, s, reducers, drop=trunc)
+        s = s_poly_terms(ring, order, *reducers[i], *reducers[j])
+        rem = reduce_terms(ring, order, s, reducers)
         if rem:
-            p = Polynomial(ring, rem, _clean=False).monic(order)
-            k = append(p, False)
-            pairs = _gm_update(order, lms, monos, pairs, k)
+            pairs = append(Polynomial(ring, rem, _clean=False).monic(order), pairs)
 
     # minimalize: keep elements whose lead monomial is not divisible by another's
-    order_idx = sorted(range(len(lms)), key=lambda i: order.key(lms[i]))
     kept = []
-    kept_lms = []
-    for i in order_idx:
-        if not any(e_divides(m, lms[i]) for m in kept_lms):
-            kept.append(i)
-            kept_lms.append(lms[i])
-    # interreduce to the canonical reduced basis (honest division, no drop)
+    for i in sorted(range(len(lms)), key=lambda i: order.key(lms[i])):
+        if not any(e_divides(lm, lms[i]) for lm, _ in kept):
+            kept.append(reducers[i])
+    # interreduce to the canonical reduced basis
     final = []
-    kept_polys = []
-    for i in kept:
-        if entries[i] is None:
-            kept_polys.append((lms[i], {}))
-        else:
-            kept_polys.append(entries[i])
-    for pos in range(len(kept)):
-        others = [kept_polys[q] for q in range(len(kept)) if q != pos]
-        lm, tail = kept_polys[pos]
+    for pos, (lm, tail) in enumerate(kept):
         terms = dict(tail)
         terms[lm] = ring.field.one
-        rem = reduce_terms(ring, order, terms, others)
+        rem = reduce_terms(ring, order, terms, kept[:pos] + kept[pos + 1 :])
         final.append(Polynomial(ring, rem, _clean=False).monic(order))
-    final.sort(key=lambda p: order.key(p.lead(order)[0]))
     return tuple(final)
 
 
@@ -232,7 +196,7 @@ class Ideal:
     computational form of an Artinian local quotient.
     """
 
-    __slots__ = ("ring", "gens", "trunc", "_cache", "_bound")
+    __slots__ = ("ring", "gens", "trunc", "_cache", "_form")
 
     def __init__(self, ring, gens, trunc=None):
         self.ring = ring
@@ -246,7 +210,7 @@ class Ideal:
         self.gens = tuple(cleaned)
         self.trunc = trunc
         self._cache = {}
-        self._bound = None
+        self._form = None  # (Artinian form, bound) once certified
         if trunc is not None and trunc < 0:
             raise ValueError("negative truncation degree")
 
@@ -254,15 +218,27 @@ class Ideal:
         key = order.signature()
         gb = self._cache.get(key)
         if gb is None:
-            gb = buchberger(self.ring, self.gens, order, trunc=self.trunc)
+            if self.trunc is None:
+                gb = buchberger(self.ring, self.gens, order)
+            else:
+                gb = self.quotient(order).reduced_basis()
             self._cache[key] = gb
         return gb
+
+    def quotient(self, order=GREVLEX):
+        """The ArtinianQuotient of this ideal, built once per order."""
+        key = ("quotient", order.signature())
+        aq = self._cache.get(key)
+        if aq is None:
+            aq = self._cache[key] = ArtinianQuotient(self, order)
+        return aq
 
     def normal_form(self, p, order=GREVLEX):
         """Unique remainder of p modulo the reduced basis; 0 iff p in I."""
         self.ring.check_same(p.ring)
-        gb = self.groebner(order)
-        reducers = [_as_reducer(g, order) for g in gb]
+        if self.trunc is not None:
+            return Polynomial(self.ring, self.quotient(order).nf_vector(p), _clean=False)
+        reducers = [_as_reducer(g, order) for g in self.groebner(order)]
         rem = reduce_terms(self.ring, order, p.terms, reducers)
         return Polynomial(self.ring, rem, _clean=False)
 
@@ -283,13 +259,15 @@ class Ideal:
 
     def truncated(self, bound):
         """The ideal <gens> + m^bound, generators truncated accordingly."""
+        if self.trunc is not None and self.trunc <= bound:
+            return self
         tr = bound if self.trunc is None else min(self.trunc, bound)
         return Ideal(self.ring, [g.truncate(tr) for g in self.gens], trunc=tr)
 
     def generators_with_truncation(self):
         gens = list(self.gens)
         if self.trunc is not None:
-            gens.extend(_truncation_block(self.ring, self.trunc))
+            gens.extend(self.ring.monomial(e) for e in self.ring.exponents_of_degree(self.trunc))
         return gens
 
     def equals(self, other, order=GREVLEX):
@@ -311,91 +289,55 @@ def _merge_trunc(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Artinian quotients: standard monomials and normal-form vectors
+# the truncated-Macaulay kernel
 
 
 class ArtinianQuotient:
-    """Monomial basis and normal-form tables for a finite quotient P/I."""
+    """P/(J + m^N) as one reduced echelon matrix over the monomials of P_{<N}.
 
-    def __init__(self, ideal, order=GREVLEX, cap=QUOTIENT_DIM_CAP):
-        self.ideal = ideal
+    The rows span the truncated multiples trunc_{<N}(x^a g) of the
+    generators, which is (J + m^N) & P_{<N}.  Pivots carry coefficient 1 and
+    are the lead monomials of J + m^N below degree N; the free columns are
+    the standard monomials.  N is the truncation degree of a truncated ideal,
+    and otherwise the certified bound, so that J + m^N = J.
+    """
+
+    def __init__(self, ideal, order=GREVLEX):
+        ring = ideal.ring
+        N = ideal.trunc if ideal.trunc is not None else artinian_bound(ideal, order)
+        self.ring = ring
         self.order = order
-        self.ring = ideal.ring
-        gb = ideal.groebner(order)
-        self.lms = [g.lead(order)[0] for g in gb]
-        self.std = self._standard_monomials(cap)
-        self.std_set = set(self.std)
-        self._mono_nf = {e: {e: self.ring.field.one} for e in self.std}
-        self._step = [dict() for _ in range(self.ring.nvars)]
-
-    def _standard_monomials(self, cap):
-        n = self.ring.nvars
-        origin = (0,) * n
-        if any(m == origin for m in self.lms):
-            return []
-        out = []
-        seen = {origin}
-        queue = [origin]
-        while queue:
-            e = queue.pop()
-            if any(e_divides(m, e) for m in self.lms):
+        self.N = N
+        ech = Echelon(ring.field, order.key)
+        for g in ideal.gens:
+            terms = [(e, sum(e), c) for e, c in g.terms.items() if sum(e) < N]
+            if not terms:
                 continue
-            out.append(e)
-            if len(out) > cap:
-                raise UnboundedQuotientError(
-                    "quotient dimension exceeds cap; ideal is not Artinian enough"
-                )
-            for i in range(n):
-                child = e[:i] + (e[i] + 1,) + e[i + 1 :]
-                if child not in seen:
-                    seen.add(child)
-                    queue.append(child)
-        out.sort(key=self.order.key)
-        return out
+            low = min(d for _, d, _ in terms)
+            # x^a g is redundant when x^a is already a pivot of the earlier
+            # generators: the syzygy writes it through rows with smaller x^a
+            earlier = set(ech.rows)
+            for a in ring.exponents_upto(N - 1 - low):
+                if a in earlier:
+                    continue
+                room = N - sum(a)
+                ech.insert({e_add(e, a): c for e, d, c in terms if d < room})
+        self.rows = ech.rows  # pivot monomial -> row dict
+        self.std = sorted(
+            (e for e in ring.exponents_upto(N - 1) if e not in self.rows), key=order.key
+        )
 
     @property
     def length(self):
         return len(self.std)
 
-    def _step_vector(self, i, w):
-        """Normal-form vector of x_i * w for a standard monomial w."""
-        table = self._step[i]
-        vec = table.get(w)
-        if vec is None:
-            e = w[:i] + (w[i] + 1,) + w[i + 1 :]
-            if e in self.std_set:
-                vec = {e: self.ring.field.one}
-            else:
-                gb = self.ideal.groebner(self.order)
-                reducers = [_as_reducer(g, self.order) for g in gb]
-                rem = reduce_terms(self.ring, self.order, {e: self.ring.field.one}, reducers)
-                vec = rem
-            table[w] = vec
-        return vec
-
     def monomial_nf(self, e):
-        """Normal-form vector (dict over standard monomials) of x^e."""
-        if not self.std:
-            return {}
-        memo = self._mono_nf
-        vec = memo.get(e)
-        if vec is not None:
-            return vec
-        i = next(k for k, x in enumerate(e) if x > 0)
-        parent = e[:i] + (e[i] - 1,) + e[i + 1 :]
-        pvec = self.monomial_nf(parent)
-        fld = self.ring.field
-        zero = fld.zero
-        out = {}
-        for w, c in pvec.items():
-            for u, d in self._step_vector(i, w).items():
-                s = fld.add(out.get(u, zero), fld.mul(c, d))
-                if s == zero:
-                    out.pop(u, None)
-                else:
-                    out[u] = s
-        memo[e] = out
-        return out
+        """Normal-form vector (dict over standard monomials) of x^e: a row lookup."""
+        row = self.rows.get(e)
+        if row is None:
+            return {e: self.ring.field.one} if sum(e) < self.N else {}
+        neg = self.ring.field.neg
+        return {u: neg(c) for u, c in row.items() if u != e}
 
     def nf_vector(self, p):
         fld = self.ring.field
@@ -413,101 +355,116 @@ class ArtinianQuotient:
     def poly_from_vector(self, vec):
         return Polynomial(self.ring, dict(vec))
 
+    def vanishes(self, k):
+        """True when every monomial of degree k lies in J + m^N."""
+        return all(not self.monomial_nf(e) for e in _pure_powers_first(self.ring, k))
+
+    def bound(self):
+        """Smallest k with m^k inside J + m^N."""
+        return next(k for k in range(self.N + 1) if self.vanishes(k))
+
+    def _covered(self, e):
+        """True when a pivot properly divides x^e (pivots are closed upward)."""
+        n = self.ring.nvars
+        return any(e[i] and e_sub(e, e_unit(n, i)) in self.rows for i in range(n))
+
+    def reduced_basis(self):
+        """Rows of the minimal pivots plus the degree-N monomials no pivot divides."""
+        ring, order = self.ring, self.order
+        gb = [
+            Polynomial(ring, dict(row), _clean=False)
+            for p, row in self.rows.items()
+            if not self._covered(p)
+        ]
+        gb += [ring.monomial(e) for e in ring.exponents_of_degree(self.N) if not self._covered(e)]
+        gb.sort(key=lambda g: order.key(g.lead(order)[0]))
+        return tuple(gb)
+
+
+def _pure_powers_first(ring, k):
+    """The degree-k monomials, pure powers first (the cheapest failures)."""
+    n = ring.nvars
+    if k > 0:
+        for i in range(n):
+            yield e_unit(n, i, k)
+    yield from ring.exponents_of_degree(k)
+
 
 # ---------------------------------------------------------------------------
 # the Nakayama-certified truncation bound
 
 
-def _pure_powers_in_lt(aq):
-    """Check LT(I) contains a power of every variable (finite quotient)."""
-    n = aq.ring.nvars
-    for i in range(n):
-        if not any(all(m[k] == 0 for k in range(n) if k != i) and m[i] > 0 for m in aq.lms):
-            if aq.length == 0:
-                continue  # unit ideal
-            return False
-    return True
-
-
-def _degree_vanishes(aq, ring, N):
-    # cheap pure-power probe first, then the full sweep
+def _graded_bound(ideal, order, ceiling):
+    """Least N with m^N inside a graded ideal, by normal forms against its basis."""
+    ring = ideal.ring
+    reducers = [_as_reducer(g, order) for g in ideal.groebner(order)]
+    lms = [lm for lm, _ in reducers]
+    if any(not any(lm) for lm in lms):
+        return 0
     for i in range(ring.nvars):
-        e = tuple(N if k == i else 0 for k in range(ring.nvars))
-        if aq.monomial_nf(e):
-            return False
-    for e in ring.exponents_of_degree(N):
-        if aq.monomial_nf(e):
-            return False
-    return True
+        if not any(lm[i] == sum(lm) for lm in lms):
+            raise UnboundedQuotientError("quotient has infinitely many standard monomials")
+    one = ring.field.one
+    for N in range(1, ceiling + 1):
+        if all(not reduce_terms(ring, order, {e: one}, reducers) for e in _pure_powers_first(ring, N)):
+            return N
+    raise UnboundedQuotientError(
+        f"no power of the maximal ideal below {ceiling} lies in the ideal"
+    )
+
+
+def _local_form(ideal, order, ceiling, hint):
+    """(I + m^N, N) for the least N with m^N inside I in the power-series ring.
+
+    The truncation G grows by one from the hint until m^(G-1) <= I + m^G,
+    which certifies by Nakayama; N is then the least k with m^k <= I + m^G,
+    read off the same kernel.  As I + m^N = I + m^G, that kernel serves the
+    result as well.
+    """
+    n = ideal.ring.nvars
+    G = 2 if hint is None else max(2, hint + 1)
+    while G <= ceiling + 1:
+        if math.comb(G + n - 1, n - 1) > 1200:
+            raise UnboundedQuotientError(
+                f"no power of the maximal ideal up to {G - 1} could be certified "
+                "and larger truncations are not affordable; quotient looks non-Artinian"
+            )
+        aq = ideal.truncated(G).quotient(order)
+        if aq.vanishes(G - 1):
+            N = aq.bound()
+            J = ideal.truncated(N)
+            J._cache[("quotient", order.signature())] = aq
+            J._form = (J, N)
+            return J, N
+        G += 1
+    raise UnboundedQuotientError(
+        f"no power of the maximal ideal below {ceiling} could be certified; "
+        "quotient looks non-Artinian"
+    )
 
 
 def artinian_bound(ideal, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None):
     """Smallest verified N with m^N inside the ideal.
 
-    Graded mode tests membership directly.  Local mode certifies
-    m^N <= I + m^(N+1) by linear algebra, which suffices by Nakayama in the
-    complete local ring; the computation runs inside one truncation of I.
+    Graded mode tests membership against the reduced basis.  Local mode
+    certifies m^N <= I + m^(N+1) by linear algebra, which suffices by
+    Nakayama in the complete local ring; a truncated ideal reads N off its
+    own kernel.
     """
-    if ideal._bound is not None:
-        return ideal._bound
-    ring = ideal.ring
-    if ideal.is_unit(order):
-        ideal._bound = 0
-        return 0
-    if ring.mode == "graded" and ideal.trunc is None:
-        aq = ArtinianQuotient(ideal, order)
-        if not _pure_powers_in_lt(aq):
-            raise UnboundedQuotientError("quotient has infinitely many standard monomials")
-        for N in range(1, ceiling + 1):
-            if _degree_vanishes(aq, ring, N):
-                ideal._bound = N
-                return N
-        raise UnboundedQuotientError(
-            f"no power of the maximal ideal below {ceiling} lies in the ideal"
-        )
-    if ideal.trunc is not None:
-        aq = ArtinianQuotient(ideal, order)
-        for N in range(1, ideal.trunc + 1):
-            if _degree_vanishes(aq, ring, N):
-                ideal._bound = N
-                return N
-        ideal._bound = ideal.trunc
-        return ideal.trunc
-    # local, untruncated: doubling guesses, capped so the truncation block
-    # of the failure path stays affordable
-    import math
-
-    G = 4 if hint is None else max(2, hint + 1)
-    while True:
-        if math.comb(G + ring.nvars - 1, ring.nvars - 1) > 1200:
-            raise UnboundedQuotientError(
-                f"no power of the maximal ideal up to {G - 1} could be certified "
-                "and larger truncations are not affordable; quotient looks non-Artinian"
-            )
-        J = ideal.truncated(G)
-        aq = ArtinianQuotient(J, order)
-        if _degree_vanishes(aq, ring, G - 1):
-            for N in range(1, G):
-                if _degree_vanishes(aq, ring, N):
-                    ideal._bound = N
-                    return N
-        nextG = min(2 * G, ceiling + 1)
-        if nextG <= G:
-            raise UnboundedQuotientError(
-                f"no power of the maximal ideal below {ceiling} could be certified; "
-                "quotient looks non-Artinian"
-            )
-        G = nextG
+    if ideal._form is None:
+        if ideal.trunc is not None:
+            ideal._form = (ideal, ideal.quotient(order).bound())
+        elif ideal.ring.mode == "graded":
+            ideal._form = (ideal, _graded_bound(ideal, order, ceiling))
+        else:
+            ideal._form = _local_form(ideal, order, ceiling, hint)
+    return ideal._form[1]
 
 
 def artinian_form(ideal, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None):
     """(truncation-exact ideal, bound N): local ideals get trunc = N."""
-    N = artinian_bound(ideal, order, ceiling, hint)
-    if ideal.ring.mode == "local" and ideal.trunc is None:
-        J = ideal.truncated(N)
-        J._bound = N
-        return J, N
-    return ideal, N
+    artinian_bound(ideal, order, ceiling, hint)
+    return ideal._form
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +497,7 @@ def hilbert_data(ideal, order=GREVLEX, ceiling=DEFAULT_CEILING):
     J, N = artinian_form(ideal, order, ceiling)
     if N == 0:
         return HilbertData(())
-    aq = ArtinianQuotient(J, order)
+    aq = J.quotient(order)
     ech = Echelon(ideal.ring.field, order.key)
     ranks = [0]  # ranks[j] = dim of span of degrees >= N - j
     for k in range(N - 1, -1, -1):
@@ -622,21 +579,21 @@ def exact_divide(p, f, order=GREVLEX):
 
 
 def _finite_quotient_ready(I, order):
-    """True when the multiplication-kernel colon is valid for I."""
+    """True when I contains a power of m, so the kernel colon is valid for I."""
     if I.trunc is not None:
         return True
     if I.ring.mode != "graded":
         return False
     try:
-        aq = ArtinianQuotient(I, order)
+        artinian_bound(I, order)
     except UnboundedQuotientError:
         return False
-    return _pure_powers_in_lt(aq)
+    return True
 
 
 def _kernel_colon(I, divisors, order):
     """(I : <divisors>) on a finite quotient via multiplication kernels."""
-    aq = ArtinianQuotient(I, order)
+    aq = I.quotient(order)
     if aq.length == 0:
         return Ideal(I.ring, [I.ring.one()])
     rows = {}  # condition rows over standard-monomial columns

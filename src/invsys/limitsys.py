@@ -10,7 +10,6 @@ stabilized generator set.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .duality import DualModule, contract_exp, minimal_cogenerators, perp_ideal, perp_module, socle_basis
@@ -23,15 +22,11 @@ from .groebner import (
     is_regular,
 )
 from .linalg import intersect_spans, solve_in_span, Echelon
-from .ring import GREVLEX
-
-
-def _unit_exp(n, i, k=1):
-    return tuple(k if j == i else 0 for j in range(n))
+from .ring import GREVLEX, e_unit
 
 
 def _zpower_exp(ring, slot, power):
-    return _unit_exp(ring.nvars, ring.zindices[slot], power)
+    return e_unit(ring.nvars, ring.zindices[slot], power)
 
 
 def grid(d, B):
@@ -102,7 +97,6 @@ class DualTower:
     bound: int
     s: int
     modules: dict  # m -> DualModule
-    reductions: dict  # m -> Artinian-form Ideal
 
 
 def artinian_reduction(I, m, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None):
@@ -153,35 +147,22 @@ def check_z_regularity(I, order=GREVLEX):
         current = current.plus([f])
 
 
-def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False, jobs=None):
+def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False):
     """W_m = perp of the Artinian reduction at m, for every m in {1..B}^d."""
     ring = I.ring
     d = len(ring.zindices)
     if not trust_regular and d > 0:
         check_z_regularity(I, order)
     I1 = artinian_reduction(I, diag(d, 1), order, ceiling)
-    _, N1 = artinian_form(I1, order, ceiling)
     s = hilbert_data(I1, order, ceiling).socle_degree
 
-    def stage(m):
+    modules = {}
+    for m in grid(d, B):
         hint = sum(m) + s - d + 1 if d else None
         red = artinian_reduction(I, m, order, ceiling, hint=hint)
         J, N = artinian_form(red, order, ceiling)
-        W = perp_ideal(J, degbound=N - 1, order=order, ceiling=ceiling)
-        return m, J, W
-
-    stages = grid(d, B)
-    modules = {}
-    reductions = {}
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(stage, stages))
-    else:
-        results = [stage(m) for m in stages]
-    for m, J, W in results:
-        reductions[m] = J
-        modules[m] = W
-    return DualTower(ring, d, B, s, modules, reductions)
+        modules[m] = perp_ideal(J, degbound=N - 1, order=order, ceiling=ceiling)
+    return DualTower(ring, d, B, s, modules)
 
 
 def section_lift(tower, B=None, order=GREVLEX):

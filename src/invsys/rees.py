@@ -13,16 +13,10 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .errors import DegenerateInputError, InvalidDivisorError
-from .groebner import (
-    ArtinianQuotient,
-    DEFAULT_CEILING,
-    Ideal,
-    artinian_form,
-    is_regular,
-)
+from .groebner import DEFAULT_CEILING, Ideal, artinian_form, is_regular
 from .duality import socle_basis
 from .linalg import Echelon
-from .ring import GREVLEX
+from .ring import GREVLEX, e_unit
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +52,7 @@ class MonoidIdeal:
             return []
         box = [max(g[i] for g in self.generators) for i in range(self.t)]
         out = []
-        units = [tuple(1 if j == i else 0 for j in range(self.t)) for i in range(self.t)]
+        units = [e_unit(self.t, i) for i in range(self.t)]
         for n in itertools.product(*[range(c) for c in box]):
             if self.contains(n):
                 continue
@@ -71,12 +65,7 @@ class MonoidIdeal:
 def diagonal_monoid_ideal(m):
     """The monoid ideal generated by the coordinate multiples m_i e_i."""
     t = len(m)
-    gens = tuple(tuple(m[i] if j == i else 0 for j in range(t)) for i in range(t))
-    return MonoidIdeal(t, gens)
-
-
-def monoid_socle(M):
-    return M.socle()
+    return MonoidIdeal(t, tuple(e_unit(t, i, m[i]) for i in range(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +185,7 @@ def rees_dimension_check(seq, I, level, degcap=3, order=GREVLEX, ceiling=DEFAULT
         return ReesCheckReport(False, reason)
     t = degcap
     base = I.plus(list(seq)).truncated(t)
-    base_dim = ArtinianQuotient(base, order).length
+    base_dim = base.quotient(order).length
     s = len(seq)
     report = ReesCheckReport(True)
     for l in range(level + 1):
@@ -269,7 +258,7 @@ def socle_product_check(I, seq, M, order=GREVLEX, ceiling=DEFAULT_CEILING):
         base_socle_dim=len(base_socle),
         monoid_socle_size=len(soc_m),
     )
-    aq = ArtinianQuotient(big, order)
+    aq = big.quotient(order)
     variables = [ring.variable(i) for i in range(ring.nvars)]
     ech = Echelon(ring.field, order.key)
     ok_products = True

@@ -55,6 +55,11 @@ def e_coprime(a, b):
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
+def e_unit(n, i, k=1):
+    """Exponent of x_i^k among n variables."""
+    return tuple(k if j == i else 0 for j in range(n))
+
+
 # ---------------------------------------------------------------------------
 # monomial orders
 

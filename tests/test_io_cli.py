@@ -170,6 +170,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["hilbert", "-i", str(pos), "--degcap", "12"]) == 1
 
 
+def test_cli_denominator_vanishing_mod_p_is_a_syntax_error(tmp_path, capsys):
+    # 1/3 has no value in F3: a clean exit 2, not a ZeroDivisionError
+    path = tmp_path / "f3.ideal"
+    path.write_text("field F3\nring graded vars x,y\nideal:\nx^2\n1/3*y\n")
+    assert main(["hilbert", "-i", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_reconstruct_from_json_recovers_generators(tmp_path, capsys):
     # json export, reconstruction, then membership of all five generators
     out = tmp_path / "H.json"

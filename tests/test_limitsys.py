@@ -95,14 +95,6 @@ def test_dual_tower_socle_stability(curve):
     assert set(counts.values()) == {2}
 
 
-def test_dual_tower_parallel_matches_serial(band):
-    ctx, I = band
-    serial = dual_tower(I, 3)
-    parallel = dual_tower(I, 3, jobs=2)
-    for m in serial.modules:
-        assert serial.modules[m].basis == parallel.modules[m].basis
-
-
 def test_section_lift_closed_form(band):
     ctx, I = band
     H = section_lift(dual_tower(I, 4))

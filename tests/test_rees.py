@@ -9,7 +9,6 @@ from invsys.rees import (
     MonoidIdeal,
     diagonal_monoid_ideal,
     filtration_order,
-    monoid_socle,
     rees_dimension_check,
     socle_product_check,
 )
