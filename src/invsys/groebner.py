@@ -258,7 +258,8 @@ class Ideal:
         return Ideal(self.ring, self.gens + tuple(extra), trunc=self.trunc)
 
     def truncated(self, bound):
-        """The ideal <gens> + m^bound, generators truncated accordingly."""
+        """The ideal <gens> + m^bound, generators truncated accordingly; the
+        ideal itself when it is already truncated at or below bound."""
         if self.trunc is not None and self.trunc <= bound:
             return self
         tr = bound if self.trunc is None else min(self.trunc, bound)
