@@ -10,6 +10,7 @@ stabilized generator set.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 
 from .duality import DualModule, contract_exp, minimal_cogenerators, perp_ideal, perp_module, socle_basis
@@ -21,7 +22,7 @@ from .groebner import (
     hilbert_data,
     is_regular,
 )
-from .linalg import intersect_spans, solve_in_span, Echelon
+from .linalg import Echelon, echelon_basis, solve_in_span
 from .ring import GREVLEX, e_unit
 
 
@@ -59,6 +60,10 @@ class VSpace:
             gens.append(ring.monomial(zexp))
         return gens
 
+    def contains(self, ring, e):
+        """True when the dual monomial X^e lies in the slice."""
+        return sum(e) <= sum(self.m) + self.k and e[ring.zindices[self.j]] < self.m[self.j] - 1
+
     def slice_exponents(self, ring):
         zi = ring.zindices[self.j]
         limit = self.m[self.j] - 1
@@ -66,6 +71,20 @@ class VSpace:
         for e in ring.exponents_upto(total):
             if e[zi] < limit:
                 yield e
+
+    def meet(self, W, order=GREVLEX):
+        """Canonical echelon basis of W cap V, as term dicts.
+
+        V is a coordinate subspace, so echelonizing W's basis with every
+        column outside V keyed above every column inside V leaves the rows
+        whose pivot lies in V as a basis of the intersection.
+        """
+        ring = W.ring
+        key = order.key
+        ech = Echelon(ring.field, lambda e: (not self.contains(ring, e), key(e)))
+        ech.extend(F.terms for F in W.basis)
+        inside = [row for pivot, row in ech.rows.items() if self.contains(ring, pivot)]
+        return echelon_basis(ring.field, key, inside)
 
 
 @dataclass
@@ -88,6 +107,29 @@ class LimitInverseSystem:
         return DualModule.generate(self.ring, elems, degbound=max(bound, 0), order=order)
 
 
+class LazyStages(Mapping):
+    """Read-only map m -> build(m) over fixed keys; each value is built on first read."""
+
+    def __init__(self, keys, build):
+        self._values = dict.fromkeys(keys)
+        self._build = build
+
+    def __getitem__(self, m):
+        value = self._values[m]
+        if value is None:
+            value = self._values[m] = self._build(m)
+        return value
+
+    def __contains__(self, m):
+        return m in self._values
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+
 @dataclass
 class DualTower:
     """The family W_m = (I_m)^perp for m in the grid, plus stage metadata."""
@@ -96,7 +138,7 @@ class DualTower:
     d: int
     bound: int
     s: int
-    modules: dict  # m -> DualModule
+    modules: Mapping  # m -> DualModule, built on first read
 
 
 def artinian_reduction(I, m, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None):
@@ -148,21 +190,29 @@ def check_z_regularity(I, order=GREVLEX):
 
 
 def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False):
-    """W_m = perp of the Artinian reduction at m, for every m in {1..B}^d."""
+    """W_m = perp of the Artinian reduction at m, for every m in {1..B}^d.
+
+    Only the first reduction is computed here; each stage is built when it
+    is first read, so a caller that reads the diagonal pays for B stages,
+    not B^d.
+    """
     ring = I.ring
     d = len(ring.zindices)
     if not trust_regular and d > 0:
         check_z_regularity(I, order)
-    I1 = artinian_reduction(I, diag(d, 1), order, ceiling)
+    one = diag(d, 1)
+    I1 = artinian_reduction(I, one, order, ceiling)
     s = hilbert_data(I1, order, ceiling).socle_degree
 
-    modules = {}
-    for m in grid(d, B):
-        hint = sum(m) + s - d + 1 if d else None
-        red = artinian_reduction(I, m, order, ceiling, hint=hint)
+    def stage(m):
+        if m == one:
+            red = I1
+        else:
+            red = artinian_reduction(I, m, order, ceiling, hint=sum(m) + s - d + 1)
         J, N = artinian_form(red, order, ceiling)
-        modules[m] = perp_ideal(J, degbound=N - 1, order=order, ceiling=ceiling)
-    return DualTower(ring, d, B, s, modules)
+        return perp_ideal(J, degbound=N - 1, order=order, ceiling=ceiling)
+
+    return DualTower(ring, d, B, s, LazyStages(grid(d, B), stage))
 
 
 def section_lift(tower, B=None, order=GREVLEX):
@@ -342,14 +392,7 @@ def verify_lis(H, order=GREVLEX):
     for m in stages:
         Wm = modules[m]
         for slot in range(d):
-            vs = VSpace(slot, s - d, m)
-            vvecs = [{e: ring.field.one} for e in vs.slice_exponents(ring)]
-            inter = intersect_spans(
-                ring.field,
-                order.key,
-                [F.terms for F in Wm.basis],
-                vvecs,
-            )
+            inter = VSpace(slot, s - d, m).meet(Wm, order)
             prev = tuple(m[i] - (1 if i == slot else 0) for i in range(d))
             if all(x >= 1 for x in prev):
                 Wprev = modules[prev]

@@ -403,8 +403,13 @@ class Polynomial:
         if n < 0:
             raise ValueError("negative power")
         result = self.ring.one()
-        for _ in range(n):
-            result = result * self
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def mul_term(self, exponent, coeff):

@@ -1,7 +1,8 @@
 import pytest
 
-from invsys import Ideal, PipelineError, context_from_names, equal_as_artinian
-from invsys.duality import DualModule, contract_exp, minimal_cogenerators
+import invsys.limitsys as limitsys
+from invsys import Ideal, PipelineError, artinian_form, context_from_names, equal_as_artinian
+from invsys.duality import DualModule, contract_exp, minimal_cogenerators, perp_ideal
 from invsys.limitsys import (
     LimitInverseSystem,
     VSpace,
@@ -14,12 +15,34 @@ from invsys.limitsys import (
     section_lift,
     verify_lis,
 )
+from invsys.linalg import intersect_spans
+from invsys.ring import GREVLEX, Polynomial
 
 
 @pytest.fixture
 def band():
     ctx = context_from_names("y,z", zvars="z")
     return ctx, Ideal(ctx, [ctx.variable(0) ** 2])
+
+
+@pytest.fixture(scope="module")
+def ci_d2():
+    """A graded complete intersection with a two-variable z-block and z-tails."""
+    ctx = context_from_names("y0,y1,z0,z1", zvars="z0,z1")
+    return ctx, Ideal(ctx, [ctx.parse("y0^3 - 2*y1^2*z0 - y1*z0*z1"), ctx.parse("y1^2")])
+
+
+def mutated_families(H):
+    """The band family with a zeroed middle stage, a degree-inflated element
+    and an incompatible top stage."""
+    ctx = H.ring
+    zeroed = dict(H.family)
+    zeroed[(2,)] = (ctx.dual.zero(),)
+    inflated = dict(H.family)
+    inflated[(2,)] = (inflated[(2,)][0] + ctx.dual.parse("Y*Z^3"),)
+    incompat = dict(H.family)
+    incompat[(3,)] = (ctx.dual.parse("Z^2"),)
+    return [LimitInverseSystem(ctx, H.d, H.r, H.s, H.bound, fam) for fam in (zeroed, inflated, incompat)]
 
 
 def test_artinian_reduction_examples(band):
@@ -64,6 +87,38 @@ def test_dual_tower_closed_form(band):
         s = "Y" if m == 1 else f"Y*Z^{m - 1}"
         expected = DualModule.generate(ctx, [dual.parse(s)])
         assert tower.modules[(m,)].equals(expected)
+
+
+def test_dual_tower_builds_only_the_read_stages(ci_d2, monkeypatch):
+    # section_lift reads the diagonal, so B stages are built, the first one
+    # from the reduction that gave s; every other stage is built on first read
+    ctx, I = ci_d2
+    B = 3
+    calls = {"perp_ideal": 0, "artinian_reduction": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(limitsys, "perp_ideal", counted("perp_ideal", perp_ideal))
+    monkeypatch.setattr(
+        limitsys, "artinian_reduction", counted("artinian_reduction", artinian_reduction)
+    )
+    tower = dual_tower(I, B, trust_regular=True)
+    section_lift(tower)
+    assert calls == {"perp_ideal": B, "artinian_reduction": B}
+    assert len(tower.modules) == B ** 2 and list(tower.modules) == grid(2, B)
+    assert (1, 2) in tower.modules and (0, 1) not in tower.modules
+    monkeypatch.undo()
+    stages = dict(tower.modules.items())
+    assert list(stages) == grid(2, B)
+    for m, W in stages.items():
+        J, N = artinian_form(artinian_reduction(I, m))
+        assert W.basis == perp_ideal(J, degbound=N - 1).basis
+    with pytest.raises(KeyError):
+        tower.modules[(0, 1)]
 
 
 def test_dual_tower_rejects_artinian_input():
@@ -140,10 +195,8 @@ def test_verify_lis_passes(band):
 def test_verify_lis_mutations(band):
     ctx, I = band
     H = section_lift(dual_tower(I, 3))
+    broken, inflated, incompat = mutated_families(H)
     # zeroed middle stage: support condition fails with witness m = 2
-    fam = dict(H.family)
-    fam[(2,)] = (ctx.dual.zero(),)
-    broken = LimitInverseSystem(ctx, H.d, H.r, H.s, H.bound, fam)
     rep = verify_lis(broken)
     assert not rep.passed
     bad = {c.condition for c in rep.failures()}
@@ -151,18 +204,66 @@ def test_verify_lis_mutations(band):
     assert any(c.m == (2,) for c in rep.failures())
 
     # degree-inflated element: the top-degree condition fails
-    fam = dict(H.family)
-    fam[(2,)] = (fam[(2,)][0] + ctx.dual.parse("Y*Z^3"),)
-    inflated = LimitInverseSystem(ctx, H.d, H.r, H.s, H.bound, fam)
     rep = verify_lis(inflated)
     assert any(c.condition == "d" and not c.ok for c in rep.checks)
 
     # broken compatibility: replace the top stage by an incompatible element
-    fam = dict(H.family)
-    fam[(3,)] = (ctx.dual.parse("Z^2"),)
-    incompat = LimitInverseSystem(ctx, H.d, H.r, H.s, H.bound, fam)
     rep = verify_lis(incompat)
     assert any(c.condition == "compat" and not c.ok for c in rep.checks)
+
+
+def reference_c_checks(H, order=GREVLEX):
+    """Condition (c) by the Zassenhaus intersection with the slice monomials.
+
+    Returns (m, ok, detail) per check and the intersection bases, in the
+    order verify_lis reports them.
+    """
+    ring, d = H.ring, H.d
+    modules = {m: H.module_at(m, order) for m in grid(d, H.bound)}
+    checks, meets = [], []
+    for m in grid(d, H.bound):
+        for slot in range(d):
+            vs = VSpace(slot, H.s - d, m)
+            inter = intersect_spans(
+                ring.field,
+                order.key,
+                [F.terms for F in modules[m].basis],
+                [{e: ring.field.one} for e in vs.slice_exponents(ring)],
+            )
+            prev = tuple(m[i] - (1 if i == slot else 0) for i in range(d))
+            ok = all(prev in modules and modules[prev].contains(Polynomial(ring.dual, v)) for v in inter)
+            checks.append((m, ok, f"slot {slot + 1}: intersection dim {len(inter)} inside W at {prev}"))
+            meets.append((vs, modules[m], inter))
+    return checks, meets
+
+
+def test_condition_c_matches_zassenhaus_reference(band, curve_H9, ci_d2):
+    H_band = section_lift(dual_tower(band[1], 3))
+    families = [curve_H9, section_lift(dual_tower(ci_d2[1], 3))] + mutated_families(H_band)
+    verdicts = set()
+    nonempty = 0
+    for H in families:
+        checks, meets = reference_c_checks(H)
+        got = [(c.m, c.ok, c.detail) for c in verify_lis(H).checks if c.condition == "c"]
+        assert got == checks
+        verdicts.update(ok for _, ok, _ in checks)
+        for vs, W, inter in meets:
+            assert vs.meet(W) == inter
+            nonempty += bool(inter)
+    # both verdicts and nonzero intersections occur, so the comparison has teeth
+    assert verdicts == {True, False} and nonempty > 0
+
+
+def test_vspace_contains_matches_slice(curve, ci_d2):
+    for ctx, cases in [
+        (curve[0], [((1,), 1), ((2,), 2), ((3,), 0), ((4,), 3)]),
+        (ci_d2[0], [((1, 1), 1), ((2, 3), 1), ((3, 1), 0), ((2, 2), 2)]),
+    ]:
+        for m, k in cases:
+            for j in range(len(m)):
+                vs = VSpace(j, k, m)
+                upto = ctx.exponents_upto(sum(m) + k + 1)
+                assert {e for e in upto if vs.contains(ctx, e)} == set(vs.slice_exponents(ctx))
 
 
 def test_vspace_two_realizations(curve):

@@ -1,5 +1,7 @@
 """The whole pipeline over a prime field, plus the related CLI flags."""
 
+import time
+
 import pytest
 
 from invsys import Ideal, PrimeField, context_from_names, equal_as_artinian, hilbert_data
@@ -57,3 +59,26 @@ def test_d0_limit_file_roundtrip():
     H2 = parse_lis_file(text)
     assert H2.family == H.family and H2.d == 0
     assert verify_lis(H2).passed
+
+
+def test_large_prime_accepted_quickly():
+    p = 2**61 - 1
+    start = time.perf_counter()
+    fld = PrimeField(p)
+    assert time.perf_counter() - start < 0.5
+    assert fld.mul(fld.inv(12345), 12345) == 1
+
+
+@pytest.mark.parametrize("n", [1, 561, 2**61 + 1, 3825123056546413051, 318665857834031151167461])
+def test_composites_and_units_rejected(n):
+    # 561 is a Carmichael number; the last two are strong pseudoprimes to
+    # the first 9 and the first 12 prime bases
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(n)
+
+
+def test_prime_beyond_exact_range_is_a_clean_error(capsys):
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(2**89 - 1)
+    assert main(["socle", "-i", EXAMPLE, "--m", "1", "--field", f"fp:{2**89 - 1}"]) == 2
+    assert "too large" in capsys.readouterr().err

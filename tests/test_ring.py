@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -126,6 +127,22 @@ def test_truncation_is_a_ring_map(p, q, N):
     lhs = (p * q).truncate(N)
     rhs = (p.truncate(N) * q.truncate(N)).truncate(N)
     assert lhs == rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polys(CTX_Q), st.integers(0, 6))
+def test_power_is_repeated_product(p, n):
+    expected = CTX_Q.one()
+    for _ in range(n):
+        expected = expected * p
+    assert p ** n == expected
+
+
+def test_parse_huge_exponent_is_fast(ctx2):
+    start = time.perf_counter()
+    p = ctx2.parse("x^100000000")
+    assert time.perf_counter() - start < 1.0
+    assert p.terms == {(100000000, 0): 1}
 
 
 @settings(max_examples=60, deadline=None)
