@@ -11,8 +11,8 @@ from __future__ import annotations
 import warnings
 
 from .errors import ContextMismatchError
-from .groebner import DEFAULT_CEILING, Ideal, artinian_form, ideal_colon
-from .linalg import Echelon, intersect_spans, nullspace
+from .groebner import DEFAULT_CEILING, ArtinianQuotient, Ideal, artinian_form, ideal_colon
+from .linalg import Echelon, intersect_spans
 from .ring import GREVLEX, Polynomial, e_divides, e_sub, e_unit
 
 
@@ -148,23 +148,27 @@ class DualModule:
         if degbound is None:
             degs = [F.degree for F in elements if not F.is_zero()]
             degbound = int(max(degs)) if degs else 0
-        ech = Echelon(ring.field, order.key)
-        queue = []
-        for F in elements:
-            if ech.insert(F.terms) is not None:
-                queue.append(F)
-        while queue:
-            F = queue.pop()
-            for i in range(ring.nvars):
-                G = contract_exp(e_unit(ring.nvars, i), F)
-                if G and ech.insert(G.terms) is not None:
-                    queue.append(G)
+        ech = _closure(ring, elements, order.key)
         return cls(ring, degbound, [Polynomial(dual, r) for r in ech.basis()], order)
 
     def __repr__(self):
         head = ", ".join(F.render(self.order) for F in self.basis[:4])
         more = "" if self.dim <= 4 else f", ... ({self.dim} total)"
         return f"DualModule<deg<={self.degbound}: {head}{more}>"
+
+
+def _closure(ring, elements, sortkey):
+    """Echelon, under sortkey, of the span of all contractions of the elements."""
+    ech = Echelon(ring.field, sortkey)
+    queue = [F for F in elements if ech.insert(F.terms) is not None]
+    n = ring.nvars
+    while queue:
+        F = queue.pop()
+        for i in range(n):
+            G = contract_exp(e_unit(n, i), F)
+            if G and ech.insert(G.terms) is not None:
+                queue.append(G)
+    return ech
 
 
 def perp_ideal(I, degbound=None, order=GREVLEX, ceiling=DEFAULT_CEILING):
@@ -208,41 +212,42 @@ def _verify_closed(W):
 def perp_module(W, order=GREVLEX):
     """Annihilator ideal of a dual module, with certificate m^(degbound+1).
 
-    Conditions come from a minimal generating set only; annihilating the
-    generators annihilates their contraction closure.  The internal linear
-    algebra runs over a degree-compatible order (which makes the echelonized
-    kernel a basis of the annihilator together with the truncation block);
-    the returned generator set is independent of the caller's order.
+    The transpose of perp_ideal, read off one echelon.  The contraction
+    closure C of W is echelonized with each row's pivot at its smallest
+    GREVLEX monomial; terms above B = degbound are cut afterwards, which
+    leaves the rows reduced because the order is degree-compatible.  Each
+    non-pivot monomial u of degree <= B gives the row x^u - sum_v c_v[u] x^v
+    over the rows c_v with pivot v: together these are the reduced GREVLEX
+    echelon form of Ann(C) & P_{<=B}.  The generators are the rows whose
+    lead monomials are divisibility-minimal.  When every term of W has
+    degree <= B (the DualModule contract), Ann(C) contains m^(B+1) and the
+    rows are the quotient matrix of the returned ideal, which takes them
+    over as its GREVLEX kernel.  The order argument does not affect the
+    result.
     """
     ring = W.ring
     if W.is_zero():
         warnings.warn("annihilator of the zero module is the unit ideal")
         return Ideal(ring, [ring.one()])
     B = W.degbound
-    gens = minimal_cogenerators(W, order)
-    columns = list(ring.exponents_upto(B))
-    rows = {}
-    for fi, F in enumerate(gens):
-        for m, c in F.terms.items():
-            for u in columns:
-                if e_divides(u, m):
-                    rows.setdefault((fi, e_sub(m, u)), {})[u] = c
     key = GREVLEX.key
-    negkey = lambda e: _neg_key(key(e))
-    kernel = nullspace(ring.field, list(rows.values()), columns, negkey)
-    # with smallest-monomial pivots each kernel vector leads at its free
-    # column, so the set is already echelon; keep the divisibility-minimal
-    # ones, which form a minimal basis together with the truncation block
-    kernel.sort(key=lambda v: key(max(v, key=key)))
+    closure = _closure(ring, W.basis, lambda e: _neg_key(key(e)))
+    fld = ring.field
+    rows = {u: {u: fld.one} for u in ring.exponents_upto(B)}  # lead -> row
+    for v, row in closure.rows.items():
+        if sum(v) <= B:
+            del rows[v]
+            for u, c in row.items():
+                if u != v and sum(u) <= B:
+                    rows[u][v] = fld.neg(c)
     kept = []
-    kept_lms = []
-    for vec in kernel:
-        lm = max(vec, key=key)
-        if any(e_divides(m, lm) for m in kept_lms):
-            continue
-        kept.append(Polynomial(ring, vec))
-        kept_lms.append(lm)
-    return Ideal(ring, kept, trunc=B + 1)
+    for u in sorted(rows, key=key):
+        if not any(e_divides(m, u) for m in kept):
+            kept.append(u)
+    A = Ideal(ring, [Polynomial(ring, rows[u]) for u in kept], trunc=B + 1)
+    if W.max_degree() <= B:
+        A.adopt_quotient(ArtinianQuotient.from_rows(ring, GREVLEX, B + 1, rows))
+    return A
 
 
 def socle_basis(I, order=GREVLEX, ceiling=DEFAULT_CEILING):

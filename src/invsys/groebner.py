@@ -233,6 +233,10 @@ class Ideal:
             aq = self._cache[key] = ArtinianQuotient(self, order)
         return aq
 
+    def adopt_quotient(self, aq):
+        """Take over aq as this ideal's ArtinianQuotient in aq.order."""
+        self._cache[("quotient", aq.order.signature())] = aq
+
     def normal_form(self, p, order=GREVLEX):
         """Unique remainder of p modulo the reduced basis; 0 iff p in I."""
         self.ring.check_same(p.ring)
@@ -306,9 +310,6 @@ class ArtinianQuotient:
     def __init__(self, ideal, order=GREVLEX):
         ring = ideal.ring
         N = ideal.trunc if ideal.trunc is not None else artinian_bound(ideal, order)
-        self.ring = ring
-        self.order = order
-        self.N = N
         ech = Echelon(ring.field, order.key)
         for g in ideal.gens:
             terms = [(e, sum(e), c) for e, c in g.terms.items() if sum(e) < N]
@@ -323,10 +324,25 @@ class ArtinianQuotient:
                     continue
                 room = N - sum(a)
                 ech.insert({e_add(e, a): c for e, d, c in terms if d < room})
-        self.rows = ech.rows  # pivot monomial -> row dict
-        self.std = sorted(
-            (e for e in ring.exponents_upto(N - 1) if e not in self.rows), key=order.key
-        )
+        self._adopt(ring, order, N, ech.rows)
+
+    @classmethod
+    def from_rows(cls, ring, order, N, rows):
+        """The quotient whose matrix is already known, without building it.
+
+        rows maps each pivot to its row: the reduced echelon form, in
+        order.key, of (J + m^N) & P_{<N}.  The caller vouches for it.
+        """
+        aq = cls.__new__(cls)
+        aq._adopt(ring, order, N, rows)
+        return aq
+
+    def _adopt(self, ring, order, N, rows):
+        self.ring = ring
+        self.order = order
+        self.N = N
+        self.rows = rows  # pivot monomial -> row dict
+        self.std = sorted((e for e in ring.exponents_upto(N - 1) if e not in rows), key=order.key)
 
     @property
     def length(self):
@@ -434,7 +450,7 @@ def _local_form(ideal, order, ceiling, hint):
         if aq.vanishes(G - 1):
             N = aq.bound()
             J = ideal.truncated(N)
-            J._cache[("quotient", order.signature())] = aq
+            J.adopt_quotient(aq)
             J._form = (J, N)
             return J, N
         G += 1

@@ -97,14 +97,26 @@ class LimitInverseSystem:
     s: int
     bound: int
     family: dict  # m in {1..B}^d -> tuple of dual Polynomials
+    _modules: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def stages(self):
         return sorted(self.family)
 
     def module_at(self, m, order=GREVLEX):
-        elems = self.family.get(tuple(m), ())
-        bound = sum(m) + self.s - self.d if self.d else self.s
-        return DualModule.generate(self.ring, elems, degbound=max(bound, 0), order=order)
+        """The module generated by H_m, with degree bound |m| + s - d.
+
+        Built once per stage and order: the family is not mutated after
+        construction, so verify_lis and reconstruct share the modules.
+        """
+        m = tuple(m)
+        key = (m, order.signature())
+        W = self._modules.get(key)
+        if W is None:
+            bound = sum(m) + self.s - self.d if self.d else self.s
+            elems = self.family.get(m, ())
+            W = DualModule.generate(self.ring, elems, degbound=max(bound, 0), order=order)
+            self._modules[key] = W
+        return W
 
 
 class LazyStages(Mapping):

@@ -526,6 +526,9 @@ def _tokenize(text):
     return tokens
 
 
+MAX_NESTING = 100  # parentheses plus unary minus signs; each level costs <= 4 frames
+
+
 class _ExprParser:
     """Recursive descent for sums of products of powers, with parentheses."""
 
@@ -533,6 +536,7 @@ class _ExprParser:
         self.ctx = ctx
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -609,14 +613,19 @@ class _ExprParser:
             if val not in self.ctx.index:
                 self.fail(f"unknown variable {val!r}", tok)
             return self.ctx.variable(val)
-        if kind == "op" and val == "(":
-            p = self.expr()
-            close = self.take()
-            if close[:2] != ("op", ")"):
-                self.fail("expected ')'", close)
+        if kind == "op" and val in "(-":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.fail(f"expression nested deeper than {MAX_NESTING} levels", tok)
+            if val == "(":
+                p = self.expr()
+                close = self.take()
+                if close[:2] != ("op", ")"):
+                    self.fail("expected ')'", close)
+            else:
+                p = -self.factor()
+            self.depth -= 1
             return p
-        if kind == "op" and val == "-":
-            return -self.factor()
         self.fail(f"unexpected {val!r}" if val else "unexpected end of input", tok)
 
 

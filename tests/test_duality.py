@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import invsys.groebner as groebner
 from invsys import Ideal, context_from_names, equal_as_artinian, hilbert_data
 from invsys.duality import (
     DualModule,
@@ -14,6 +15,10 @@ from invsys.duality import (
     perp_module,
     socle_basis,
 )
+from invsys.groebner import ArtinianQuotient
+from invsys.limitsys import dual_tower, grid, section_lift
+from invsys.linalg import nullspace
+from invsys.ring import GREVLEX, Polynomial, e_divides, e_sub
 
 from oracles import brute_perp
 
@@ -266,3 +271,87 @@ def test_pairing_adjointness(ctx2):
         q = ctx2.monomial(rng.choice(exps), rng.randint(-2, 2))
         F = dual.monomial(rng.choice(exps), rng.randint(-2, 2))
         assert dual_pairing(p * q, F) == dual_pairing(p, contract(q, F))
+
+
+
+def _pairing_perp_module(W):
+    """Reference annihilator: the pairing conditions <x^u, x^w . F> = 0 over
+    a minimal generating set of W, solved by nullspace with smallest-monomial
+    pivots; the kernel vectors with divisibility-minimal leads are kept."""
+    ring = W.ring
+    B = W.degbound
+    columns = list(ring.exponents_upto(B))
+    rows = {}
+    for fi, F in enumerate(minimal_cogenerators(W)):
+        for m, c in F.terms.items():
+            for u in columns:
+                if e_divides(u, m):
+                    rows.setdefault((fi, e_sub(m, u)), {})[u] = c
+    key = GREVLEX.key
+    smallest_first = lambda e: (-sum(e), tuple(reversed(e)))  # reversed GREVLEX
+    kernel = nullspace(ring.field, list(rows.values()), columns, smallest_first)
+    kernel.sort(key=lambda v: key(max(v, key=key)))
+    kept, kept_lms = [], []
+    for vec in kernel:
+        lm = max(vec, key=key)
+        if not any(e_divides(m, lm) for m in kept_lms):
+            kept.append(Polynomial(ring, vec))
+            kept_lms.append(lm)
+    return Ideal(ring, kept, trunc=B + 1)
+
+
+def _random_duals(ctx, rng, D, count):
+    exps = list(ctx.exponents_upto(D))
+    top = list(ctx.exponents_of_degree(D))
+    out = []
+    for _ in range(count):
+        F = ctx.dual.monomial(rng.choice(top), rng.choice([-2, -1, 1, 2]))
+        for _ in range(rng.randint(0, 3)):
+            F = F + ctx.dual.monomial(rng.choice(exps), rng.choice([-2, -1, 1, 3]))
+        out.append(F)
+    return out
+
+
+def _perp_module_cases(curve_H9):
+    """(name, module, within contract) over stage modules and random modules."""
+    cases = [(f"curve{k}", curve_H9.module_at((k,)), True) for k in (1, 4, 9)]
+    ctx = context_from_names("y0,y1,z0,z1", zvars="z0,z1")
+    I = Ideal(ctx, [ctx.parse("y0^3 - 2*y1^2*z0 - y1*z0*z1"), ctx.parse("y1^2")])
+    H = section_lift(dual_tower(I, 3))
+    cases += [(f"ci{m}", H.module_at(m), True) for m in grid(2, 3)]
+    rng = random.Random(41)
+    for t in range(8):
+        ctx = context_from_names(",".join(f"x{i}" for i in range(rng.choice([2, 3]))))
+        D = rng.choice([2, 3, 4])
+        elems = _random_duals(ctx, rng, D, rng.choice([1, 2]))
+        cases += [
+            (f"closed{t}", DualModule.generate(ctx, elems), True),
+            (f"closed-wide{t}", DualModule.generate(ctx, elems, degbound=D + 1), True),
+            (f"open{t}", DualModule(ctx, D, elems), True),
+            (f"closed-above{t}", DualModule.generate(ctx, elems, degbound=D - 1), False),
+            (f"open-above{t}", DualModule(ctx, D - 1, elems), False),
+        ]
+    return cases
+
+
+def test_perp_module_matches_pairing_reference(curve_H9, monkeypatch):
+    built = []
+    init = ArtinianQuotient.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groebner.ArtinianQuotient, "__init__", counted)
+    for name, W, within in _perp_module_cases(curve_H9):
+        assert (W.max_degree() <= W.degbound) == within, name
+        new, old = perp_module(W), _pairing_perp_module(W)
+        assert new.gens == old.gens and new.trunc == old.trunc, name
+        del built[:]
+        assert new.groebner() == old.groebner(), name
+        # only a module within the contract hands its kernel over
+        assert len(built) == (1 if within else 2), name
+        if within:
+            fresh = ArtinianQuotient(Ideal(W.ring, new.gens, trunc=new.trunc))
+            assert new.quotient().rows == fresh.rows, name
+            assert new.quotient().std == fresh.std, name

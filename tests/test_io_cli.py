@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -176,6 +179,47 @@ def test_cli_denominator_vanishing_mod_p_is_a_syntax_error(tmp_path, capsys):
     path.write_text("field F3\nring graded vars x,y\nideal:\nx^2\n1/3*y\n")
     assert main(["hilbert", "-i", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+DEEP = {"parentheses": "(" * 3000 + "{v}" + ")" * 3000, "unary-minus": "-" * 3000 + "{v}"}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_cli_deep_nesting_is_a_syntax_error(tmp_path, capsys, shape):
+    # a recursion-depth overflow would escape main as RecursionError
+    path = tmp_path / "deep.ideal"
+    path.write_text("field Q\nring graded vars x,y\nideal:\n" + DEEP[shape].format(v="x") + "\n")
+    assert main(["hilbert", "-i", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested deeper" in err
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_cli_verify_deep_nesting_is_a_syntax_error(tmp_path, capsys, shape):
+    path = tmp_path / "deep.lis"
+    path.write_text(
+        "limit-system\nfield Q\nring graded vars y,z\nzvars z\nd 1\nr 1\ns 1\nbound 1\nm 1:\n"
+        + DEEP[shape].format(v="Y")
+        + "\n"
+    )
+    assert main(["verify", "-i", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested deeper" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    root = DATA.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "invsys", "hilbert", "-i", str(DATA / "example.ideal"), "--m", "1"],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "profile 1,2,2,1"
 
 
 def test_cli_reconstruct_from_json_recovers_generators(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import invsys.limitsys as limitsys
@@ -294,6 +296,53 @@ def test_reconstruct_needs_bound(curve):
     H = section_lift(dual_tower(I, 3))
     res = reconstruct(H)
     assert not res.stable  # junk has not fallen out yet at this bound
+
+
+def test_verify_and_reconstruct_share_stage_modules(curve_H9, ci_d2, tmp_path, capsys, monkeypatch):
+    # the CLI verifies every stage before it reconstructs along the diagonal;
+    # each stage module is generated once
+    from invsys.cli import main
+    from invsys.io import render_lis_file
+
+    families = [(curve_H9, 9), (section_lift(dual_tower(ci_d2[1], 5)), 25)]
+    calls = []
+    generate = DualModule.generate.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(1)
+        return generate(cls, *args, **kwargs)
+
+    monkeypatch.setattr(DualModule, "generate", classmethod(counted))
+    for H, builds in families:
+        path = tmp_path / "H.lis"
+        path.write_text(render_lis_file(H))
+        del calls[:]
+        assert main(["reconstruct", "-i", str(path)]) == 0
+        assert "stable True" in capsys.readouterr().out
+        assert len(calls) == builds
+
+
+def test_reconstruct_reuses_annihilator_kernels(curve_H9, monkeypatch):
+    # each stage annihilator carries its kernel, so kernels are built from
+    # generators only by the reproduction check, once per stage
+    import invsys.groebner as groebner
+
+    built = []
+    init = groebner.ArtinianQuotient.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("nullspace called")
+
+    monkeypatch.setattr(groebner.ArtinianQuotient, "__init__", counted)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("invsys") and hasattr(mod, "nullspace"):
+            monkeypatch.setattr(mod, "nullspace", forbidden)
+    assert reconstruct(curve_H9).stable
+    assert len(built) == curve_H9.bound == 9
 
 
 def test_invariants(band, curve):

@@ -173,6 +173,19 @@ def test_parse_errors(ctx2):
         ctx2.parse("x^y")
 
 
+def test_parse_nesting_limit(ctx2):
+    from invsys import InputSyntaxError
+    from invsys.ring import MAX_NESTING
+
+    x = ctx2.variable(0)
+    assert ctx2.parse("(" * 50 + "x" + ")" * 50) == x
+    assert ctx2.parse("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == x
+    assert ctx2.parse("-" * MAX_NESTING + "x") == x
+    for text in ("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), "-" * (2 * MAX_NESTING) + "x"):
+        with pytest.raises(InputSyntaxError):
+            ctx2.parse(text)
+
+
 def test_context_mismatch(ctx2, ctx4):
     with pytest.raises(ContextMismatchError):
         ctx2.variable(0) + ctx4.variable(0)
