@@ -213,6 +213,8 @@ def _run(args):
         return 0
 
     if args.command == "limit":
+        if args.mmax < 1:
+            raise ValueError(f"--mmax {args.mmax} must be at least 1")
         tower = dual_tower(ideal, args.mmax, order, ceiling, trust_regular=args.trust_regular)
         H = section_lift(tower, order=order)
         report = verify_lis(H, order)

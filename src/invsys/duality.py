@@ -91,10 +91,7 @@ class DualModule:
         return not self.basis
 
     def _echelon(self):
-        ech = Echelon(self.ring.field, self.order.key)
-        for F in self.basis:
-            ech.rows[max(F.terms, key=self.order.key)] = dict(F.terms)
-        return ech
+        return Echelon(self.ring.field, self.order.key, (F.terms for F in self.basis))
 
     def contains(self, F):
         return self._echelon().contains(F.terms)

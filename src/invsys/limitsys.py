@@ -208,6 +208,8 @@ def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False
     is first read, so a caller that reads the diagonal pays for B stages,
     not B^d.
     """
+    if B < 1:
+        raise PipelineError(f"tower bound {B} must be at least 1")
     ring = I.ring
     d = len(ring.zindices)
     if not trust_regular and d > 0:
@@ -257,8 +259,8 @@ def section_lift(tower, B=None, order=GREVLEX):
         Wn = tower.modules[diag(d, k + 1)]
         rows = [contract_exp(zprod, F).terms for F in Wn.basis]
         lifts = []
-        for h in family[diag(d, k)]:
-            sol = solve_in_span(fld, order.key, rows, h.terms)
+        targets = [h.terms for h in family[diag(d, k)]]
+        for sol in solve_in_span(fld, order.key, rows, targets):
             if sol is None:
                 raise PipelineError(
                     f"no lift of a stage-{k} cogenerator into stage {k + 1}; "

@@ -9,12 +9,33 @@ from __future__ import annotations
 
 
 class Echelon:
-    """Mutable reduced row echelon form keyed by pivot column."""
+    """Mutable reduced row echelon form keyed by pivot column.
 
-    def __init__(self, field, sortkey):
+    Next to the rows it keeps a column index: for each free column, the set
+    of pivots whose rows contain it.  An insert then clears its new pivot
+    from exactly the rows that hold it, and nullspace reads each free
+    column's entries without scanning the rows.
+    """
+
+    def __init__(self, field, sortkey, reduced=()):
+        """An echelon holding the given rows, which must already be reduced.
+
+        Each row's pivot is its largest column under sortkey, with
+        coefficient 1, and no row may contain another row's pivot.
+        """
         self.field = field
         self.sortkey = sortkey
         self.rows = {}  # pivot column -> row dict, pivot coefficient 1
+        self.index = {}  # free column -> pivots of the rows that contain it
+        for row in reduced:
+            self._add_row(max(row, key=sortkey), dict(row))
+
+    def _add_row(self, pivot, row):
+        self.rows[pivot] = row
+        index = self.index
+        for c in row:
+            if c != pivot:
+                index.setdefault(c, set()).add(pivot)
 
     @property
     def rank(self):
@@ -45,20 +66,31 @@ class Echelon:
         if not red:
             return None
         fld = self.field
+        zero = fld.zero
         pivot = max(red, key=self.sortkey)
         inv = fld.inv(red[pivot])
         row = {c: fld.mul(v, inv) for c, v in red.items()}
-        # keep reduced form: clear the new pivot from existing rows
-        for p, other in self.rows.items():
-            if pivot in other:
-                coef = other[pivot]
-                for c, v in row.items():
-                    s = fld.sub(other.get(c, fld.zero), fld.mul(coef, v))
-                    if s == fld.zero:
-                        other.pop(c, None)
-                    else:
-                        other[c] = s
-        self.rows[pivot] = row
+        index = self.index
+        # keep reduced form: clear the new pivot from the rows that hold it
+        for p in index.pop(pivot, ()):
+            other = self.rows[p]
+            coef = other.pop(pivot)
+            for c, v in row.items():
+                if c == pivot:
+                    continue
+                old = other.get(c)
+                if old is None:
+                    other[c] = fld.neg(fld.mul(coef, v))
+                    index.setdefault(c, set()).add(p)
+                    continue
+                s = fld.sub(old, fld.mul(coef, v))
+                if s == zero:
+                    # index[c] is not left empty: the new row holds c
+                    del other[c]
+                    index[c].discard(p)
+                else:
+                    other[c] = s
+        self._add_row(pivot, row)
         return pivot
 
     def extend(self, vecs):
@@ -87,11 +119,13 @@ def span_equal(field, sortkey, vecs_a, vecs_b):
     return all(eb.contains(r) for r in ea.basis())
 
 
-def solve_in_span(field, sortkey, rows, target):
-    """Coefficients c with sum(c_i * rows_i) = target, or None.
+def solve_in_span(field, sortkey, rows, targets):
+    """For each target, coefficients c with sum(c_i * rows_i) = target, or None.
 
-    The solution is the canonical one obtained by echelon reduction with the
-    rows taken in the given order (free coefficients are zero).
+    The rows are echelonized once and every target is reduced against that
+    one echelon.  Each solution is the canonical one obtained by echelon
+    reduction with the rows taken in the given order (free coefficients are
+    zero).
     """
     # combination-tracking columns sort below every real column
     def augkey(col):
@@ -105,13 +139,15 @@ def solve_in_span(field, sortkey, rows, target):
         aug = {("v", c): v for c, v in row.items()}
         aug[("c", i)] = field.one
         ech.insert(aug)
-    red = ech.reduce({("v", c): v for c, v in target.items()})
-    combo = {}
-    for col, v in red.items():
-        if col[0] == "v":
-            return None
-        combo[col[1]] = field.neg(v)
-    return [combo.get(i, field.zero) for i in range(len(rows))]
+    out = []
+    for target in targets:
+        red = ech.reduce({("v", c): v for c, v in target.items()})
+        if any(col[0] == "v" for col in red):
+            out.append(None)
+            continue
+        combo = {col[1]: field.neg(v) for col, v in red.items()}
+        out.append([combo.get(i, field.zero) for i in range(len(rows))])
+    return out
 
 
 def nullspace(field, rows, columns, sortkey):
@@ -122,15 +158,13 @@ def nullspace(field, rows, columns, sortkey):
     there and back-substituted pivot coordinates.
     """
     ech = Echelon(field, sortkey).extend(rows)
-    pivots = set(ech.rows)
     out = []
     for c in sorted(columns, key=sortkey, reverse=True):
-        if c in pivots:
+        if c in ech.rows:
             continue
         vec = {c: field.one}
-        for p, row in ech.rows.items():
-            if c in row:
-                vec[p] = field.neg(row[c])
+        for p in ech.index.get(c, ()):
+            vec[p] = field.neg(ech.rows[p][c])
         out.append(vec)
     return out
 

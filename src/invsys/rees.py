@@ -177,6 +177,8 @@ def rees_dimension_check(seq, I, level, degcap=3, order=GREVLEX, ceiling=DEFAULT
     Local-mode inputs are measured on polynomial representatives, with the
     same caveat as the regularity test.
     """
+    if level < 0:
+        raise ValueError(f"level {level} must be at least 0")
     ring = I.ring
     if not seq:
         raise InvalidDivisorError("empty sequence")

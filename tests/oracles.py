@@ -20,9 +20,21 @@ def monomials_upto(nvars, degbound):
     return out
 
 
-def dense_nullspace(rows, ncols):
-    """Nullspace basis of a dense Fraction matrix, plain Gaussian elimination."""
-    mat = [list(map(Fraction, row)) for row in rows]
+def dense_rref(rows, ncols, p=None):
+    """Reduced row echelon form by plain Gauss-Jordan, pivots leftmost.
+
+    Over Q (p is None) entries become Fractions; over F_p they are ints in
+    [0, p).  Returns the nonzero rows, top to bottom, and a map from each
+    pivot column to its row's position.
+    """
+    if p is None:
+        mat = [list(map(Fraction, row)) for row in rows]
+        inv = lambda a: 1 / a
+        norm = lambda a: a
+    else:
+        mat = [[int(v) % p for v in row] for row in rows]
+        inv = lambda a: pow(a, p - 2, p)
+        norm = lambda a: a % p
     nrows = len(mat)
     pivots = {}
     r = 0
@@ -35,22 +47,29 @@ def dense_nullspace(rows, ncols):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
+        pv = inv(mat[r][c])
+        mat[r] = [norm(v * pv) for v in mat[r]]
         for i in range(nrows):
             if i != r and mat[i][c] != 0:
                 f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                mat[i] = [norm(a - f * b) for a, b in zip(mat[i], mat[r])]
         pivots[c] = r
         r += 1
+    return mat[:r], pivots
+
+
+def dense_nullspace(rows, ncols, p=None):
+    """Nullspace basis of a dense matrix over Q or F_p, by dense_rref."""
+    mat, pivots = dense_rref(rows, ncols, p)
+    zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
     basis = []
     free = [c for c in range(ncols) if c not in pivots]
     for c in free:
-        vec = [Fraction(0)] * ncols
-        vec[c] = Fraction(1)
+        vec = [zero] * ncols
+        vec[c] = one
         for pc, pr in pivots.items():
             if mat[pr][c] != 0:
-                vec[pc] = -mat[pr][c]
+                vec[pc] = -mat[pr][c] if p is None else (-mat[pr][c]) % p
         basis.append(vec)
     return basis
 

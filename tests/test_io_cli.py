@@ -157,6 +157,24 @@ def test_cli_verify_fails_on_broken_file(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["limit", "--mmax", "0"], 2),
+        (["limit", "--mmax", "-1"], 2),
+        (["rees-check", "--seq", "x", "--level", "-1"], 2),
+        (["perp", "--m", "0"], 1),
+        (["perp", "--m", "1", "--degbound", "-1"], 2),
+        (["hilbert", "--m", "1", "--degcap", "-1"], 1),
+    ],
+)
+def test_cli_out_of_range_numbers_exit_cleanly(capsys, argv, code):
+    assert main(argv[:1] + ["-i", EXAMPLE] + argv[1:]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # usage errors exit 2 via argparse
     with pytest.raises(SystemExit) as exc:

@@ -73,6 +73,13 @@ def test_artinian_reduction_bad_index(band):
         artinian_reduction(I, (0,))
 
 
+@pytest.mark.parametrize("B", [0, -1])
+def test_dual_tower_rejects_bound_below_one(curve, B):
+    ctx, I = curve
+    with pytest.raises(PipelineError, match="at least 1"):
+        dual_tower(I, B)
+
+
 def test_artinian_reduction_nonartinian():
     # z-block of the wrong size: the reduction stays positive-dimensional
     ctx = context_from_names("a,b,z", zvars="z")

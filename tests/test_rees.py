@@ -118,6 +118,12 @@ def test_rees_check_rejects_nonregular(ctx2):
     assert not rep.regular
 
 
+def test_rees_check_rejects_negative_level():
+    ctx = context_from_names("x")
+    with pytest.raises(ValueError, match="level -1"):
+        rees_dimension_check([ctx.variable(0)], Ideal(ctx, []), -1)
+
+
 def test_socle_product_examples():
     ctxz = context_from_names("z")
     z = ctxz.variable(0)
