@@ -135,6 +135,8 @@ def _maybe_reduce(ideal, m, order, ceiling):
 
 def _run(args):
     order = order_from_name(args.order)
+    if args.degcap is not None and args.degcap < 0:
+        raise ValueError(f"--degcap {args.degcap} must be at least 0")
     ceiling = args.degcap if args.degcap is not None else DEFAULT_CEILING
 
     if args.command == "monoid-socle":

@@ -1,8 +1,10 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields.
 
 All polynomial and linear algebra is generic over the small field interface
-below.  Rational values are `fractions.Fraction` (always in lowest terms with
-positive denominator); prime-field values are plain ints in [0, p).
+below.  A rational value is a plain int when it is integral and a
+`fractions.Fraction` (lowest terms, positive denominator) only when it is
+not; the arithmetic stays exact either way, and never yields a float.
+Prime-field values are plain ints in [0, p).
 """
 
 from __future__ import annotations
@@ -12,42 +14,74 @@ from fractions import Fraction
 from .errors import InputSyntaxError
 
 
+def _canonical(q):
+    """An exact rational in canonical form: the int itself, or its Fraction."""
+    if type(q) is int or q.denominator != 1:
+        return q
+    return q.numerator
+
+
 class Rationals:
-    """The rational numbers."""
+    """The rational numbers.
+
+    Values are ints when integral and Fractions otherwise.  The two forms
+    agree on ==, hash and str for integral values, so callers never need to
+    tell them apart, but integer work stays off Fraction's slow arithmetic.
+    Every operation returns a value in this canonical form.
+    """
 
     name = "Q"
     char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
+        if type(x) is int:
             return x
+        if isinstance(x, Fraction):
+            return _canonical(x)
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
 
+    # add, sub and mul inline _canonical: they are the echelon's inner loop
     def add(self, a, b):
-        return a + b
+        c = a + b
+        if type(c) is int or c.denominator != 1:
+            return c
+        return c.numerator
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        if type(c) is int or c.denominator != 1:
+            return c
+        return c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        if type(c) is int or c.denominator != 1:
+            return c
+        return c.numerator
 
     def div(self, a, b):
-        return a / b
+        if type(a) is int and type(b) is int:
+            # never a / b, which is a float
+            q, r = divmod(a, b)
+            return q if r == 0 else Fraction(a, b)
+        return _canonical(a / b)
 
     def neg(self, a):
-        return -a
+        return _canonical(-a)
 
     def inv(self, a):
-        return 1 / a
+        if type(a) is int:
+            return a if a == 1 or a == -1 else Fraction(1, a)
+        num, den = a.numerator, a.denominator
+        return den * num if num == 1 or num == -1 else Fraction(den, num)
 
     def parse(self, text):
         try:
-            return Fraction(text)
+            return _canonical(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputSyntaxError(f"bad rational literal {text!r}") from exc
 

@@ -1,9 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invsys import InputSyntaxError
 from invsys.cli import main
@@ -165,7 +169,12 @@ def test_cli_verify_fails_on_broken_file(tmp_path, capsys):
         (["rees-check", "--seq", "x", "--level", "-1"], 2),
         (["perp", "--m", "0"], 1),
         (["perp", "--m", "1", "--degbound", "-1"], 2),
-        (["hilbert", "--m", "1", "--degcap", "-1"], 1),
+        # a negative ceiling is a usage error for every command; a zero
+        # ceiling is a mathematical rejection
+        (["hilbert", "--m", "1", "--degcap", "-1"], 2),
+        (["limit", "--mmax", "2", "--degcap", "-1"], 2),
+        (["verify", "--degcap", "-1"], 2),
+        (["hilbert", "--m", "1", "--degcap", "0"], 1),
     ],
 )
 def test_cli_out_of_range_numbers_exit_cleanly(capsys, argv, code):
@@ -173,6 +182,9 @@ def test_cli_out_of_range_numbers_exit_cleanly(capsys, argv, code):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+    if argv[-2:] == ["--degcap", "-1"]:
+        # rejected before the input is read (verify's input is no .lis file)
+        assert "--degcap -1 must be at least 0" in captured.err
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -265,3 +277,67 @@ def test_cli_rees_check(capsys):
     assert main(["rees-check", "-i", EXAMPLE, "--seq", "x", "--level", "2", "--degcap", "3"]) == 0
     out = capsys.readouterr().out
     assert "verdict PASS" in out
+
+
+# rational literals num/den, integral ones such as 6/3, -4/2, 0/5 and 7/1
+# among them; each lands on its own monomial
+_LITERALS = st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 7)), min_size=1, max_size=6)
+_MONOMIALS = ("{0}^2*{1}", "{0}*{1}", "{1}^2", "{0}", "{1}", "")
+
+
+def _literal_text(lits, x, y):
+    return " + ".join(
+        f"{num}/{den}" + (f"*{mono.format(x, y)}" if mono else "")
+        for (num, den), mono in zip(lits, _MONOMIALS)
+    )
+
+
+def _assert_rendered_in_lowest_terms(text):
+    for num, den in re.findall(r"(\d+)/(\d+)", text):
+        assert int(den) > 1 and gcd(int(num), int(den)) == 1, text
+
+
+@settings(max_examples=40, deadline=None)
+@given(_LITERALS, _LITERALS, _LITERALS)
+def test_rational_literals_round_trip(gen_lits, stage1_lits, stage2_lits):
+    text = "field Q\nring graded vars x,y\nzvars y\nideal:\n" + _literal_text(gen_lits, "x", "y") + "\n"
+    ctx, ideal = parse_ideal_file(text)
+    expected = ctx.zero()
+    for (num, den), mono in zip(gen_lits, _MONOMIALS):
+        expected = expected + ctx.parse(mono.format("x", "y") or "1") * Fraction(num, den)
+    assert [g.terms for g in ideal.gens] == ([expected.terms] if expected else [])
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for g in ideal.gens for c in g.terms.values())
+    rendered = render_ideal_file(ctx, ideal)
+    _assert_rendered_in_lowest_terms(rendered)
+    ctx2, ideal2 = parse_ideal_file(rendered)
+    assert [g.terms for g in ideal2.gens] == [g.terms for g in ideal.gens]
+    assert render_ideal_file(ctx2, ideal2) == rendered
+
+    lis = "\n".join([
+        "limit-system", "field Q", "ring graded vars x,y", "zvars y",
+        "d 1", "r 1", "s 2", "bound 2",
+        "m 1:", _literal_text(stage1_lits, "X", "Y"),
+        "m 2:", _literal_text(stage2_lits, "X", "Y"),
+    ]) + "\n"
+    H = parse_lis_file(lis)
+    rendered = render_lis_file(H)
+    _assert_rendered_in_lowest_terms(rendered)
+    H2 = parse_lis_file(rendered)
+    assert H2.family == H.family
+    assert render_lis_file(H2) == rendered
+
+
+@pytest.mark.parametrize("literal", ["3/0*x", "x + 0/0", "-7/0"])
+def test_cli_zero_denominator_is_a_syntax_error(tmp_path, capsys, literal):
+    ideal = tmp_path / "zero.ideal"
+    ideal.write_text(f"field Q\nring graded vars x,y\nideal:\nx^2\n{literal}\n")
+    assert main(["hilbert", "-i", str(ideal)]) == 2
+    lis = tmp_path / "zero.lis"
+    lis.write_text(
+        "limit-system\nfield Q\nring graded vars x,y\nd 0\nr 1\ns 1\nbound 1\nm:\n"
+        + literal.replace("x", "X") + "\n"
+    )
+    assert main(["verify", "-i", str(lis)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line[:7] for line in captured.err.splitlines()] == ["error: "] * 2
