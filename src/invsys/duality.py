@@ -13,7 +13,7 @@ import warnings
 from .errors import ContextMismatchError
 from .groebner import DEFAULT_CEILING, ArtinianQuotient, Ideal, artinian_form, ideal_colon
 from .linalg import Echelon, intersect_spans
-from .ring import GREVLEX, Polynomial, e_divides, e_sub, e_unit
+from .ring import GREVLEX, Polynomial, e_divides, e_sub
 
 
 def _check_dual(p, F):
@@ -40,13 +40,17 @@ def contract(p, F):
 
 
 def contract_exp(e, F):
-    """Contraction by the monomial x^e, on term dicts (hot path)."""
-    fld = F.ring.field
+    """Contraction by the monomial x^e, on term dicts."""
     out = {}
     for m, b in F.terms.items():
         if e_divides(e, m):
             out[e_sub(m, e)] = b
     return Polynomial(F.ring, out, _clean=False)
+
+
+def _contract_var(i, terms):
+    """Contraction by the single variable x_i, term dict to term dict (hot path)."""
+    return {m[:i] + (m[i] - 1,) + m[i + 1 :]: b for m, b in terms.items() if m[i]}
 
 
 def dual_pairing(p, F):
@@ -157,13 +161,13 @@ class DualModule:
 def _closure(ring, elements, sortkey):
     """Echelon, under sortkey, of the span of all contractions of the elements."""
     ech = Echelon(ring.field, sortkey)
-    queue = [F for F in elements if ech.insert(F.terms) is not None]
+    queue = [F.terms for F in elements if ech.insert(F.terms) is not None]
     n = ring.nvars
     while queue:
-        F = queue.pop()
+        terms = queue.pop()
         for i in range(n):
-            G = contract_exp(e_unit(n, i), F)
-            if G and ech.insert(G.terms) is not None:
+            G = _contract_var(i, terms)
+            if G and ech.insert(G) is not None:
                 queue.append(G)
     return ech
 
@@ -201,8 +205,8 @@ def _verify_closed(W):
     n = W.ring.nvars
     for F in W.basis:
         for i in range(n):
-            G = contract_exp(e_unit(n, i), F)
-            if G and not ech.contains(G.terms):
+            G = _contract_var(i, F.terms)
+            if G and not ech.contains(G):
                 raise AssertionError("inverse system is not contraction-closed (internal)")
 
 
@@ -272,9 +276,9 @@ def minimal_cogenerators(W, order=GREVLEX):
     ech = Echelon(ring.field, order.key)
     for F in W.basis:
         for i in range(n):
-            G = contract_exp(e_unit(n, i), F)
+            G = _contract_var(i, F.terms)
             if G:
-                ech.insert(G.terms)
+                ech.insert(G)
     lower = set(ech.rows)
     for F in W.basis:
         ech.insert(F.terms)

@@ -382,8 +382,8 @@ class ArtinianQuotient:
 
     def _covered(self, e):
         """True when a pivot properly divides x^e (pivots are closed upward)."""
-        n = self.ring.nvars
-        return any(e[i] and e_sub(e, e_unit(n, i)) in self.rows for i in range(n))
+        rows = self.rows
+        return any(e[i] and e[:i] + (e[i] - 1,) + e[i + 1 :] in rows for i in range(len(e)))
 
     def reduced_basis(self):
         """Rows of the minimal pivots plus the degree-N monomials no pivot divides."""

@@ -121,6 +121,35 @@ def render_lis_file(H, order=GREVLEX):
     return "\n".join(out) + "\n"
 
 
+def _check_stages(ctx, d, bound, stages, where=None):
+    """Refuse a limit system whose header does not match its stage blocks.
+
+    d must be the number of z-variables and bound at least 1, and the
+    stages, a list of (m, line) in input order, must be every multi-index
+    of {1..bound}^d exactly once.  where maps 'd' and 'bound' to the lines
+    that set them; lines are None where the input has none (JSON).
+    """
+    where = where or {}
+    if d != len(ctx.zvars):
+        raise InputSyntaxError(
+            f"d = {d} but the ring has {len(ctx.zvars)} z-variables", where.get("d")
+        )
+    if bound < 1:
+        raise InputSyntaxError(f"bound {bound} must be at least 1", where.get("bound"))
+    seen = set()
+    for m, lineno in stages:
+        if len(m) != d:
+            raise InputSyntaxError(f"stage index {m} does not match d = {d}", lineno)
+        if not all(1 <= k <= bound for k in m):
+            raise InputSyntaxError(f"stage index {m} lies outside {{1..{bound}}}^{d}", lineno)
+        if m in seen:
+            raise InputSyntaxError(f"stage {m} appears twice", lineno)
+        seen.add(m)
+    missing = set(grid(d, bound)) - seen
+    if missing:
+        raise InputSyntaxError(f"missing stages {sorted(missing)[:4]}")
+
+
 def parse_lis_file(text):
     lines = list(_meaningful_lines(text))
     if not lines or lines[0][1] != "limit-system":
@@ -128,6 +157,7 @@ def parse_lis_file(text):
     ctx, consumed = _parse_header(lines[1:])
     rest = lines[1 + consumed :]
     meta = {}
+    where = {}
     i = 0
     for key in ("d", "r", "s", "bound"):
         if i >= len(rest):
@@ -137,9 +167,11 @@ def parse_lis_file(text):
         if len(words) != 2 or words[0] != key or not words[1].lstrip("-").isdigit():
             raise InputSyntaxError(f"expected '{key} <integer>'", lineno)
         meta[key] = int(words[1])
+        where[key] = lineno
         i += 1
     dual = ctx.dual
     family = {}
+    stages = []
     current = None
     for lineno, line in rest[i:]:
         if line.startswith("m ") or line == "m:":
@@ -148,10 +180,7 @@ def parse_lis_file(text):
                 raise InputSyntaxError("stage header must end with ':'", lineno)
             csv = head[:-1].strip()
             m = tuple(int(k) for k in csv.split(",") if k.strip()) if csv else ()
-            if len(m) != meta["d"]:
-                raise InputSyntaxError(
-                    f"stage index {m} does not match d = {meta['d']}", lineno
-                )
+            stages.append((m, lineno))
             current = m
             family[m] = []
         else:
@@ -161,10 +190,7 @@ def parse_lis_file(text):
                 family[current].append(parse_polynomial(dual, line))
             except InputSyntaxError as exc:
                 raise InputSyntaxError(f"bad dual polynomial: {exc}", lineno) from exc
-    expected = set(grid(meta["d"], meta["bound"]))
-    missing = expected - set(family)
-    if missing:
-        raise InputSyntaxError(f"missing stages {sorted(missing)[:4]}")
+    _check_stages(ctx, meta["d"], meta["bound"], stages, where)
     return LimitInverseSystem(
         ctx, meta["d"], meta["r"], meta["s"], meta["bound"],
         {m: tuple(v) for m, v in family.items()},
@@ -196,15 +222,27 @@ def lis_from_json(doc):
             field, tuple(ring["vars"]), ring["mode"], tuple(ring.get("zvars", ()))
         )
         dual = ctx.dual
+        d, r, s, bound = (int(doc[k]) for k in ("d", "r", "s", "bound"))
         family = {}
+        stages = []
         for key, polys in doc["family"].items():
             m = tuple(int(k) for k in key.split(",") if k.strip()) if key else ()
-            family[m] = tuple(parse_polynomial(dual, s) for s in polys)
-        return LimitInverseSystem(
-            ctx, int(doc["d"]), int(doc["r"]), int(doc["s"]), int(doc["bound"]), family
-        )
+            stages.append((m, None))
+            family[m] = tuple(parse_polynomial(dual, p) for p in polys)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputSyntaxError(f"malformed limit-system JSON: {exc}") from exc
+    _check_stages(ctx, d, bound, stages)
+    return LimitInverseSystem(ctx, d, r, s, bound, family)
+
+
+def _unique_keys(pairs):
+    """A JSON object as a dict, refusing a repeated key (such as a stage)."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InputSyntaxError(f"JSON key {key!r} appears twice")
+        doc[key] = value
+    return doc
 
 
 def load_limit_system(text):
@@ -212,7 +250,7 @@ def load_limit_system(text):
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise InputSyntaxError(f"bad JSON: {exc}") from exc
         if "limit_system" in doc:  # CLI payload envelope

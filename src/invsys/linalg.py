@@ -7,6 +7,8 @@ every reduced echelon basis unique and hence directly comparable.
 
 from __future__ import annotations
 
+import functools
+
 
 class Echelon:
     """Mutable reduced row echelon form keyed by pivot column.
@@ -14,7 +16,9 @@ class Echelon:
     Next to the rows it keeps a column index: for each free column, the set
     of pivots whose rows contain it.  An insert then clears its new pivot
     from exactly the rows that hold it, and nullspace reads each free
-    column's entries without scanning the rows.
+    column's entries without scanning the rows.  The column key is
+    evaluated once per distinct column and remembered for the life of the
+    echelon.
     """
 
     def __init__(self, field, sortkey, reduced=()):
@@ -24,7 +28,7 @@ class Echelon:
         coefficient 1, and no row may contain another row's pivot.
         """
         self.field = field
-        self.sortkey = sortkey
+        self.sortkey = sortkey = functools.cache(sortkey)
         self.rows = {}  # pivot column -> row dict, pivot coefficient 1
         self.index = {}  # free column -> pivots of the rows that contain it
         for row in reduced:
@@ -159,7 +163,7 @@ def nullspace(field, rows, columns, sortkey):
     """
     ech = Echelon(field, sortkey).extend(rows)
     out = []
-    for c in sorted(columns, key=sortkey, reverse=True):
+    for c in sorted(columns, key=ech.sortkey, reverse=True):
         if c in ech.rows:
             continue
         vec = {c: field.one}

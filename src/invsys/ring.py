@@ -12,6 +12,7 @@ variables index the dual "divided power" monomials.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -27,11 +28,11 @@ NEG_INF = float("-inf")
 
 
 def e_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def e_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def e_min(a, b):
@@ -39,7 +40,7 @@ def e_min(a, b):
 
 
 def e_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def e_deg(a):
@@ -48,7 +49,7 @@ def e_deg(a):
 
 def e_divides(a, b):
     """True when a <= b componentwise, i.e. x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def e_coprime(a, b):
@@ -87,7 +88,7 @@ class MonomialOrder:
 
     @staticmethod
     def _grevlex_key(e):
-        return (sum(e), tuple(-x for x in reversed(e)))
+        return (sum(e), tuple(map(operator.neg, reversed(e))))
 
     def key(self, e):
         """Sort key; larger key means larger monomial."""
@@ -255,19 +256,22 @@ class RingContext:
 
     # -- monomial enumeration ---------------------------------------------
 
+    @cached_property
+    def _degree_tables(self):
+        return {}  # degree -> tuple of all exponents of that degree
+
     def exponents_of_degree(self, d, indices=None):
-        """All exponents of total degree d supported on the given indices."""
-        idx = tuple(range(self.nvars)) if indices is None else tuple(indices)
-        if d == 0:
-            yield (0,) * self.nvars
-            return
-        if not idx:
-            return
-        for comb in itertools.combinations_with_replacement(idx, d):
-            e = [0] * self.nvars
-            for i in comb:
-                e[i] += 1
-            yield tuple(e)
+        """All exponents of total degree d supported on the given indices.
+
+        Without indices the answer is an immutable tuple, built once per
+        ring and degree; with indices the exponents are enumerated afresh.
+        """
+        if indices is not None:
+            return _exponents_of_degree(self.nvars, d, tuple(indices))
+        table = self._degree_tables
+        if d not in table:
+            table[d] = tuple(_exponents_of_degree(self.nvars, d, range(self.nvars)))
+        return table[d]
 
     def exponents_upto(self, d):
         for k in range(d + 1):
@@ -275,6 +279,20 @@ class RingContext:
 
     def __repr__(self):
         return f"RingContext({self.field!r}, {','.join(self.names)}, {self.mode}, z={','.join(self.zvars) or '-'})"
+
+
+def _exponents_of_degree(n, d, idx):
+    """Exponents of total degree d among n variables, supported on idx."""
+    if d == 0:
+        yield (0,) * n
+        return
+    if not idx:
+        return
+    for comb in itertools.combinations_with_replacement(idx, d):
+        e = [0] * n
+        for i in comb:
+            e[i] += 1
+        yield tuple(e)
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,80 @@ def test_cli_out_of_range_numbers_exit_cleanly(capsys, argv, code):
         assert "--degcap -1 must be at least 0" in captured.err
 
 
+def _set_header(head, **values):
+    for key, value in values.items():
+        head = re.sub(rf"^{key} -?\d+$", f"{key} {value}", head, flags=re.M)
+    return head
+
+
+def _bad_lis_text(text, case):
+    """The curve family with its header out of step with its stage blocks."""
+    head, *blocks = re.split(r"\n(?=m )", text.rstrip("\n"))
+    if case == "d above the z-variables":
+        parts = [_set_header(head, d=2, bound=1), blocks[0].replace("m 1:", "m 1,1:")]
+    elif case == "bound 0":
+        parts = [_set_header(head, bound=0)] + blocks
+    elif case == "bound -1":
+        parts = [_set_header(head, bound=-1)] + blocks
+    elif case == "repeated stage":
+        parts = [head] + blocks + [blocks[1]]
+    elif case == "stage 0":
+        parts = [head] + blocks + ["m 0:\nX"]
+    return "\n".join(parts) + "\n"
+
+
+def _bad_lis_json(doc, case):
+    doc = json.loads(json.dumps(doc))
+    if case == "json: d above the z-variables":
+        doc.update(d=2, bound=1, family={"1,1": doc["family"]["1"]})
+    elif case == "json: bound 0":
+        doc["bound"] = 0
+    elif case == "json: missing stage":
+        del doc["family"]["2"]
+    elif case == "json: stage 0":
+        doc["family"]["0"] = ["X"]
+    elif case == "json: repeated stage":
+        return json.dumps(doc).replace('"family": {', '"family": {"2": ["X"], ')
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def curve_lis3():
+    H = section_lift(dual_tower(parse_ideal_file(open(EXAMPLE).read())[1], 3))
+    return render_lis_file(H), lis_to_json(H)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "d above the z-variables",
+        "bound 0",
+        "bound -1",
+        "repeated stage",
+        "stage 0",
+        "json: d above the z-variables",
+        "json: bound 0",
+        "json: missing stage",
+        "json: stage 0",
+        "json: repeated stage",
+    ],
+)
+def test_cli_refuses_header_out_of_step_with_stages(tmp_path, capsys, curve_lis3, case):
+    text, doc = curve_lis3
+    bad = tmp_path / "bad.lis"
+    if case.startswith("json: "):
+        bad.write_text(_bad_lis_json(doc, case))
+    else:
+        bad.write_text(_bad_lis_text(text, case))
+    for command in ("verify", "reconstruct"):
+        assert main([command, "-i", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+    if not case.startswith("json: "):
+        assert "(line " in captured.err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # usage errors exit 2 via argparse
     with pytest.raises(SystemExit) as exc:
