@@ -133,11 +133,13 @@ class DualModule:
 
     def contract_by(self, e):
         """Image of the module under contraction by the monomial x^e."""
-        drop = sum(e)
-        bound = max(self.degbound - drop, 0)
-        return DualModule(
-            self.ring, bound, [contract_exp(e, F) for F in self.basis], self.order
+        bound = max(self.degbound - sum(e), 0)
+        ech = Echelon(self.ring.field, self.order.key).extend(
+            {e_sub(m, e): b for m, b in F.terms.items() if e_divides(e, m)} for F in self.basis
         )
+        dual = self.ring.dual
+        rows = [Polynomial(dual, row, _clean=False) for row in ech.basis()]
+        return DualModule(self.ring, bound, rows, self.order, _canonical=True)
 
     @classmethod
     def generate(cls, ring, elements, degbound=None, order=GREVLEX):

@@ -5,7 +5,8 @@ import pytest
 
 from invsys import Ideal, context_from_names, is_regular
 from invsys.io import parse_ideal_file
-from invsys.limitsys import dual_tower, section_lift
+from invsys.duality import contract_exp
+from invsys.limitsys import LimitInverseSystem, dual_tower, section_lift
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -139,3 +140,16 @@ def theorem_class_suite(seed=11, randoms=7):
         mixed = any(any(e[i] for i in zset) for g in gens for e in g.terms)
         out.append((f"ci{made}", I, 5 if mixed else 3))
     return out
+
+
+def non_free_family(B):
+    """H_B = Y*Z^(B-1) + Y^B over y,z with z-block z, and H_k = z^(B-k) . H_B.
+
+    It passes (a), (b), compatibility and (d), but for B >= 4 W_B is not
+    free over K[z]/(z^B): Y^(B-2) = y^2 . H_B lies in W_B cap V yet not in
+    W_(B-1), so (c) fails at m = (B,) alone.
+    """
+    ctx = context_from_names("y,z", zvars="z")
+    top = ctx.dual.parse(f"Y*Z^{B - 1} + Y^{B}")
+    family = {(k,): (contract_exp((0, B - k), top),) for k in range(1, B + 1)}
+    return LimitInverseSystem(ctx, 1, 1, 1, B, family)

@@ -22,7 +22,7 @@ from invsys.io import (
 )
 from invsys.limitsys import dual_tower, section_lift
 
-from conftest import DATA
+from conftest import DATA, non_free_family
 
 
 def test_parse_example_file(curve):
@@ -159,6 +159,17 @@ def test_cli_verify_fails_on_broken_file(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "-i", str(broken)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("B, dim", [(4, 7), (6, 13)])
+def test_cli_verify_flags_non_free_stage(tmp_path, capsys, B, dim):
+    # compat, (b) and (d) hold, so (c) is read off stage dimensions; it fails
+    # at the top stage alone
+    path = tmp_path / "nonfree.lis"
+    path.write_text(render_lis_file(non_free_family(B)))
+    assert main(["verify", "-i", str(path)]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == [f"FAIL (c) m={B} slot 1: intersection dim {dim} inside W at ({B - 1},)"]
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,9 @@ from invsys.limitsys import (
     verify_lis,
 )
 from invsys.linalg import intersect_spans
-from invsys.ring import GREVLEX, Polynomial
+from invsys.ring import GREVLEX, LEX, Polynomial
+
+from conftest import non_free_family, theorem_class_suite
 
 
 @pytest.fixture
@@ -249,6 +251,13 @@ def reference_c_checks(H, order=GREVLEX):
 def test_condition_c_matches_zassenhaus_reference(band, curve_H9, ci_d2):
     H_band = section_lift(dual_tower(band[1], 3))
     families = [curve_H9, section_lift(dual_tower(ci_d2[1], 3))] + mutated_families(H_band)
+    for B, dim in [(4, 7), (6, 13)]:
+        H = non_free_family(B)
+        rep = verify_lis(H)
+        assert [(c.condition, c.m, c.detail) for c in rep.failures()] == [
+            ("c", (B,), f"slot 1: intersection dim {dim} inside W at ({B - 1},)")
+        ]
+        families.append(H)
     verdicts = set()
     nonempty = 0
     for H in families:
@@ -261,6 +270,26 @@ def test_condition_c_matches_zassenhaus_reference(band, curve_H9, ci_d2):
             nonempty += bool(inter)
     # both verdicts and nonzero intersections occur, so the comparison has teeth
     assert verdicts == {True, False} and nonempty > 0
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_stage_modules_by_contraction_match_generation(order, band, curve_H9, ci_d2):
+    # module_at contracts a compatible upper neighbour's module; the result
+    # must be the contraction closure of H_m itself, basis and degree bound
+    families = [curve_H9, section_lift(dual_tower(ci_d2[1], 5))]
+    families += [section_lift(dual_tower(I, B)) for _, I, B in theorem_class_suite()]
+    families += mutated_families(section_lift(dual_tower(band[1], 3)))
+    families += [non_free_family(4)]
+    for H in families:
+        fresh = LimitInverseSystem(H.ring, H.d, H.r, H.s, H.bound, H.family)
+        for m in grid(H.d, H.bound):
+            W = fresh.module_at(m, order)
+            bound = max(sum(m) + H.s - H.d, 0)
+            expected = DualModule.generate(H.ring, H.family[m], degbound=bound, order=order)
+            assert (W.basis, W.degbound) == (expected.basis, expected.degbound), m
+        checks, _ = reference_c_checks(H, order)
+        got = [(c.m, c.ok, c.detail) for c in verify_lis(fresh, order).checks if c.condition == "c"]
+        assert got == checks
 
 
 def test_vspace_contains_matches_slice(curve, ci_d2):
@@ -307,26 +336,33 @@ def test_reconstruct_needs_bound(curve):
 
 def test_verify_and_reconstruct_share_stage_modules(curve_H9, ci_d2, tmp_path, capsys, monkeypatch):
     # the CLI verifies every stage before it reconstructs along the diagonal;
-    # each stage module is generated once
+    # each stage module is built once, and only the top stage runs the
+    # contraction closure: every other stage contracts a compatible neighbour
     from invsys.cli import main
     from invsys.io import render_lis_file
 
     families = [(curve_H9, 9), (section_lift(dual_tower(ci_d2[1], 5)), 25)]
-    calls = []
+    calls = {"generate": 0, "contract_by": 0}
     generate = DualModule.generate.__func__
+    contract_by = DualModule.contract_by
 
-    def counted(cls, *args, **kwargs):
-        calls.append(1)
+    def counted_generate(cls, *args, **kwargs):
+        calls["generate"] += 1
         return generate(cls, *args, **kwargs)
 
-    monkeypatch.setattr(DualModule, "generate", classmethod(counted))
-    for H, builds in families:
+    def counted_contract_by(self, *args, **kwargs):
+        calls["contract_by"] += 1
+        return contract_by(self, *args, **kwargs)
+
+    monkeypatch.setattr(DualModule, "generate", classmethod(counted_generate))
+    monkeypatch.setattr(DualModule, "contract_by", counted_contract_by)
+    for H, stages in families:
         path = tmp_path / "H.lis"
         path.write_text(render_lis_file(H))
-        del calls[:]
+        calls.update(generate=0, contract_by=0)
         assert main(["reconstruct", "-i", str(path)]) == 0
         assert "stable True" in capsys.readouterr().out
-        assert len(calls) == builds
+        assert calls == {"generate": 1, "contract_by": stages - 1}
 
 
 def test_reconstruct_reuses_annihilator_kernels(curve_H9, monkeypatch):
