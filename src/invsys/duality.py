@@ -198,11 +198,12 @@ def perp_ideal(I, degbound=None, order=GREVLEX, ceiling=DEFAULT_CEILING):
                 columns[v][u] = fld.neg(c)
     basis = [Polynomial(dual, vec) for vec in columns.values()]
     W = DualModule(ring, degbound, basis, order)
-    _verify_closed(W)
+    verify_closed(W)
     return W
 
 
-def _verify_closed(W):
+def verify_closed(W):
+    """Raise AssertionError unless W is closed under contraction by every variable."""
     ech = W._echelon()
     n = W.ring.nvars
     for F in W.basis:

@@ -25,6 +25,19 @@ class UnboundedQuotientError(InvsysError):
     """The quotient is not Artinian (no power of the maximal ideal fits)."""
 
 
+class TruncationLimitError(UnboundedQuotientError):
+    """No truncation bound was certified within the affordable degrees.
+
+    limit names what stopped the search: the degree ceiling, or the local
+    kernel's cap on the monomials of one degree.  The quotient may still be
+    Artinian.
+    """
+
+    def __init__(self, message, limit):
+        self.limit = limit
+        super().__init__(message)
+
+
 class InvalidDivisorError(InvsysError):
     """Colon by zero requested."""
 

@@ -27,6 +27,7 @@ from .errors import (
     DegenerateInputError,
     InvalidDivisorError,
     SearchExhaustedError,
+    TruncationLimitError,
     UnboundedQuotientError,
 )
 from .linalg import Echelon, nullspace
@@ -43,6 +44,8 @@ from .ring import (
 )
 
 DEFAULT_CEILING = 64
+# the most monomials of one degree the local bound search will truncate at
+LOCAL_DEGREE_CAP = 1200
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +428,9 @@ def _graded_bound(ideal, order, ceiling):
     for N in range(1, ceiling + 1):
         if all(not reduce_terms(ring, order, {e: one}, reducers) for e in _pure_powers_first(ring, N)):
             return N
-    raise UnboundedQuotientError(
-        f"no power of the maximal ideal below {ceiling} lies in the ideal"
+    raise TruncationLimitError(
+        f"no power of the maximal ideal below {ceiling} lies in the ideal",
+        f"the degree ceiling {ceiling}",
     )
 
 
@@ -441,10 +445,13 @@ def _local_form(ideal, order, ceiling, hint):
     n = ideal.ring.nvars
     G = 2 if hint is None else max(2, hint + 1)
     while G <= ceiling + 1:
-        if math.comb(G + n - 1, n - 1) > 1200:
-            raise UnboundedQuotientError(
+        width = math.comb(G + n - 1, n - 1)
+        if width > LOCAL_DEGREE_CAP:
+            raise TruncationLimitError(
                 f"no power of the maximal ideal up to {G - 1} could be certified "
-                "and larger truncations are not affordable; quotient looks non-Artinian"
+                "and larger truncations are not affordable; quotient looks non-Artinian",
+                f"the cap of {LOCAL_DEGREE_CAP} monomials per degree "
+                f"(truncation degree {G} has {width})",
             )
         aq = ideal.truncated(G).quotient(order)
         if aq.vanishes(G - 1):
@@ -454,9 +461,10 @@ def _local_form(ideal, order, ceiling, hint):
             J._form = (J, N)
             return J, N
         G += 1
-    raise UnboundedQuotientError(
+    raise TruncationLimitError(
         f"no power of the maximal ideal below {ceiling} could be certified; "
-        "quotient looks non-Artinian"
+        "quotient looks non-Artinian",
+        f"the degree ceiling {ceiling}",
     )
 
 

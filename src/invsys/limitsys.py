@@ -13,8 +13,16 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 
-from .duality import DualModule, contract_exp, minimal_cogenerators, perp_ideal, perp_module, socle_basis
-from .errors import PipelineError, UnboundedQuotientError
+from .duality import (
+    DualModule,
+    contract_exp,
+    minimal_cogenerators,
+    perp_ideal,
+    perp_module,
+    socle_basis,
+    verify_closed,
+)
+from .errors import PipelineError, TruncationLimitError, UnboundedQuotientError
 from .groebner import (
     DEFAULT_CEILING,
     Ideal,
@@ -22,8 +30,8 @@ from .groebner import (
     hilbert_data,
     is_regular,
 )
-from .linalg import Echelon, echelon_basis, solve_in_span
-from .ring import GREVLEX, e_unit
+from .linalg import Echelon, coordinate_meet, solve_in_span
+from .ring import GREVLEX, Polynomial, e_unit
 
 
 def _zpower_exp(ring, slot, power):
@@ -32,7 +40,21 @@ def _zpower_exp(ring, slot, power):
 
 def grid(d, B):
     """All multi-indices in {1..B}^d, lexicographic; the single () for d=0."""
-    return list(itertools.product(range(1, B + 1), repeat=d))
+    return list(iter_grid(d, B))
+
+
+def iter_grid(d, B):
+    """The multi-indices of grid(d, B), one at a time.
+
+    Unlike itertools.product, which first copies each range into a tuple,
+    it holds O(d) state, so a huge B costs nothing until it is iterated.
+    """
+    if d == 0:
+        yield ()
+        return
+    for k in range(1, B + 1):
+        for rest in iter_grid(d - 1, B):
+            yield (k,) + rest
 
 
 def diag(d, k):
@@ -73,18 +95,10 @@ class VSpace:
                 yield e
 
     def meet(self, W, order=GREVLEX):
-        """Canonical echelon basis of W cap V, as term dicts.
-
-        V is a coordinate subspace, so echelonizing W's basis with every
-        column outside V keyed above every column inside V leaves the rows
-        whose pivot lies in V as a basis of the intersection.
-        """
+        """Canonical echelon basis of W cap V, as term dicts."""
         ring = W.ring
-        key = order.key
-        ech = Echelon(ring.field, lambda e: (not self.contains(ring, e), key(e)))
-        ech.extend(F.terms for F in W.basis)
-        inside = [row for pivot, row in ech.rows.items() if self.contains(ring, pivot)]
-        return echelon_basis(ring.field, key, inside)
+        rows = (F.terms for F in W.basis)
+        return coordinate_meet(ring.field, order.key, rows, lambda e: self.contains(ring, e))
 
 
 @dataclass
@@ -150,26 +164,37 @@ def _compatible(H, m, slot):
 
 
 class LazyStages(Mapping):
-    """Read-only map m -> build(m) over fixed keys; each value is built on first read."""
+    """Read-only map m -> build(m) over the grid {1..B}^d; each value is built
+    on first read.  Membership is a range test and iteration is lazy, so no
+    work grows with the B^d keys until they are read."""
 
-    def __init__(self, keys, build):
-        self._values = dict.fromkeys(keys)
+    def __init__(self, d, B, build):
+        self._d = d
+        self._bound = B
+        self._values = {}
         self._build = build
 
     def __getitem__(self, m):
-        value = self._values[m]
+        if m not in self:
+            raise KeyError(m)
+        value = self._values.get(m)
         if value is None:
             value = self._values[m] = self._build(m)
         return value
 
     def __contains__(self, m):
-        return m in self._values
+        B = self._bound
+        return (
+            isinstance(m, tuple)
+            and len(m) == self._d
+            and all(isinstance(k, int) and 1 <= k <= B for k in m)
+        )
 
     def __iter__(self):
-        return iter(self._values)
+        return iter_grid(self._d, self._bound)
 
     def __len__(self):
-        return len(self._values)
+        return self._bound ** self._d
 
 
 @dataclass
@@ -183,11 +208,14 @@ class DualTower:
     modules: Mapping  # m -> DualModule, built on first read
 
 
-def artinian_reduction(I, m, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None):
+def artinian_reduction(I, m, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None, certified=None):
     """The ideal I + <z_i^(m_i)>, checked Artinian.
 
     Raises PipelineError when the reduction is not Artinian, which means the
     z-block does not map to a maximal regular sequence for this input.
+    certified names a stage whose reduction is known to be Artinian; every
+    reduction has the same radical, so a failure can then only be a
+    truncation limit, and the error names the limit and the stage.
     """
     ring = I.ring
     m = tuple(m)
@@ -204,9 +232,14 @@ def artinian_reduction(I, m, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None):
     try:
         artinian_form(red, order, ceiling, hint=hint)
     except UnboundedQuotientError as exc:
+        if certified is None or not isinstance(exc, TruncationLimitError):
+            raise PipelineError(
+                f"reduction of {I!r} at {m} is not Artinian: "
+                "the z-block must map to a maximal regular sequence"
+            ) from exc
         raise PipelineError(
-            f"reduction of {I!r} at {m} is not Artinian: "
-            "the z-block must map to a maximal regular sequence"
+            f"the reduction at {m} is Artinian, as the one at {tuple(certified)} is, "
+            f"but its truncation bound was not certified within {exc.limit}"
         ) from exc
     return red
 
@@ -234,9 +267,13 @@ def check_z_regularity(I, order=GREVLEX):
 def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False):
     """W_m = perp of the Artinian reduction at m, for every m in {1..B}^d.
 
-    Only the first reduction is computed here; each stage is built when it
-    is first read, so a caller that reads the diagonal pays for B stages,
-    not B^d.
+    Only the first reduction, which also gives s, is computed here; each
+    stage is built when it is first read.  The first read of any other
+    stage builds the top stage (B,...,B) from its reduction.  Every other
+    stage is the top stage met with a coordinate subspace: I + <z^m>
+    contains I + <z^top>, which contains a power of the maximal ideal, so
+    W_m = W_top & span{X^e : e_(z_j) < m_j}, exactly.  Whatever it reads,
+    a caller pays for two reductions and one meet per further stage.
     """
     if B < 1:
         raise PipelineError(f"tower bound {B} must be at least 1")
@@ -245,18 +282,44 @@ def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False
     if not trust_regular and d > 0:
         check_z_regularity(I, order)
     one = diag(d, 1)
+    top = diag(d, B)
     I1 = artinian_reduction(I, one, order, ceiling)
     s = hilbert_data(I1, order, ceiling).socle_degree
 
     def stage(m):
         if m == one:
             red = I1
+        elif m == top:
+            hint = sum(m) + s - d + 1
+            red = artinian_reduction(I, m, order, ceiling, hint=hint, certified=one)
         else:
-            red = artinian_reduction(I, m, order, ceiling, hint=sum(m) + s - d + 1)
+            return _stage_below(modules[top], m)
         J, N = artinian_form(red, order, ceiling)
         return perp_ideal(J, degbound=N - 1, order=order, ceiling=ceiling)
 
-    return DualTower(ring, d, B, s, LazyStages(grid(d, B), stage))
+    modules = LazyStages(d, B, stage)
+    return DualTower(ring, d, B, s, modules)
+
+
+def _stage_below(W, m):
+    """W met with span{X^e : e_(z_j) < m_j}, checked closed.
+
+    Its degree bound is its top degree, which is the N - 1 of its own
+    reduction: an inverse system reaches the socle degree of its quotient.
+    """
+    ring = W.ring
+    zi = ring.zindices
+    rows = coordinate_meet(
+        ring.field,
+        W.order.key,
+        (F.terms for F in W.basis),
+        lambda e: all(e[i] < k for i, k in zip(zi, m)),
+    )
+    basis = [Polynomial(ring.dual, row, _clean=False) for row in rows]
+    degbound = max((F.degree for F in basis), default=0)
+    Wm = DualModule(ring, degbound, basis, W.order, _canonical=True)
+    verify_closed(Wm)
+    return Wm
 
 
 def section_lift(tower, B=None, order=GREVLEX):
@@ -480,7 +543,9 @@ def reconstruct(H, order=GREVLEX):
     lie in the full finite intersection, i.e. in every computed stage; junk
     congruent to a high z-power modulo the true ideal falls out of some
     visible stage.  Survivors accumulate over stage prefixes, and the result
-    is the first plateau of the accumulated ideals; no plateau within the
+    is the first plateau of the accumulated ideals that reproduces every
+    visible stage: one kernel for the plateau, then a containment and a
+    length test per stage (see reproduces).  No such plateau within the
     bound returns a partial result flagged unstable (caller raises the bound).
     """
     ring = H.ring
@@ -504,7 +569,6 @@ def reconstruct(H, order=GREVLEX):
     # survivors of stage K are its basis elements lying in every later stage;
     # membership in earlier stages is automatic since the chain decreases,
     # and the last stage has no later witness, so it contributes none
-    stage_range = range(1, B + 1)
     chain = []
     acc = []
     for K in range(1, B):
@@ -515,20 +579,8 @@ def reconstruct(H, order=GREVLEX):
         )
         chain.append(Ideal(ring, list(acc)))
 
-    def reproduces(candidate):
-        # the candidate must regenerate every visible stage exactly
-        for k in stage_range:
-            powers = [
-                ring.monomial(_zpower_exp(ring, slot, k)) for slot in range(d)
-            ]
-            N = anns[k].trunc
-            staged = candidate.plus(powers).truncated(N)
-            if not staged.equals(anns[k].truncated(N), order):
-                return False
-        return True
-
     for K in range(1, len(chain)):
-        if chain[K - 1].equals(chain[K], order) and reproduces(chain[K - 1]):
+        if chain[K - 1].equals(chain[K], order) and reproduces(chain[K - 1], anns):
             return ReconstructionResult(
                 Ideal(ring, chain[K - 1].groebner(order)),
                 True,
@@ -541,6 +593,41 @@ def reconstruct(H, order=GREVLEX):
         B,
         "no reproducing plateau within the bound; raise the bound",
     )
+
+
+def reproduces(candidate, anns):
+    """True when candidate + <z^k> + m^(N_k) equals anns[k] for every k.
+
+    anns maps each visible diagonal stage k to its annihilator, an ideal
+    truncated at N_k.  Ideals that contain m^N are equal exactly when one
+    contains the other and their quotients have the same length.  Each
+    generator of candidate + <z^k> is looked up in the kernel anns[k]
+    carries.  The lengths come from one kernel: with B the largest stage
+    and N the largest N_k, every C_k = candidate + <z^k> + m^(N_k) contains
+    J = candidate + <z^B> + m^N, so the perp of C_k is the perp of J met
+    with span{X^e : |e| < N_k, e_(z_j) < k}.  Lengths do not depend on the
+    order, so everything runs in grevlex.
+    """
+    ring = candidate.ring
+    zi = ring.zindices
+
+    def zpowers(k):
+        return [ring.monomial(_zpower_exp(ring, slot, k)) for slot in range(len(zi))]
+
+    for k, A in anns.items():
+        if not all(A.contains(g) for g in itertools.chain(candidate.gens, zpowers(k))):
+            return False
+    N = max(A.trunc for A in anns.values())
+    J = candidate.plus(zpowers(max(anns))).truncated(N)
+    rows = [F.terms for F in perp_ideal(J, degbound=N - 1).basis]
+    for k, A in anns.items():
+        Nk = A.trunc
+        meet = coordinate_meet(
+            ring.field, GREVLEX.key, rows, lambda e: sum(e) < Nk and all(e[i] < k for i in zi)
+        )
+        if len(meet) != A.quotient().length:
+            return False
+    return True
 
 
 def invariants_of(I, order=GREVLEX, ceiling=DEFAULT_CEILING):

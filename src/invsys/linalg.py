@@ -115,6 +115,20 @@ def echelon_basis(field, sortkey, vecs):
     return ech.basis()
 
 
+def coordinate_meet(field, sortkey, vecs, inside):
+    """Canonical echelon basis, under sortkey, of span(vecs) & span{c : inside(c)}.
+
+    The second space is spanned by columns, so echelonizing the vectors with
+    every column outside it keyed above every column inside it leaves the
+    rows whose pivot lies inside as a basis of the intersection.  Those rows
+    hold inside columns only and none holds another's pivot, so they are
+    already the reduced echelon form under sortkey.
+    """
+    ech = Echelon(field, lambda c: (not inside(c), sortkey(c))).extend(vecs)
+    pivots = sorted((p for p in ech.rows if inside(p)), key=sortkey, reverse=True)
+    return [ech.rows[p] for p in pivots]
+
+
 def span_equal(field, sortkey, vecs_a, vecs_b):
     ea = Echelon(field, sortkey).extend(vecs_a)
     eb = Echelon(field, sortkey).extend(vecs_b)

@@ -288,6 +288,43 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["hilbert", "-i", str(pos), "--degcap", "12"]) == 1
 
 
+CI_D2 = "field Q\nring graded vars y0,y1,z0,z1\nzvars z0,z1\nideal:\ny0^3 - 2*y1^2*z0 - y1*z0*z1\ny1^2\n"
+
+# stage one is Artinian, so a later stage can only hit a truncation limit:
+# the degree ceiling, or the local kernel's cap on the monomials of a degree
+TRUNCATION_LIMITS = {
+    "curve-degcap": (None, ["--mmax", "9", "--degcap", "8"], "(9,)", "degree ceiling 8"),
+    "curve-cap": (None, ["--mmax", "14"], "(14,)", "cap of 1200 monomials per degree"),
+    "ci-d2-ceiling": (CI_D2, ["--mmax", "300"], "(300, 300)", "degree ceiling 64"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRUNCATION_LIMITS))
+def test_cli_limit_names_the_truncation_limit(tmp_path, capsys, case):
+    text, flags, stage, limit = TRUNCATION_LIMITS[case]
+    path = EXAMPLE
+    if text is not None:
+        path = tmp_path / "input.ideal"
+        path.write_text(text)
+    assert main(["limit", "-i", str(path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "not Artinian" not in lines[0]
+    assert stage in lines[0] and limit in lines[0]
+
+
+def test_cli_limit_blames_a_non_artinian_first_stage(tmp_path, capsys):
+    # one z-variable for a two-dimensional quotient: stage one is not Artinian
+    path = tmp_path / "short.ideal"
+    path.write_text("field Q\nring graded vars a,b,z\nzvars z\nideal:\na^2\n")
+    assert main(["limit", "-i", str(path), "--mmax", "3", "--trust-regular"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "at (1,) is not Artinian: the z-block must map to a maximal regular sequence" in lines[0]
+
+
 def test_cli_denominator_vanishing_mod_p_is_a_syntax_error(tmp_path, capsys):
     # 1/3 has no value in F3: a clean exit 2, not a ZeroDivisionError
     path = tmp_path / "f3.ideal"

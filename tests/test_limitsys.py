@@ -4,7 +4,7 @@ import pytest
 
 import invsys.limitsys as limitsys
 from invsys import Ideal, PipelineError, artinian_form, context_from_names, equal_as_artinian
-from invsys.duality import DualModule, contract_exp, minimal_cogenerators, perp_ideal
+from invsys.duality import DualModule, contract_exp, minimal_cogenerators, perp_ideal, perp_module
 from invsys.limitsys import (
     LimitInverseSystem,
     VSpace,
@@ -18,7 +18,7 @@ from invsys.limitsys import (
     verify_lis,
 )
 from invsys.linalg import intersect_spans
-from invsys.ring import GREVLEX, LEX, Polynomial
+from invsys.ring import GREVLEX, LEX, Polynomial, e_unit
 
 from conftest import non_free_family, theorem_class_suite
 
@@ -100,11 +100,10 @@ def test_dual_tower_closed_form(band):
         assert tower.modules[(m,)].equals(expected)
 
 
-def test_dual_tower_builds_only_the_read_stages(ci_d2, monkeypatch):
-    # section_lift reads the diagonal, so B stages are built, the first one
-    # from the reduction that gave s; every other stage is built on first read
-    ctx, I = ci_d2
-    B = 3
+def test_dual_tower_builds_only_the_read_stages(ci_d2, curve, monkeypatch):
+    # section_lift reads the diagonal: stage one comes from the reduction that
+    # gave s, the top stage from its own reduction, and every other stage is
+    # the top stage met with a coordinate subspace, built on first read
     calls = {"perp_ideal": 0, "artinian_reduction": 0}
 
     def counted(name, fn):
@@ -113,23 +112,50 @@ def test_dual_tower_builds_only_the_read_stages(ci_d2, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(limitsys, "perp_ideal", counted("perp_ideal", perp_ideal))
-    monkeypatch.setattr(
-        limitsys, "artinian_reduction", counted("artinian_reduction", artinian_reduction)
-    )
-    tower = dual_tower(I, B, trust_regular=True)
-    section_lift(tower)
-    assert calls == {"perp_ideal": B, "artinian_reduction": B}
-    assert len(tower.modules) == B ** 2 and list(tower.modules) == grid(2, B)
-    assert (1, 2) in tower.modules and (0, 1) not in tower.modules
-    monkeypatch.undo()
-    stages = dict(tower.modules.items())
-    assert list(stages) == grid(2, B)
-    for m, W in stages.items():
-        J, N = artinian_form(artinian_reduction(I, m))
-        assert W.basis == perp_ideal(J, degbound=N - 1).basis
-    with pytest.raises(KeyError):
-        tower.modules[(0, 1)]
+    for (ctx, I), B in [(ci_d2, 3), (curve, 5)]:
+        d = len(ctx.zindices)
+        low = (0,) + (1,) * (d - 1)
+        for order in (GREVLEX, LEX):
+            monkeypatch.setattr(limitsys, "perp_ideal", counted("perp_ideal", perp_ideal))
+            monkeypatch.setattr(
+                limitsys, "artinian_reduction", counted("artinian_reduction", artinian_reduction)
+            )
+            calls.update(perp_ideal=0, artinian_reduction=0)
+            tower = dual_tower(I, B, order, trust_regular=True)
+            section_lift(tower, order=order)
+            assert calls == {"perp_ideal": 2, "artinian_reduction": 2}
+            assert len(tower.modules) == B ** d and list(tower.modules) == grid(d, B)
+            assert (1,) * (d - 1) + (2,) in tower.modules and low not in tower.modules
+            monkeypatch.undo()
+            stages = dict(tower.modules.items())
+            assert list(stages) == grid(d, B)
+            for m, W in stages.items():
+                J, N = artinian_form(artinian_reduction(I, m, order), order)
+                expected = perp_ideal(J, degbound=N - 1, order=order)
+                assert (W.basis, W.degbound) == (expected.basis, expected.degbound), (m, order)
+            with pytest.raises(KeyError):
+                tower.modules[low]
+
+
+def test_dual_tower_does_no_grid_work_up_front(band):
+    # membership is a range test and iteration is lazy, so a huge bound costs
+    # nothing until a stage is read; the top stage then fails on the ceiling
+    import tracemalloc
+
+    ctx, I = band
+    B = 10**8
+    tracemalloc.start()
+    try:
+        tower = dual_tower(I, B)
+        assert len(tower.modules) == B
+        assert (B,) in tower.modules and (B + 1,) not in tower.modules
+        assert next(iter(tower.modules)) == (1,)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(PipelineError, match=r"at \(100000000,\) is Artinian.*degree ceiling 64"):
+        section_lift(tower)
 
 
 def test_dual_tower_rejects_artinian_input():
@@ -366,8 +392,8 @@ def test_verify_and_reconstruct_share_stage_modules(curve_H9, ci_d2, tmp_path, c
 
 
 def test_reconstruct_reuses_annihilator_kernels(curve_H9, monkeypatch):
-    # each stage annihilator carries its kernel, so kernels are built from
-    # generators only by the reproduction check, once per stage
+    # each stage annihilator carries its kernel, so a kernel is built from
+    # generators only once per reproduction check, at the top stage
     import invsys.groebner as groebner
 
     built = []
@@ -385,7 +411,82 @@ def test_reconstruct_reuses_annihilator_kernels(curve_H9, monkeypatch):
         if name.startswith("invsys") and hasattr(mod, "nullspace"):
             monkeypatch.setattr(mod, "nullspace", forbidden)
     assert reconstruct(curve_H9).stable
-    assert len(built) == curve_H9.bound == 9
+    assert len(built) == 1
+
+
+def reference_reproduces(candidate, anns, order=GREVLEX):
+    """Per-stage reproduction check: build candidate + z^k + m^N_k from its
+    generators and compare reduced bases with anns[k]."""
+    ring = candidate.ring
+    for k in sorted(anns):
+        powers = [ring.monomial(e_unit(ring.nvars, zi, k)) for zi in ring.zindices]
+        N = anns[k].trunc
+        staged = candidate.plus(powers).truncated(N)
+        if not staged.equals(anns[k].truncated(N), order):
+            return False
+    return True
+
+
+def restricted(H, B):
+    """The family up to bound B: section_lift's stages do not depend on the bound."""
+    family = {m: H.family[m] for m in grid(H.d, B)}
+    return LimitInverseSystem(H.ring, H.d, H.r, H.s, B, family)
+
+
+@pytest.mark.filterwarnings("ignore:annihilator of the zero module")
+def test_reproduction_check_matches_reference(band, curve_H9, ci_d2, monkeypatch):
+    # every candidate reconstruct evaluates gets the same verdict from the
+    # one-kernel check as from the per-stage reference, in both orders
+    H_ci = section_lift(dual_tower(ci_d2[1], 5))
+    families = [restricted(curve_H9, B) for B in range(4, 10)]
+    families += [restricted(H_ci, B) for B in range(2, 6)]
+    families += [section_lift(dual_tower(I, B)) for _, I, B in theorem_class_suite()]
+    families += mutated_families(section_lift(dual_tower(band[1], 3)))
+    families += [non_free_family(4), non_free_family(6)]
+    seen = []
+    check = limitsys.reproduces
+
+    def recorded(candidate, anns):
+        verdict = check(candidate, anns)
+        seen.append((candidate, anns, verdict))
+        return verdict
+
+    monkeypatch.setattr(limitsys, "reproduces", recorded)
+    verdicts = []
+    for order in (GREVLEX, LEX):
+        for H in families:
+            seen.clear()
+            try:
+                reconstruct(H, order)
+            except PipelineError:
+                continue
+            for candidate, anns, verdict in seen:
+                assert verdict == reference_reproduces(candidate, anns, order)
+                verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
+
+
+def test_reproduction_check_fails_on_each_branch(curve_H9, monkeypatch):
+    # a missing z^k fails on containment, before the kernel is built; a
+    # candidate inside every stage but too small fails on length
+    ctx = curve_H9.ring
+    anns = {k: perp_module(curve_H9.module_at((k,))) for k in range(1, 10)}
+    built = []
+    monkeypatch.setattr(limitsys, "perp_ideal", lambda *a, **kw: built.append(1) or perp_ideal(*a, **kw))
+
+    family = {(1,): (ctx.dual.parse("X"),)}
+    H = LimitInverseSystem(ctx, 1, 1, 1, 1, family)
+    missing = {1: perp_module(H.module_at((1,)))}
+    candidate = Ideal(ctx, [ctx.variable(i) for i in range(1, 4)])
+    assert not limitsys.reproduces(candidate, missing)
+    assert not reference_reproduces(candidate, missing)
+    assert built == []
+
+    small = Ideal(ctx, [ctx.parse("x*y - w")])
+    assert all(A.contains(g) for A in anns.values() for g in small.gens)
+    assert not limitsys.reproduces(small, anns)
+    assert not reference_reproduces(small, anns)
+    assert built == [1]
 
 
 def test_invariants(band, curve):
