@@ -11,7 +11,14 @@ from __future__ import annotations
 import warnings
 
 from .errors import ContextMismatchError
-from .groebner import DEFAULT_CEILING, ArtinianQuotient, Ideal, artinian_form, ideal_colon
+from .groebner import (
+    DEFAULT_CEILING,
+    ArtinianQuotient,
+    Ideal,
+    artinian_form,
+    covered,
+    ideal_colon,
+)
 from .linalg import Echelon, intersect_spans
 from .ring import GREVLEX, Polynomial, e_divides, e_sub
 
@@ -58,10 +65,9 @@ def dual_pairing(p, F):
     return contract(p, F).constant_coefficient()
 
 
-def _neg_key(k):
-    if isinstance(k, tuple):
-        return tuple(_neg_key(x) for x in k)
-    return -k
+def _smallest_first(e):
+    """GREVLEX reversed: the smallest GREVLEX monomial has the largest key."""
+    return (-sum(e), tuple(reversed(e)))
 
 
 class DualModule:
@@ -69,14 +75,19 @@ class DualModule:
 
     The basis is kept in unique reduced row echelon form with respect to the
     monomial order on dual exponents, so module equality is basis equality.
+    A module built from arbitrary elements is only their span; _closed
+    records that the span is known to be contraction-closed, which holds
+    after generate, contract_by of a closed module, and a passing
+    verify_closed, and lets perp_module skip the closure.
     """
 
-    __slots__ = ("ring", "degbound", "basis", "order")
+    __slots__ = ("ring", "degbound", "basis", "order", "_closed")
 
     def __init__(self, ring, degbound, elements, order=GREVLEX, _canonical=False):
         self.ring = ring
         self.degbound = degbound
         self.order = order
+        self._closed = False
         if _canonical:
             self.basis = tuple(elements)
             return
@@ -139,7 +150,9 @@ class DualModule:
         )
         dual = self.ring.dual
         rows = [Polynomial(dual, row, _clean=False) for row in ech.basis()]
-        return DualModule(self.ring, bound, rows, self.order, _canonical=True)
+        out = DualModule(self.ring, bound, rows, self.order, _canonical=True)
+        out._closed = self._closed  # x^a . (P . W) = P . (x^a . W)
+        return out
 
     @classmethod
     def generate(cls, ring, elements, degbound=None, order=GREVLEX):
@@ -152,7 +165,9 @@ class DualModule:
             degs = [F.degree for F in elements if not F.is_zero()]
             degbound = int(max(degs)) if degs else 0
         ech = _closure(ring, elements, order.key)
-        return cls(ring, degbound, [Polynomial(dual, r) for r in ech.basis()], order)
+        W = cls(ring, degbound, [Polynomial(dual, r) for r in ech.basis()], order)
+        W._closed = True
+        return W
 
     def __repr__(self):
         head = ", ".join(F.render(self.order) for F in self.basis[:4])
@@ -203,7 +218,11 @@ def perp_ideal(I, degbound=None, order=GREVLEX, ceiling=DEFAULT_CEILING):
 
 
 def verify_closed(W):
-    """Raise AssertionError unless W is closed under contraction by every variable."""
+    """Raise AssertionError unless W is closed under contraction by every variable.
+
+    A module that passes is marked closed, so perp_module reads its
+    annihilator off its basis without running the closure.
+    """
     ech = W._echelon()
     n = W.ring.nvars
     for F in W.basis:
@@ -211,6 +230,7 @@ def verify_closed(W):
             G = _contract_var(i, F.terms)
             if G and not ech.contains(G):
                 raise AssertionError("inverse system is not contraction-closed (internal)")
+    W._closed = True
 
 
 def perp_module(W, order=GREVLEX):
@@ -218,12 +238,16 @@ def perp_module(W, order=GREVLEX):
 
     The transpose of perp_ideal, read off one echelon.  The contraction
     closure C of W is echelonized with each row's pivot at its smallest
-    GREVLEX monomial; terms above B = degbound are cut afterwards, which
-    leaves the rows reduced because the order is degree-compatible.  Each
-    non-pivot monomial u of degree <= B gives the row x^u - sum_v c_v[u] x^v
-    over the rows c_v with pivot v: together these are the reduced GREVLEX
-    echelon form of Ann(C) & P_{<=B}.  The generators are the rows whose
-    lead monomials are divisibility-minimal.  When every term of W has
+    GREVLEX monomial; for a module known to be closed (see DualModule) C is
+    W itself and its basis is echelonized as it is, otherwise the closure
+    inserts every contraction.  Terms above B = degbound are cut afterwards,
+    which leaves the rows reduced because the order is degree-compatible.
+    Each non-pivot monomial u of degree <= B gives the row
+    x^u - sum_v c_v[u] x^v over the rows c_v with pivot v: together these
+    are the reduced GREVLEX echelon form of Ann(C) & P_{<=B}.  Their leads
+    are closed upward below degree B + 1, so a lead u is divisibility-minimal
+    exactly when no u - e_i is a lead; the generators are the rows with
+    minimal leads.  When every term of W has
     degree <= B (the DualModule contract), Ann(C) contains m^(B+1) and the
     rows are the quotient matrix of the returned ideal, which takes them
     over as its GREVLEX kernel.  The order argument does not affect the
@@ -234,8 +258,10 @@ def perp_module(W, order=GREVLEX):
         warnings.warn("annihilator of the zero module is the unit ideal")
         return Ideal(ring, [ring.one()])
     B = W.degbound
-    key = GREVLEX.key
-    closure = _closure(ring, W.basis, lambda e: _neg_key(key(e)))
+    if W._closed:
+        closure = Echelon(ring.field, _smallest_first).extend(F.terms for F in W.basis)
+    else:
+        closure = _closure(ring, W.basis, _smallest_first)
     fld = ring.field
     rows = {u: {u: fld.one} for u in ring.exponents_upto(B)}  # lead -> row
     for v, row in closure.rows.items():
@@ -244,10 +270,7 @@ def perp_module(W, order=GREVLEX):
             for u, c in row.items():
                 if u != v and sum(u) <= B:
                     rows[u][v] = fld.neg(c)
-    kept = []
-    for u in sorted(rows, key=key):
-        if not any(e_divides(m, u) for m in kept):
-            kept.append(u)
+    kept = sorted((u for u in rows if not covered(rows, u)), key=GREVLEX.key)
     A = Ideal(ring, [Polynomial(ring, rows[u]) for u in kept], trunc=B + 1)
     if W.max_degree() <= B:
         A.adopt_quotient(ArtinianQuotient.from_rows(ring, GREVLEX, B + 1, rows))

@@ -201,13 +201,27 @@ QQ = Rationals()
 
 
 def field_from_name(name):
-    """Build a field from a descriptor such as 'Q', 'F7' or 'fp:7'."""
+    """Build a field from a descriptor such as 'Q', 'F7' or 'fp:7'.
+
+    A descriptor that names no field, or a modulus that is not an integer
+    or not a prime this module can certify, raises InputSyntaxError.
+    """
+    if not isinstance(name, str):
+        raise InputSyntaxError(f"field descriptor {name!r} is not a string")
     text = name.strip()
     if text in ("Q", "q", "QQ"):
         return QQ
-    lowered = text.lower()
-    if lowered.startswith("fp:"):
-        return PrimeField(int(text[3:]))
-    if text[:1] in ("F", "f") and text[1:].isdigit():
-        return PrimeField(int(text[1:]))
-    raise InputSyntaxError(f"unknown field descriptor {name!r}")
+    if text.lower().startswith("fp:"):
+        modulus = text[3:]
+    elif text[:1] in ("F", "f") and text[1:].isdigit():
+        modulus = text[1:]
+    else:
+        raise InputSyntaxError(f"unknown field descriptor {name!r}")
+    try:
+        p = int(modulus)
+    except ValueError:
+        raise InputSyntaxError(f"field modulus {modulus!r} is not an integer") from None
+    try:
+        return PrimeField(p)
+    except ValueError as exc:
+        raise InputSyntaxError(str(exc)) from exc

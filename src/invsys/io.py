@@ -6,12 +6,13 @@ trip exactly through the canonical polynomial rendering.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from .errors import InputSyntaxError
 from .field import field_from_name
 from .groebner import Ideal
-from .limitsys import LimitInverseSystem, grid
+from .limitsys import LimitInverseSystem, iter_grid
 from .ring import GREVLEX, RingContext, parse_polynomial
 
 
@@ -34,7 +35,10 @@ def _parse_header(lines):
         if words[0] == "field":
             if len(words) != 2:
                 raise InputSyntaxError("field line needs exactly one descriptor", lineno)
-            field = field_from_name(words[1])
+            try:
+                field = field_from_name(words[1])
+            except InputSyntaxError as exc:
+                raise InputSyntaxError(str(exc), lineno) from exc
             consumed += 1
         elif words[0] == "ring":
             if len(words) != 4 or words[2] != "vars" or words[1] not in ("local", "graded"):
@@ -145,9 +149,12 @@ def _check_stages(ctx, d, bound, stages, where=None):
         if m in seen:
             raise InputSyntaxError(f"stage {m} appears twice", lineno)
         seen.add(m)
-    missing = set(grid(d, bound)) - seen
-    if missing:
-        raise InputSyntaxError(f"missing stages {sorted(missing)[:4]}")
+    if len(seen) < bound**d:
+        # every stage is in range and seen once, so the first four missing
+        # ones lie among the first len(seen) + 4 of the grid: bound^d, which
+        # the header sets, is never enumerated
+        missing = itertools.islice((m for m in iter_grid(d, bound) if m not in seen), 4)
+        raise InputSyntaxError(f"missing stages {list(missing)}")
 
 
 def parse_lis_file(text):
@@ -164,7 +171,7 @@ def parse_lis_file(text):
             raise InputSyntaxError(f"missing '{key}' line")
         lineno, line = rest[i]
         words = line.split()
-        if len(words) != 2 or words[0] != key or not words[1].lstrip("-").isdigit():
+        if len(words) != 2 or words[0] != key or not words[1].removeprefix("-").isdecimal():
             raise InputSyntaxError(f"expected '{key} <integer>'", lineno)
         meta[key] = int(words[1])
         where[key] = lineno
@@ -179,7 +186,10 @@ def parse_lis_file(text):
             if not head.endswith(":"):
                 raise InputSyntaxError("stage header must end with ':'", lineno)
             csv = head[:-1].strip()
-            m = tuple(int(k) for k in csv.split(",") if k.strip()) if csv else ()
+            try:
+                m = tuple(int(k) for k in csv.split(",") if k.strip())
+            except ValueError:
+                raise InputSyntaxError(f"stage index {csv!r} is not a list of integers", lineno) from None
             stages.append((m, lineno))
             current = m
             family[m] = []
@@ -229,7 +239,9 @@ def lis_from_json(doc):
             m = tuple(int(k) for k in key.split(",") if k.strip()) if key else ()
             stages.append((m, None))
             family[m] = tuple(parse_polynomial(dual, p) for p in polys)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        # a missing key, a value of the wrong JSON type, or a number that is
+        # no integer (Infinity included)
         raise InputSyntaxError(f"malformed limit-system JSON: {exc}") from exc
     _check_stages(ctx, d, bound, stages)
     return LimitInverseSystem(ctx, d, r, s, bound, family)

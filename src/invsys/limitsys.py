@@ -30,7 +30,7 @@ from .groebner import (
     hilbert_data,
     is_regular,
 )
-from .linalg import Echelon, coordinate_meet, solve_in_span
+from .linalg import Echelon, coordinate_meet, nested_meet_dims, solve_in_span
 from .ring import GREVLEX, Polynomial, e_unit
 
 
@@ -580,13 +580,11 @@ def reconstruct(H, order=GREVLEX):
         chain.append(Ideal(ring, list(acc)))
 
     for K in range(1, len(chain)):
-        if chain[K - 1].equals(chain[K], order) and reproduces(chain[K - 1], anns):
-            return ReconstructionResult(
-                Ideal(ring, chain[K - 1].groebner(order)),
-                True,
-                K,
-                f"stabilized at stage {K} of {B}",
-            )
+        if not chain[K - 1].equals(chain[K], order):
+            continue
+        plateau = Ideal(ring, chain[K - 1].groebner(order))
+        if reproduces(plateau, anns):
+            return ReconstructionResult(plateau, True, K, f"stabilized at stage {K} of {B}")
     return ReconstructionResult(
         Ideal(ring, chain[-1].groebner(order) if chain else []),
         False,
@@ -599,17 +597,24 @@ def reproduces(candidate, anns):
     """True when candidate + <z^k> + m^(N_k) equals anns[k] for every k.
 
     anns maps each visible diagonal stage k to its annihilator, an ideal
-    truncated at N_k.  Ideals that contain m^N are equal exactly when one
-    contains the other and their quotients have the same length.  Each
-    generator of candidate + <z^k> is looked up in the kernel anns[k]
-    carries.  The lengths come from one kernel: with B the largest stage
-    and N the largest N_k, every C_k = candidate + <z^k> + m^(N_k) contains
+    truncated at N_k, where N_k must not decrease with k.  Ideals that
+    contain m^N are equal exactly when one contains the other and their
+    quotients have the same length.  Each generator of candidate + <z^k> is
+    looked up in the kernel anns[k] carries.  The lengths come from one
+    kernel and one echelon: with B the largest stage and N the largest N_k,
+    every C_k = candidate + <z^k> + m^(N_k) contains
     J = candidate + <z^B> + m^N, so the perp of C_k is the perp of J met
-    with span{X^e : |e| < N_k, e_(z_j) < k}.  Lengths do not depend on the
-    order, so everything runs in grevlex.
+    with S_k = span{X^e : |e| < N_k, e_(z_j) < k}.  The S_k are nested, so
+    one echelon of perp(J), keyed first by the stage each monomial enters,
+    gives every dim(perp(J) & S_k) (linalg.nested_meet_dims).  Lengths do
+    not depend on the order, so everything runs in grevlex.
     """
     ring = candidate.ring
     zi = ring.zindices
+    ks = sorted(anns)
+    Ns = [anns[k].trunc for k in ks]
+    if any(a > b for a, b in zip(Ns, Ns[1:])):
+        raise ValueError(f"annihilator truncations {Ns} decrease along the stages {ks}")
 
     def zpowers(k):
         return [ring.monomial(_zpower_exp(ring, slot, k)) for slot in range(len(zi))]
@@ -617,17 +622,18 @@ def reproduces(candidate, anns):
     for k, A in anns.items():
         if not all(A.contains(g) for g in itertools.chain(candidate.gens, zpowers(k))):
             return False
-    N = max(A.trunc for A in anns.values())
-    J = candidate.plus(zpowers(max(anns))).truncated(N)
+    N = Ns[-1]
+    J = candidate.plus(zpowers(ks[-1])).truncated(N)
     rows = [F.terms for F in perp_ideal(J, degbound=N - 1).basis]
-    for k, A in anns.items():
-        Nk = A.trunc
-        meet = coordinate_meet(
-            ring.field, GREVLEX.key, rows, lambda e: sum(e) < Nk and all(e[i] < k for i in zi)
-        )
-        if len(meet) != A.quotient().length:
-            return False
-    return True
+
+    def entry(e):
+        # the first stage whose S_k holds X^e, len(ks) for none
+        deg = sum(e)
+        zmax = max((e[i] for i in zi), default=-1)
+        return next((j for j, k in enumerate(ks) if zmax < k and deg < Ns[j]), len(ks))
+
+    dims = nested_meet_dims(ring.field, GREVLEX.key, rows, entry, len(ks))
+    return all(dim == anns[k].quotient().length for dim, k in zip(dims, ks))
 
 
 def invariants_of(I, order=GREVLEX, ceiling=DEFAULT_CEILING):

@@ -8,6 +8,7 @@ every reduced echelon basis unique and hence directly comparable.
 from __future__ import annotations
 
 import functools
+import itertools
 
 
 class Echelon:
@@ -127,6 +128,25 @@ def coordinate_meet(field, sortkey, vecs, inside):
     ech = Echelon(field, lambda c: (not inside(c), sortkey(c))).extend(vecs)
     pivots = sorted((p for p in ech.rows if inside(p)), key=sortkey, reverse=True)
     return [ech.rows[p] for p in pivots]
+
+
+def nested_meet_dims(field, sortkey, vecs, entry, count):
+    """dim(span(vecs) & S_j) for each of count nested coordinate subspaces.
+
+    S_0 <= S_1 <= ... <= S_(count-1) are spanned by columns, and entry(c) is
+    the first j with c in S_j (count or more when c lies in none).  Keying
+    each column by (entry(c), sortkey(c)) puts every column outside S_j above
+    every column inside it, for all j at once, so, as in coordinate_meet, the
+    rows whose pivot enters by stage j form a basis of the meet with S_j.
+    One echelon gives every dimension.
+    """
+    ech = Echelon(field, lambda c: (entry(c), sortkey(c))).extend(vecs)
+    dims = [0] * count
+    for p in ech.rows:
+        j = ech.sortkey(p)[0]
+        if j < count:
+            dims[j] += 1
+    return list(itertools.accumulate(dims))
 
 
 def span_equal(field, sortkey, vecs_a, vecs_b):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import invsys.duality as duality
 import invsys.groebner as groebner
 from invsys import Ideal, context_from_names, equal_as_artinian, hilbert_data
 from invsys.duality import (
@@ -14,11 +15,12 @@ from invsys.duality import (
     perp_ideal,
     perp_module,
     socle_basis,
+    verify_closed,
 )
 from invsys.groebner import ArtinianQuotient
 from invsys.limitsys import dual_tower, grid, section_lift
 from invsys.linalg import nullspace
-from invsys.ring import GREVLEX, Polynomial, e_divides, e_sub
+from invsys.ring import GREVLEX, LEX, Polynomial, e_divides, e_sub
 
 from oracles import brute_perp
 
@@ -355,3 +357,78 @@ def test_perp_module_matches_pairing_reference(curve_H9, monkeypatch):
             fresh = ArtinianQuotient(Ideal(W.ring, new.gens, trunc=new.trunc))
             assert new.quotient().rows == fresh.rows, name
             assert new.quotient().std == fresh.std, name
+
+
+def _ci_d2_ideal():
+    ctx = context_from_names("y0,y1,z0,z1", zvars="z0,z1")
+    return Ideal(ctx, [ctx.parse("y0^3 - 2*y1^2*z0 - y1*z0*z1"), ctx.parse("y1^2")])
+
+
+def _closed_modules(curve, curve_H9):
+    """(name, module) for every way a module is known closed."""
+    ctx, I = curve
+    H_ci = section_lift(dual_tower(_ci_d2_ideal(), 3))
+    out = []
+    for order in (GREVLEX, LEX):
+        out += [(f"curve{k}-{order.kind}", curve_H9.module_at((k,), order)) for k in (1, 5, 9)]
+        out += [(f"ci{m}-{order.kind}", H_ci.module_at(m, order)) for m in grid(2, 3)]
+    dual = ctx.dual
+    generated = DualModule.generate(ctx, [dual.parse("Y^3*X^2 + Z^2*W"), dual.parse("Z^3")])
+    out.append(("generate", generated))
+    out.append(("contract_by", generated.contract_by((1, 0, 0, 0))))
+    out.append(("perp_ideal", perp_ideal(I.plus([ctx.variable(0) ** 3]))))
+    tower = dual_tower(_ci_d2_ideal(), 3)
+    out += [(f"tower{m}", tower.modules[m]) for m in ((1, 1), (3, 3), (2, 3), (1, 2))]
+    return out
+
+
+@pytest.fixture
+def contractions(monkeypatch):
+    """A list that grows by one on every duality._contract_var call."""
+    calls = []
+    contract_var = duality._contract_var
+
+    def counted(i, terms):
+        calls.append(i)
+        return contract_var(i, terms)
+
+    monkeypatch.setattr(duality, "_contract_var", counted)
+    return calls
+
+
+def test_closed_modules_skip_the_closure(curve, curve_H9, contractions):
+    for name, W in _closed_modules(curve, curve_H9):
+        assert W._closed, name
+        open_copy = DualModule(W.ring, W.degbound, W.basis, W.order)
+        assert not open_copy._closed
+        expected = perp_module(open_copy)
+        assert contractions, name  # the open copy ran the closure
+        del contractions[:]
+        A = perp_module(W)
+        assert contractions == [], name
+        assert A.gens == expected.gens and A.trunc == expected.trunc, name
+        assert A.quotient().rows == expected.quotient().rows, name
+
+
+def test_modules_from_arbitrary_elements_keep_the_closure(ctx2, contractions):
+    dual = ctx2.dual
+    F, G = dual.parse("X^2*Y + Y^2"), dual.parse("X^3 - X*Y")
+    A, B = DualModule.generate(ctx2, [F]), DualModule.generate(ctx2, [G])
+    assert A._closed and B._closed
+    for name, W in [
+        ("elements", DualModule(ctx2, 3, [F, G])),
+        ("sum_with", A.sum_with(B)),
+        ("intersect", A.intersect(B)),
+        ("contract_by of open", DualModule(ctx2, 3, [F]).contract_by((1, 0))),
+    ]:
+        assert not W._closed, name
+        del contractions[:]
+        perp_module(W)
+        assert contractions, name
+
+
+def test_failed_closure_check_leaves_the_module_open(ctx2):
+    W = DualModule(ctx2, 3, [ctx2.dual.parse("X^2*Y")])
+    with pytest.raises(AssertionError):
+        verify_closed(W)
+    assert not W._closed

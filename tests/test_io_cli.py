@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -463,3 +465,125 @@ def test_cli_zero_denominator_is_a_syntax_error(tmp_path, capsys, literal):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert [line[:7] for line in captured.err.splitlines()] == ["error: "] * 2
+
+
+@pytest.mark.parametrize(
+    "descriptor, message",
+    [
+        ("fp:7x", "field modulus '7x' is not an integer"),
+        ("fp:abc", "field modulus 'abc' is not an integer"),
+        ("fp:", "field modulus '' is not an integer"),
+        ("fp:40", "40 is not prime"),
+        ("F1", "1 is not prime"),
+        (f"fp:{2**89 - 1}", f"{2**89 - 1} is too large for an exact primality test"),
+        ("qq", "unknown field descriptor 'qq'"),
+    ],
+)
+def test_cli_bad_field_descriptor_names_its_line(tmp_path, capsys, descriptor, message):
+    ideal = tmp_path / "bad.ideal"
+    ideal.write_text(f"# header\nfield {descriptor}\nring graded vars x,y\nideal:\nx^2\n")
+    lis = tmp_path / "bad.lis"
+    lis.write_text(f"limit-system\nfield {descriptor}\nring graded vars x,y\nd 0\nr 1\ns 1\nbound 1\nm:\nX\n")
+    for argv in (["hilbert", "-i", str(ideal)], ["verify", "-i", str(lis)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.endswith(" (line 2)\n") and captured.err.count("\n") == 1
+    # the same descriptor given as an override has no line to name
+    assert main(["socle", "-i", EXAMPLE, "--m", "1", "--field", descriptor]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+# Grammar fuzz: texts built from the tokens of the ideal-file and limit-file
+# grammars (whole lines, or edits of a valid file), and limit-system JSON
+# documents whose values may have any JSON type.  Exponents stay small: the
+# parser expands a power of a sum in full.
+_WORDS = (
+    "field", "ring", "zvars", "ideal:", "limit-system", "d", "r", "s", "bound", "m", "local",
+    "graded", "vars", "Q", "q", "QQ", "F7", "f5", "fp:7", "fp:7x", "fp:40", "fp:", "qq", "F",
+    "x", "y", "z", "x,y", "y,z", "x,y,z", "x,x", "1x", ",", "0", "1", "2", "-1", "--1", "+1",
+    "1,1", "1,", "1:", ":", "m:", "x:", "1,1:", "2:", "#", "1000000000", "²",
+)
+_POLY_TOKENS = (
+    "x", "y", "z", "X", "Y", "Z", "2", "0", "1/2", "3/0", "+", "-", "*", "^", "^2", "(", ")",
+    "/", "x^2", "X*Y", "Y^3", "#", " ", "²", "1.5",
+)
+_IDEAL_FILE = ("field Q", "ring local vars x,y,z", "zvars z", "ideal:", "x^2 - y*z", "y^3")
+_LIS_FILE = (
+    "limit-system", "field F7", "ring graded vars x,y,z", "zvars z", "d 1", "r 1", "s 1",
+    "bound 2", "m 1:", "X*Y", "m 2:", "X*Y*Z + Y^2",
+)
+_LINE = st.one_of(
+    st.sampled_from(_IDEAL_FILE + _LIS_FILE),
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4).map(" ".join),
+    st.lists(st.sampled_from(_POLY_TOKENS), min_size=1, max_size=6).map("".join),
+)
+
+
+def _edited(template):
+    """The template with each line kept (None), replaced, or replaced by two."""
+
+    def apply(edits):
+        out = []
+        for line, edit in zip(template, edits):
+            out.extend([line] if edit is None else [edit] if isinstance(edit, str) else edit)
+        return "\n".join(out) + "\n"
+
+    edit = st.one_of(st.none(), _LINE, st.tuples(_LINE, _LINE))
+    return st.lists(edit, min_size=len(template), max_size=len(template)).map(apply)
+
+
+_JSON_VALUE = st.recursive(
+    st.one_of(
+        st.sampled_from(_WORDS), st.integers(-3, 10**12), st.booleans(), st.none(),
+        st.sampled_from([1.5, float("inf"), float("nan")]),
+    ),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["1", "2", "1,1", "", "vars", "mode"]), inner, max_size=3),
+    max_leaves=6,
+)
+_JSON_DOC = st.fixed_dictionaries(
+    {},
+    optional={
+        "field": st.sampled_from(["Q", "F7", "fp:40", "qq"]) | _JSON_VALUE,
+        "ring": st.fixed_dictionaries(
+            {"mode": st.sampled_from(["graded", "local", "x"]), "vars": st.sampled_from([["x", "y", "z"], "x,z", [1]])},
+            optional={"zvars": st.sampled_from([["z"], [], ["q"]])},
+        ) | _JSON_VALUE,
+        "d": st.integers(0, 2) | _JSON_VALUE,
+        "r": st.integers(0, 2) | _JSON_VALUE,
+        "s": st.integers(0, 2) | _JSON_VALUE,
+        "bound": st.sampled_from([1, 2, 10**9]) | _JSON_VALUE,
+        "family": st.dictionaries(
+            st.sampled_from(["1", "2", "1,1", "", "a"]), st.lists(st.sampled_from(["X", "Z^2", "X+"]), max_size=2)
+        ) | _JSON_VALUE,
+    },
+)
+_TEXTS = st.one_of(
+    st.lists(_LINE, max_size=12).map(lambda lines: "\n".join(lines) + "\n"),
+    _edited(_IDEAL_FILE),
+    _edited(_LIS_FILE),
+    _JSON_DOC.map(json.dumps),
+    _JSON_DOC.map(lambda doc: json.dumps({"limit_system": doc})),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TEXTS)
+def test_grammar_fuzz_parses_or_exits_2_with_one_error_line(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+    path.write_text(text, encoding="utf-8")
+    for parse, command in ((parse_ideal_file, "hilbert"), (load_limit_system, "verify")):
+        try:
+            parse(text)
+        except InputSyntaxError:
+            pass
+        else:
+            continue
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "-i", str(path)])
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

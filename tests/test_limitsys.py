@@ -433,16 +433,22 @@ def restricted(H, B):
     return LimitInverseSystem(H.ring, H.d, H.r, H.s, B, family)
 
 
-@pytest.mark.filterwarnings("ignore:annihilator of the zero module")
-def test_reproduction_check_matches_reference(band, curve_H9, ci_d2, monkeypatch):
-    # every candidate reconstruct evaluates gets the same verdict from the
-    # one-kernel check as from the per-stage reference, in both orders
+def reproduction_families(band, curve_H9, ci_d2):
+    """Families whose reconstructions reach both verdicts of reproduces."""
     H_ci = section_lift(dual_tower(ci_d2[1], 5))
     families = [restricted(curve_H9, B) for B in range(4, 10)]
     families += [restricted(H_ci, B) for B in range(2, 6)]
     families += [section_lift(dual_tower(I, B)) for _, I, B in theorem_class_suite()]
     families += mutated_families(section_lift(dual_tower(band[1], 3)))
     families += [non_free_family(4), non_free_family(6)]
+    return families
+
+
+@pytest.mark.filterwarnings("ignore:annihilator of the zero module")
+def test_reproduction_check_matches_reference(band, curve_H9, ci_d2, monkeypatch):
+    # every candidate reconstruct evaluates gets the same verdict from the
+    # one-kernel check as from the per-stage reference, in both orders
+    families = reproduction_families(band, curve_H9, ci_d2)
     seen = []
     check = limitsys.reproduces
 
@@ -487,6 +493,60 @@ def test_reproduction_check_fails_on_each_branch(curve_H9, monkeypatch):
     assert not limitsys.reproduces(small, anns)
     assert not reference_reproduces(small, anns)
     assert built == [1]
+
+
+@pytest.mark.filterwarnings("ignore:annihilator of the zero module")
+def test_reproduction_check_reads_every_length_off_one_echelon(band, curve_H9, ci_d2, monkeypatch):
+    # the families are built first: tower stages below the top are meets
+    families = reproduction_families(band, curve_H9, ci_d2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("coordinate_meet called")
+
+    kernels = []
+    monkeypatch.setattr(limitsys, "coordinate_meet", forbidden)
+    monkeypatch.setattr(limitsys, "perp_ideal", lambda *a, **kw: kernels.append(1) or perp_ideal(*a, **kw))
+    check = limitsys.reproduces
+    seen = []
+
+    def recorded(candidate, anns):
+        del kernels[:]
+        verdict = check(candidate, anns)
+        # a False verdict reached the lengths exactly when it built the kernel
+        seen.append((candidate, anns, verdict, "length" if kernels else "containment"))
+        return verdict
+
+    monkeypatch.setattr(limitsys, "reproduces", recorded)
+    outcomes = set()
+    for order in (GREVLEX, LEX):
+        for H in families:
+            seen.clear()
+            try:
+                reconstruct(H, order)
+            except PipelineError:
+                continue
+            for candidate, anns, verdict, branch in seen:
+                assert verdict == reference_reproduces(candidate, anns, order)
+                outcomes.add(verdict or branch)
+    # no plateau of these families fails containment, so that branch is
+    # reached directly: x, the z-variable, does not annihilate X
+    ctx = curve_H9.ring
+    H = LimitInverseSystem(ctx, 1, 1, 1, 1, {(1,): (ctx.dual.parse("X"),)})
+    seen.clear()
+    candidate = Ideal(ctx, [ctx.variable(i) for i in range(1, ctx.nvars)])
+    limitsys.reproduces(candidate, {1: perp_module(H.module_at((1,)))})
+    for candidate, anns, verdict, branch in seen:
+        assert verdict == reference_reproduces(candidate, anns)
+        outcomes.add(verdict or branch)
+    assert outcomes == {True, "containment", "length"}
+
+
+def test_reproduction_check_refuses_decreasing_truncations(curve_H9):
+    anns = {k: perp_module(curve_H9.module_at((k,))) for k in (1, 2, 3)}
+    candidate = Ideal(curve_H9.ring, [])
+    assert [anns[k].trunc for k in (1, 2, 3)] == [4, 5, 6]  # N_k = k + s - d + 1
+    with pytest.raises(ValueError, match="decrease"):
+        limitsys.reproduces(candidate, {1: anns[1], 2: anns[3], 3: anns[2]})
 
 
 def test_invariants(band, curve):

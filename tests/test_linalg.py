@@ -3,7 +3,15 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from invsys.field import QQ, PrimeField
-from invsys.linalg import Echelon, echelon_basis, intersect_spans, nullspace, solve_in_span
+from invsys.linalg import (
+    Echelon,
+    coordinate_meet,
+    echelon_basis,
+    intersect_spans,
+    nested_meet_dims,
+    nullspace,
+    solve_in_span,
+)
 from oracles import dense_nullspace, dense_rref
 
 KEY = lambda c: c
@@ -128,3 +136,33 @@ def test_echelon_matches_dense_rref_after_every_insert(data):
     kernel = nullspace(field, rows, list(range(ncols)), key)
     oracle = dense_nullspace([dense(r) for r in rows], ncols, p)
     assert kernel == [{dense_cols[i]: v for i, v in enumerate(vec) if v != 0} for vec in oracle]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_nested_meet_dims_match_per_stage_meets_and_dense_rank(data):
+    p = data.draw(st.sampled_from([None, 5]), label="p")
+    field = QQ if p is None else PrimeField(p)
+    ncols = data.draw(st.integers(1, 8), label="ncols")
+    count = data.draw(st.integers(1, 4), label="count")
+    # a random nested chain: column c enters at stage entry[c], or never
+    # when entry[c] == count
+    entry = data.draw(st.lists(st.integers(0, count), min_size=ncols, max_size=ncols), label="entry")
+    coef = st.integers(-3, 3).filter(bool)
+    rows = data.draw(
+        st.lists(st.dictionaries(st.sampled_from(range(ncols)), coef, min_size=1, max_size=4), max_size=10),
+        label="rows",
+    )
+    rows = [{c: field.coerce(v) for c, v in row.items()} for row in rows]
+    dims = nested_meet_dims(field, KEY, rows, entry.__getitem__, count)
+    assert len(dims) == count
+
+    def rank(cols):
+        return len(dense_rref([[row.get(c, 0) for c in cols] for row in rows], len(cols), p)[0])
+
+    total = rank(range(ncols))
+    for j in range(count):
+        inside = lambda c: entry[c] <= j
+        assert dims[j] == len(coordinate_meet(field, KEY, rows, inside))
+        # dim(V & S_j) = dim V - rank of V projected onto the columns outside S_j
+        assert dims[j] == total - rank([c for c in range(ncols) if not inside(c)])
