@@ -27,63 +27,68 @@ from .rees import MonoidIdeal, rees_dimension_check
 from .ring import order_from_name
 
 
-def _build_parser():
+# name -> (help, reads an input file, its own arguments as (flags, options))
+_COMMANDS = {
+    "perp": ("inverse system of an Artinian (reduced) ideal", True, (
+        (("--m",), {"default": None, "help": "Artinian reduction multi-index, e.g. 2 or 2,2"}),
+        (("--degbound",), {"type": int, "default": None}),
+    )),
+    "socle": ("socle basis of an Artinian reduction", True, ((("--m",), {"default": None}),)),
+    "hilbert": ("Hilbert profile of an Artinian reduction", True, ((("--m",), {"default": None}),)),
+    "reduce": ("print the Artinian reduction I + <z^m>", True, ((("--m",), {"required": True}),)),
+    "limit": ("compute the limit inverse system up to a bound", True, (
+        (("--mmax",), {"type": int, "default": 3}),
+    )),
+    "reconstruct": ("recover the ideal from a limit system file", True, ()),
+    "verify": ("check the limit-system conditions of a file", True, ()),
+    "rees-check": ("graded-dimension check for a filtration sequence", True, (
+        (("--seq",), {"required": True, "help": "comma-separated sequence of polynomials"}),
+        (("--level",), {"type": int, "default": 4}),
+    )),
+    "monoid-socle": ("socle of a monoid ideal in N^t", False, (
+        (("--gens",), {"required": True,
+                       "help": "semicolon-separated exponent vectors, e.g. '2,0;0,2'"}),
+    )),
+}
+
+
+def _common(p, with_input):
+    if with_input:
+        p.add_argument("-i", "--input", required=True, help="input file")
+    p.add_argument("--field", default=None, help="override field: q or fp:<p>")
+    p.add_argument("--order", default="grevlex", choices=["grevlex", "lex"])
+    p.add_argument("--degcap", type=int, default=None,
+                   help="truncation ceiling (rees-check: truncation degree)")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
+    p.add_argument("--trust-regular", action="store_true",
+                   help="skip the z-block regularity verification")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.add_argument("-o", "--output", default=None, help="write main output to a file")
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
+
+
+def _build_parser(command=None):
+    """The argument parser; given a command, only that subcommand's arguments.
+
+    The other subcommands are left out, and the command list is spelled out
+    as the metavar, so usage lines and errors read as the full parser's do
+    for any command line that names this command first.
+    """
     top = argparse.ArgumentParser(
         prog="invsys",
         description="Exact inverse systems of Artinian and Cohen-Macaulay quotients",
     )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("-i", "--input", required=True, help="input file")
-        p.add_argument("--field", default=None, help="override field: q or fp:<p>")
-        p.add_argument("--order", default="grevlex", choices=["grevlex", "lex"])
-        p.add_argument("--degcap", type=int, default=None,
-                       help="truncation ceiling (rees-check: truncation degree)")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-        p.add_argument("--trust-regular", action="store_true",
-                       help="skip the z-block regularity verification")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("-o", "--output", default=None, help="write main output to a file")
-        p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
-
-    p = sub.add_parser("perp", help="inverse system of an Artinian (reduced) ideal")
-    common(p)
-    p.add_argument("--m", default=None, help="Artinian reduction multi-index, e.g. 2 or 2,2")
-    p.add_argument("--degbound", type=int, default=None)
-
-    p = sub.add_parser("socle", help="socle basis of an Artinian reduction")
-    common(p)
-    p.add_argument("--m", default=None)
-
-    p = sub.add_parser("hilbert", help="Hilbert profile of an Artinian reduction")
-    common(p)
-    p.add_argument("--m", default=None)
-
-    p = sub.add_parser("reduce", help="print the Artinian reduction I + <z^m>")
-    common(p)
-    p.add_argument("--m", required=True)
-
-    p = sub.add_parser("limit", help="compute the limit inverse system up to a bound")
-    common(p)
-    p.add_argument("--mmax", type=int, default=3)
-
-    p = sub.add_parser("reconstruct", help="recover the ideal from a limit system file")
-    common(p)
-
-    p = sub.add_parser("verify", help="check the limit-system conditions of a file")
-    common(p)
-
-    p = sub.add_parser("rees-check", help="graded-dimension check for a filtration sequence")
-    common(p)
-    p.add_argument("--seq", required=True, help="comma-separated sequence of polynomials")
-    p.add_argument("--level", type=int, default=4)
-
-    p = sub.add_parser("monoid-socle", help="socle of a monoid ideal in N^t")
-    common(p, with_input=False)
-    p.add_argument("--gens", required=True, help="semicolon-separated exponent vectors, e.g. '2,0;0,2'")
-
+    if command is None:
+        sub = top.add_subparsers(dest="command", required=True)
+    else:
+        metavar = "{" + ",".join(_COMMANDS) + "}"
+        sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, with_input, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        _common(p, with_input)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return top
 
 
@@ -268,7 +273,10 @@ def _run(args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # help and a line naming no command need the full parser's text
+    lazy = argv and argv[0] in _COMMANDS and "-h" not in argv and "--help" not in argv
+    args = _build_parser(argv[0] if lazy else None).parse_args(argv)
     try:
         return _run(args)
     except InputSyntaxError as exc:

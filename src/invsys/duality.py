@@ -32,17 +32,10 @@ def contract(p, F):
     """Bilinear extension of the monomial contraction rule."""
     _check_dual(p, F)
     fld = F.ring.field
-    zero = fld.zero
     out = {}
     for n, a in p.terms.items():
-        for m, b in F.terms.items():
-            if e_divides(n, m):
-                w = e_sub(m, n)
-                s = fld.add(out.get(w, zero), fld.mul(a, b))
-                if s == zero:
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+        images = [(e_sub(m, n), b) for m, b in F.terms.items() if e_divides(n, m)]
+        fld.row_sub(out, fld.neg(a), images)
     return Polynomial(F.ring, out, _clean=False)
 
 
@@ -92,7 +85,7 @@ class DualModule:
             self.basis = tuple(elements)
             return
         dual = ring.dual
-        ech = Echelon(ring.field, order.key)
+        ech = Echelon(ring.field, ring.order_key(order))
         for F in elements:
             dual.check_same(F.ring, "dual module elements")
             ech.insert(F.terms)
@@ -106,7 +99,8 @@ class DualModule:
         return not self.basis
 
     def _echelon(self):
-        return Echelon(self.ring.field, self.order.key, (F.terms for F in self.basis))
+        key = self.ring.order_key(self.order)
+        return Echelon(self.ring.field, key, (F.terms for F in self.basis))
 
     def contains(self, F):
         return self._echelon().contains(F.terms)
@@ -134,7 +128,7 @@ class DualModule:
         self.ring.check_same(other.ring)
         rows = intersect_spans(
             self.ring.field,
-            self.order.key,
+            self.ring.order_key(self.order),
             [F.terms for F in self.basis],
             [F.terms for F in other.basis],
         )
@@ -145,7 +139,7 @@ class DualModule:
     def contract_by(self, e):
         """Image of the module under contraction by the monomial x^e."""
         bound = max(self.degbound - sum(e), 0)
-        ech = Echelon(self.ring.field, self.order.key).extend(
+        ech = Echelon(self.ring.field, self.ring.order_key(self.order)).extend(
             {e_sub(m, e): b for m, b in F.terms.items() if e_divides(e, m)} for F in self.basis
         )
         dual = self.ring.dual
@@ -164,7 +158,7 @@ class DualModule:
         if degbound is None:
             degs = [F.degree for F in elements if not F.is_zero()]
             degbound = int(max(degs)) if degs else 0
-        ech = _closure(ring, elements, order.key)
+        ech = _closure(ring, elements, ring.order_key(order))
         W = cls(ring, degbound, [Polynomial(dual, r) for r in ech.basis()], order)
         W._closed = True
         return W
@@ -270,7 +264,7 @@ def perp_module(W, order=GREVLEX):
             for u, c in row.items():
                 if u != v and sum(u) <= B:
                     rows[u][v] = fld.neg(c)
-    kept = sorted((u for u in rows if not covered(rows, u)), key=GREVLEX.key)
+    kept = sorted((u for u in rows if not covered(rows, u)), key=ring.order_key(GREVLEX))
     A = Ideal(ring, [Polynomial(ring, rows[u]) for u in kept], trunc=B + 1)
     if W.max_degree() <= B:
         A.adopt_quotient(ArtinianQuotient.from_rows(ring, GREVLEX, B + 1, rows))
@@ -286,7 +280,7 @@ def socle_basis(I, order=GREVLEX, ceiling=DEFAULT_CEILING):
     ring = I.ring
     mvars = Ideal(ring, [ring.variable(i) for i in range(ring.nvars)])
     C = ideal_colon(J, mvars, order)
-    ech = Echelon(ring.field, order.key)
+    ech = Echelon(ring.field, ring.order_key(order))
     for g in C.gens:
         ech.insert(aq.nf_vector(g))
     return [Polynomial(ring, row) for row in ech.basis()]
@@ -299,7 +293,7 @@ def minimal_cogenerators(W, order=GREVLEX):
     """
     ring = W.ring
     n = ring.nvars
-    ech = Echelon(ring.field, order.key)
+    ech = Echelon(ring.field, ring.order_key(order))
     for F in W.basis:
         for i in range(n):
             G = _contract_var(i, F.terms)
@@ -309,5 +303,5 @@ def minimal_cogenerators(W, order=GREVLEX):
     for F in W.basis:
         ech.insert(F.terms)
     pivots = [p for p in ech.rows if p not in lower]
-    pivots.sort(key=order.key, reverse=True)
+    pivots.sort(key=ech.sortkey, reverse=True)
     return [Polynomial(ring.dual, dict(ech.rows[p])) for p in pivots]

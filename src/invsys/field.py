@@ -63,6 +63,35 @@ class Rationals:
             return c
         return c.numerator
 
+    def row_sub(self, dst, coef, src):
+        """dst -= coef * src in place, for a row dict dst and (column, value)
+        pairs src; zeros are deleted.  Returns the columns dst gained or lost.
+
+        The echelon's inner loop: arithmetic is inline, an int stays an int
+        and an integral Fraction becomes its numerator.
+        """
+        neg = -coef
+        changed = []
+        for c, v in src:
+            old = dst.get(c)
+            if old is None:
+                # neg and v are nonzero, so their product is too
+                x = neg * v
+                if type(x) is not int and x.denominator == 1:
+                    x = x.numerator
+                dst[c] = x
+                changed.append(c)
+                continue
+            x = old + neg * v
+            if type(x) is not int and x.denominator == 1:
+                x = x.numerator
+            if x:
+                dst[c] = x
+            else:
+                del dst[c]
+                changed.append(c)
+        return changed
+
     def div(self, a, b):
         if type(a) is int and type(b) is int:
             # never a / b, which is a float
@@ -163,6 +192,28 @@ class PrimeField:
 
     def mul(self, a, b):
         return (a * b) % self.p
+
+    def row_sub(self, dst, coef, src):
+        """dst -= coef * src in place, for a row dict dst and (column, value)
+        pairs src; zeros are deleted.  Returns the columns dst gained or lost.
+        """
+        p = self.p
+        neg = -coef
+        changed = []
+        for c, v in src:
+            old = dst.get(c)
+            if old is None:
+                # neg and v are nonzero mod p, so their product is too
+                dst[c] = neg * v % p
+                changed.append(c)
+                continue
+            x = (old + neg * v) % p
+            if x:
+                dst[c] = x
+            else:
+                del dst[c]
+                changed.append(c)
+        return changed
 
     def div(self, a, b):
         if b % self.p == 0:

@@ -54,9 +54,8 @@ LOCAL_DEGREE_CAP = 1200
 
 def reduce_terms(ring, order, terms, reducers):
     """Full remainder of a term dict modulo monic reducers [(lm, tail)]."""
-    fld = ring.field
-    zero = fld.zero
-    key = order.key
+    row_sub = ring.field.row_sub
+    key = ring.order_key(order)
     work = dict(terms)
     rem = {}
     while work:
@@ -72,13 +71,7 @@ def reduce_terms(ring, order, terms, reducers):
             continue
         lm, tail = hit
         shift = e_sub(t, lm)
-        for e2, c2 in tail.items():
-            w = e_add(shift, e2)
-            s = fld.sub(work.get(w, zero), fld.mul(c, c2))
-            if s == zero:
-                work.pop(w, None)
-            else:
-                work[w] = s
+        row_sub(work, c, [(e_add(shift, e2), c2) for e2, c2 in tail.items()])
     return rem
 
 
@@ -91,23 +84,14 @@ def _as_reducer(poly, order):
 def s_poly_terms(ring, order, f_lm, f_tail, g_lm, g_tail):
     """Term dict of the S-polynomial of two monic polynomials."""
     fld = ring.field
-    zero = fld.zero
     L = e_lcm(f_lm, g_lm)
     sf, sg = e_sub(L, f_lm), e_sub(L, g_lm)
-    out = {}
-    for e, c in f_tail.items():
-        out[e_add(sf, e)] = c
-    for e, c in g_tail.items():
-        w = e_add(sg, e)
-        s = fld.sub(out.get(w, zero), c)
-        if s == zero:
-            out.pop(w, None)
-        else:
-            out[w] = s
+    out = {e_add(sf, e): c for e, c in f_tail.items()}
+    fld.row_sub(out, fld.one, [(e_add(sg, e), c) for e, c in g_tail.items()])
     return out
 
 
-def _gm_update(order, lms, monos, pairs, t):
+def _gm_update(key, lms, monos, pairs, t):
     """Gebauer-Moeller pair update after basis element t was appended."""
     lmf = lms[t]
     kept = set()
@@ -123,7 +107,7 @@ def _gm_update(order, lms, monos, pairs, t):
     for i in range(t):
         classes.setdefault(e_lcm(lms[i], lmf), []).append(i)
     minimal = []
-    for L in sorted(classes, key=order.key):
+    for L in sorted(classes, key=key):
         if not any(e_divides(M, L) for M in minimal):
             minimal.append(L)
     for L in minimal:
@@ -143,6 +127,7 @@ def buchberger(ring, gens, order=GREVLEX):
 
     Normal pair selection, Gebauer-Moeller pruning, deterministic queue.
     """
+    key = ring.order_key(order)
     seen = set()
     lms = []
     monos = []
@@ -154,7 +139,7 @@ def buchberger(ring, gens, order=GREVLEX):
         lms.append(lm)
         monos.append(len(poly.terms) == 1)
         reducers.append((lm, tail))
-        return _gm_update(order, lms, monos, pairs, len(lms) - 1)
+        return _gm_update(key, lms, monos, pairs, len(lms) - 1)
 
     for g in gens:
         if g.is_zero():
@@ -166,7 +151,7 @@ def buchberger(ring, gens, order=GREVLEX):
             pairs = append(g, pairs)
 
     while pairs:
-        i, j = min(pairs, key=lambda p: (order.key(e_lcm(lms[p[0]], lms[p[1]])), p))
+        i, j = min(pairs, key=lambda p: (key(e_lcm(lms[p[0]], lms[p[1]])), p))
         pairs.remove((i, j))
         s = s_poly_terms(ring, order, *reducers[i], *reducers[j])
         rem = reduce_terms(ring, order, s, reducers)
@@ -175,7 +160,7 @@ def buchberger(ring, gens, order=GREVLEX):
 
     # minimalize: keep elements whose lead monomial is not divisible by another's
     kept = []
-    for i in sorted(range(len(lms)), key=lambda i: order.key(lms[i])):
+    for i in sorted(range(len(lms)), key=lambda i: key(lms[i])):
         if not any(e_divides(lm, lms[i]) for lm, _ in kept):
             kept.append(reducers[i])
     # interreduce to the canonical reduced basis
@@ -245,9 +230,17 @@ class Ideal:
         self.ring.check_same(p.ring)
         if self.trunc is not None:
             return Polynomial(self.ring, self.quotient(order).nf_vector(p), _clean=False)
-        reducers = [_as_reducer(g, order) for g in self.groebner(order)]
-        rem = reduce_terms(self.ring, order, p.terms, reducers)
+        rem = reduce_terms(self.ring, order, p.terms, self._reducers(order))
         return Polynomial(self.ring, rem, _clean=False)
+
+    def _reducers(self, order):
+        """The reduced basis as monic reducers [(lm, tail)], built once per order."""
+        key = ("reducers", order.signature())
+        reducers = self._cache.get(key)
+        if reducers is None:
+            reducers = tuple(_as_reducer(g, order) for g in self.groebner(order))
+            self._cache[key] = reducers
+        return reducers
 
     def contains(self, p, order=GREVLEX):
         return self.normal_form(p, order).is_zero()
@@ -313,7 +306,7 @@ class ArtinianQuotient:
     def __init__(self, ideal, order=GREVLEX):
         ring = ideal.ring
         N = ideal.trunc if ideal.trunc is not None else artinian_bound(ideal, order)
-        ech = Echelon(ring.field, order.key)
+        ech = Echelon(ring.field, ring.order_key(order))
         for g in ideal.gens:
             terms = [(e, sum(e), c) for e, c in g.terms.items() if sum(e) < N]
             if not terms:
@@ -345,7 +338,9 @@ class ArtinianQuotient:
         self.order = order
         self.N = N
         self.rows = rows  # pivot monomial -> row dict
-        self.std = sorted((e for e in ring.exponents_upto(N - 1) if e not in rows), key=order.key)
+        self.std = sorted(
+            (e for e in ring.exponents_upto(N - 1) if e not in rows), key=ring.order_key(order)
+        )
 
     @property
     def length(self):
@@ -361,15 +356,9 @@ class ArtinianQuotient:
 
     def nf_vector(self, p):
         fld = self.ring.field
-        zero = fld.zero
         out = {}
         for e, c in p.terms.items():
-            for u, d in self.monomial_nf(e).items():
-                s = fld.add(out.get(u, zero), fld.mul(c, d))
-                if s == zero:
-                    out.pop(u, None)
-                else:
-                    out[u] = s
+            fld.row_sub(out, fld.neg(c), self.monomial_nf(e).items())
         return out
 
     def poly_from_vector(self, vec):
@@ -396,7 +385,8 @@ class ArtinianQuotient:
             if not self._covered(p)
         ]
         gb += [ring.monomial(e) for e in ring.exponents_of_degree(self.N) if not self._covered(e)]
-        gb.sort(key=lambda g: order.key(g.lead(order)[0]))
+        key = ring.order_key(order)
+        gb.sort(key=lambda g: key(g.lead(order)[0]))
         return tuple(gb)
 
 
@@ -426,7 +416,7 @@ def _pure_powers_first(ring, k):
 def _graded_bound(ideal, order, ceiling):
     """Least N with m^N inside a graded ideal, by normal forms against its basis."""
     ring = ideal.ring
-    reducers = [_as_reducer(g, order) for g in ideal.groebner(order)]
+    reducers = ideal._reducers(order)
     lms = [lm for lm, _ in reducers]
     if any(not any(lm) for lm in lms):
         return 0
@@ -532,7 +522,7 @@ def hilbert_data(ideal, order=GREVLEX, ceiling=DEFAULT_CEILING):
     if N == 0:
         return HilbertData(())
     aq = J.quotient(order)
-    ech = Echelon(ideal.ring.field, order.key)
+    ech = Echelon(ideal.ring.field, ideal.ring.order_key(order))
     ranks = [0]  # ranks[j] = dim of span of degrees >= N - j
     for k in range(N - 1, -1, -1):
         for e in ideal.ring.exponents_of_degree(k):
@@ -590,9 +580,10 @@ def exact_divide(p, f, order=GREVLEX):
     ring = p.ring
     fld = ring.field
     lm, lc = f.lead(order)
+    tail = [(e, c) for e, c in f.terms.items() if e != lm]
     work = dict(p.terms)
     quot = {}
-    key = order.key
+    key = ring.order_key(order)
     while work:
         t = max(work, key=key)
         if not e_divides(lm, t):
@@ -600,15 +591,7 @@ def exact_divide(p, f, order=GREVLEX):
         c = fld.div(work.pop(t), lc)
         sh = e_sub(t, lm)
         quot[sh] = c
-        for e2, c2 in f.terms.items():
-            if e2 == lm:
-                continue
-            w = e_add(sh, e2)
-            s = fld.sub(work.get(w, fld.zero), fld.mul(c, c2))
-            if s == fld.zero:
-                work.pop(w, None)
-            else:
-                work[w] = s
+        fld.row_sub(work, c, [(e_add(sh, e2), c2) for e2, c2 in tail])
     return Polynomial(ring, quot, _clean=False)
 
 
@@ -636,7 +619,7 @@ def _kernel_colon(I, divisors, order):
             vec = aq.nf_vector(f * aq.poly_from_vector({w: I.ring.field.one}))
             for u, c in vec.items():
                 rows.setdefault((fi, u), {})[w] = c
-    kernel = nullspace(I.ring.field, rows.values(), aq.std, order.key)
+    kernel = nullspace(I.ring.field, rows.values(), aq.std, I.ring.order_key(order))
     reps = [aq.poly_from_vector(v) for v in kernel]
     return Ideal(I.ring, list(I.gens) + reps, trunc=I.trunc)
 

@@ -16,6 +16,20 @@ from .limitsys import LimitInverseSystem, iter_grid
 from .ring import GREVLEX, RingContext, parse_polynomial
 
 
+def _to_int(text, lineno):
+    """int(text); a numeral too long for int() is an InputSyntaxError naming
+    the line, any other ValueError propagates."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip()
+        if digits[:1] in ("+", "-"):
+            digits = digits[1:]
+        if not digits.isdecimal():
+            raise
+        raise InputSyntaxError(f"an integer of {len(digits)} digits is too long", lineno) from None
+
+
 def _meaningful_lines(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -173,7 +187,7 @@ def parse_lis_file(text):
         words = line.split()
         if len(words) != 2 or words[0] != key or not words[1].removeprefix("-").isdecimal():
             raise InputSyntaxError(f"expected '{key} <integer>'", lineno)
-        meta[key] = int(words[1])
+        meta[key] = _to_int(words[1], lineno)
         where[key] = lineno
         i += 1
     dual = ctx.dual
@@ -187,7 +201,7 @@ def parse_lis_file(text):
                 raise InputSyntaxError("stage header must end with ':'", lineno)
             csv = head[:-1].strip()
             try:
-                m = tuple(int(k) for k in csv.split(",") if k.strip())
+                m = tuple(_to_int(k, lineno) for k in csv.split(",") if k.strip())
             except ValueError:
                 raise InputSyntaxError(f"stage index {csv!r} is not a list of integers", lineno) from None
             stages.append((m, lineno))
@@ -232,7 +246,15 @@ def lis_from_json(doc):
             field, tuple(ring["vars"]), ring["mode"], tuple(ring.get("zvars", ()))
         )
         dual = ctx.dual
-        d, r, s, bound = (int(doc[k]) for k in ("d", "r", "s", "bound"))
+        for key in ("d", "r", "s", "bound"):
+            # a JSON integer only: int() would truncate a float, read a
+            # string and take true for 1
+            if type(doc[key]) is not int:
+                kind = type(doc[key]).__name__
+                raise InputSyntaxError(
+                    f"malformed limit-system JSON: {key!r} must be an integer, not {kind}"
+                )
+        d, r, s, bound = doc["d"], doc["r"], doc["s"], doc["bound"]
         family = {}
         stages = []
         for key, polys in doc["family"].items():
@@ -263,7 +285,8 @@ def load_limit_system(text):
     if stripped.startswith("{"):
         try:
             doc = json.loads(text, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # a syntax error, or a number too long to convert
             raise InputSyntaxError(f"bad JSON: {exc}") from exc
         if "limit_system" in doc:  # CLI payload envelope
             doc = doc["limit_system"]

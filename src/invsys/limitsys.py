@@ -98,7 +98,9 @@ class VSpace:
         """Canonical echelon basis of W cap V, as term dicts."""
         ring = W.ring
         rows = (F.terms for F in W.basis)
-        return coordinate_meet(ring.field, order.key, rows, lambda e: self.contains(ring, e))
+        return coordinate_meet(
+            ring.field, ring.order_key(order), rows, lambda e: self.contains(ring, e)
+        )
 
 
 @dataclass
@@ -311,7 +313,7 @@ def _stage_below(W, m):
     zi = ring.zindices
     rows = coordinate_meet(
         ring.field,
-        W.order.key,
+        ring.order_key(W.order),
         (F.terms for F in W.basis),
         lambda e: all(e[i] < k for i, k in zip(zi, m)),
     )
@@ -353,7 +355,7 @@ def section_lift(tower, B=None, order=GREVLEX):
         rows = [contract_exp(zprod, F).terms for F in Wn.basis]
         lifts = []
         targets = [h.terms for h in family[diag(d, k)]]
-        for sol in solve_in_span(fld, order.key, rows, targets):
+        for sol in solve_in_span(fld, ring.order_key(order), rows, targets):
             if sol is None:
                 raise PipelineError(
                     f"no lift of a stage-{k} cogenerator into stage {k + 1}; "
@@ -406,12 +408,6 @@ class LisReport:
     def failures(self):
         return [c for c in self.checks if not c.ok]
 
-    def by_condition(self):
-        out = {}
-        for c in self.checks:
-            out.setdefault(c.condition, []).append(c)
-        return out
-
 
 def verify_lis(H, order=GREVLEX):
     """Check the four limit-inverse-system conditions plus compatibility.
@@ -433,7 +429,7 @@ def verify_lis(H, order=GREVLEX):
     rep = LisReport()
     if d == 0:
         elems = H.family.get((), ())
-        ech = Echelon(ring.field, order.key)
+        ech = Echelon(ring.field, ring.order_key(order))
         for F in elems:
             ech.insert(F.terms)
         rep.add("a", (), ech.rank == r, f"dim {ech.rank} vs r = {r}")
@@ -449,7 +445,7 @@ def verify_lis(H, order=GREVLEX):
 
     for m in stages:
         elems = H.family.get(m, ())
-        ech = Echelon(ring.field, order.key)
+        ech = Echelon(ring.field, ring.order_key(order))
         for F in elems:
             ech.insert(F.terms)
         rep.add("a", m, ech.rank == r, f"dim span H_m = {ech.rank}, r = {r}")
@@ -632,7 +628,7 @@ def reproduces(candidate, anns):
         zmax = max((e[i] for i in zi), default=-1)
         return next((j for j, k in enumerate(ks) if zmax < k and deg < Ns[j]), len(ks))
 
-    dims = nested_meet_dims(ring.field, GREVLEX.key, rows, entry, len(ks))
+    dims = nested_meet_dims(ring.field, ring.order_key(GREVLEX), rows, entry, len(ks))
     return all(dim == anns[k].quotient().length for dim, k in zip(dims, ks))
 
 

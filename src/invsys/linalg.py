@@ -7,8 +7,26 @@ every reduced echelon basis unique and hence directly comparable.
 
 from __future__ import annotations
 
-import functools
 import itertools
+
+
+class KeyTable(dict):
+    """Column -> sort key, each key computed on its first lookup.
+
+    Its bound __getitem__ is a sort key that evaluates the underlying key
+    once per column for the life of the table.  Writes are idempotent, so
+    a shared table stays correct under concurrent readers.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init__(self, key):
+        super().__init__()
+        self._key = key
+
+    def __missing__(self, c):
+        k = self[c] = self._key(c)
+        return k
 
 
 class Echelon:
@@ -18,8 +36,9 @@ class Echelon:
     of pivots whose rows contain it.  An insert then clears its new pivot
     from exactly the rows that hold it, and nullspace reads each free
     column's entries without scanning the rows.  The column key is
-    evaluated once per distinct column and remembered for the life of the
-    echelon.
+    evaluated once per distinct column: a key that reads a KeyTable (such
+    as RingContext.order_key) shares that table, any other key is memoized
+    for the life of the echelon.
     """
 
     def __init__(self, field, sortkey, reduced=()):
@@ -29,7 +48,9 @@ class Echelon:
         coefficient 1, and no row may contain another row's pivot.
         """
         self.field = field
-        self.sortkey = sortkey = functools.cache(sortkey)
+        if not isinstance(getattr(sortkey, "__self__", None), KeyTable):
+            sortkey = KeyTable(sortkey).__getitem__
+        self.sortkey = sortkey
         self.rows = {}  # pivot column -> row dict, pivot coefficient 1
         self.index = {}  # free column -> pivots of the rows that contain it
         for row in reduced:
@@ -40,7 +61,11 @@ class Echelon:
         index = self.index
         for c in row:
             if c != pivot:
-                index.setdefault(c, set()).add(pivot)
+                held = index.get(c)
+                if held is None:
+                    index[c] = {pivot}
+                else:
+                    held.add(pivot)
 
     @property
     def rank(self):
@@ -52,17 +77,11 @@ class Echelon:
         In reduced form no basis row contains another's pivot, so every
         elimination only touches free columns and one pass suffices.
         """
-        fld = self.field
-        zero = fld.zero
+        row_sub = self.field.row_sub
+        rows = self.rows
         out = dict(vec)
-        for hit in list(out.keys() & self.rows.keys()):
-            coef = out[hit]
-            for c, v in self.rows[hit].items():
-                s = fld.sub(out.get(c, zero), fld.mul(coef, v))
-                if s == zero:
-                    out.pop(c, None)
-                else:
-                    out[c] = s
+        for hit in out.keys() & rows.keys():
+            row_sub(out, out[hit], rows[hit].items())
         return out
 
     def insert(self, vec):
@@ -71,30 +90,24 @@ class Echelon:
         if not red:
             return None
         fld = self.field
-        zero = fld.zero
         pivot = max(red, key=self.sortkey)
-        inv = fld.inv(red[pivot])
-        row = {c: fld.mul(v, inv) for c, v in red.items()}
+        lead = red[pivot]
+        if lead == fld.one:
+            row = red
+        else:
+            inv = fld.inv(lead)
+            row = {c: fld.mul(v, inv) for c, v in red.items()}
         index = self.index
-        # keep reduced form: clear the new pivot from the rows that hold it
+        # keep reduced form: clear the new pivot from the rows that hold it;
+        # the row sub removes the pivot itself, whose index entry is gone
         for p in index.pop(pivot, ()):
             other = self.rows[p]
-            coef = other.pop(pivot)
-            for c, v in row.items():
-                if c == pivot:
-                    continue
-                old = other.get(c)
-                if old is None:
-                    other[c] = fld.neg(fld.mul(coef, v))
+            for c in fld.row_sub(other, other[pivot], row.items()):
+                if c in other:
                     index.setdefault(c, set()).add(p)
-                    continue
-                s = fld.sub(old, fld.mul(coef, v))
-                if s == zero:
+                elif c != pivot:
                     # index[c] is not left empty: the new row holds c
-                    del other[c]
                     index[c].discard(p)
-                else:
-                    other[c] = s
         self._add_row(pivot, row)
         return pivot
 
@@ -147,14 +160,6 @@ def nested_meet_dims(field, sortkey, vecs, entry, count):
         if j < count:
             dims[j] += 1
     return list(itertools.accumulate(dims))
-
-
-def span_equal(field, sortkey, vecs_a, vecs_b):
-    ea = Echelon(field, sortkey).extend(vecs_a)
-    eb = Echelon(field, sortkey).extend(vecs_b)
-    if ea.rank != eb.rank:
-        return False
-    return all(eb.contains(r) for r in ea.basis())
 
 
 def solve_in_span(field, sortkey, rows, targets):

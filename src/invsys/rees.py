@@ -198,7 +198,7 @@ def rees_dimension_check(seq, I, level, degcap=3, order=GREVLEX, ceiling=DEFAULT
             wm = ring.monomial(w)
             denom_gens.extend(wm * g for g in G_l)
         denom = Ideal(ring, denom_gens)
-        ech = Echelon(ring.field, order.key)
+        ech = Echelon(ring.field, ring.order_key(order))
         for g in G_l:
             for v in ring.exponents_upto(t - 1):
                 nf = denom.normal_form(ring.monomial(v) * g, order)
@@ -262,7 +262,7 @@ def socle_product_check(I, seq, M, order=GREVLEX, ceiling=DEFAULT_CEILING):
     )
     aq = big.quotient(order)
     variables = [ring.variable(i) for i in range(ring.nvars)]
-    ech = Echelon(ring.field, order.key)
+    ech = Echelon(ring.field, ring.order_key(order))
     ok_products = True
     for m in soc_m:
         hm = _product(ring, [f for f, k in zip(seq, m) for _ in range(k)])

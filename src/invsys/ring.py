@@ -19,6 +19,7 @@ from functools import cached_property
 
 from .errors import ContextMismatchError, InputSyntaxError
 from .field import QQ, field_from_name
+from .linalg import KeyTable
 
 NEG_INF = float("-inf")
 
@@ -35,25 +36,13 @@ def e_sub(a, b):
     return tuple(map(operator.sub, a, b))
 
 
-def e_min(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 def e_lcm(a, b):
     return tuple(map(max, a, b))
-
-
-def e_deg(a):
-    return sum(a)
 
 
 def e_divides(a, b):
     """True when a <= b componentwise, i.e. x^a divides x^b."""
     return all(map(operator.le, a, b))
-
-
-def e_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 def e_unit(n, i, k=1):
@@ -183,16 +172,6 @@ class RingContext:
         return tuple(self.index[z] for z in self.zvars)
 
     @cached_property
-    def yindices(self):
-        zset = set(self.zindices)
-        return tuple(i for i in range(self.nvars) if i not in zset)
-
-    @property
-    def dim_hint(self):
-        """Size of the z-block, the expected Krull dimension downstream."""
-        return len(self.zvars)
-
-    @cached_property
     def dual(self):
         """The dual context; its variables pair with this ring's monomials."""
         if self._dual_of is not None:
@@ -277,6 +256,28 @@ class RingContext:
         for k in range(d + 1):
             yield from self.exponents_of_degree(k)
 
+    # -- order keys -----------------------------------------------------------
+
+    @cached_property
+    def _key_tables(self):
+        # order signature -> KeyTable of order.key; a key depends only on
+        # the exponent and the order, so a ring and its dual share them
+        if self._dual_of is not None:
+            return self._dual_of._key_tables
+        return {}
+
+    def order_key(self, order):
+        """order.key as a lookup in this ring's table for the order.
+
+        Each exponent's key is computed once for the life of the context,
+        and shared by every echelon, division and sort over it.
+        """
+        tables = self._key_tables
+        table = tables.get(order.signature())
+        if table is None:
+            table = tables.setdefault(order.signature(), KeyTable(order.key))
+        return table.__getitem__
+
     def __repr__(self):
         return f"RingContext({self.field!r}, {','.join(self.names)}, {self.mode}, z={','.join(self.zvars) or '-'})"
 
@@ -344,9 +345,6 @@ class Polynomial:
             return NEG_INF
         return min(sum(e) for e in self.terms)
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     def constant_coefficient(self):
         return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
 
@@ -354,11 +352,12 @@ class Polynomial:
         """(exponent, coefficient) of the largest term in the order."""
         if not self.terms:
             raise ValueError("zero polynomial has no lead term")
-        e = max(self.terms, key=order.key)
+        e = max(self.terms, key=self.ring.order_key(order))
         return e, self.terms[e]
 
     def sorted_terms(self, order=GREVLEX):
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+        key = self.ring.order_key(order)
+        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -372,12 +371,7 @@ class Polynomial:
         other = self._coerce_other(other)
         fld = self.ring.field
         res = dict(self.terms)
-        for e, c in other.terms.items():
-            s = fld.add(res.get(e, fld.zero), c)
-            if s == fld.zero:
-                res.pop(e, None)
-            else:
-                res[e] = s
+        fld.row_sub(res, fld.neg(fld.one), other.terms.items())  # res += other
         return Polynomial(self.ring, res, _clean=False)
 
     __radd__ = __add__
@@ -404,15 +398,9 @@ class Polynomial:
         self.ring.check_same(other.ring)
         fld = self.ring.field
         res = {}
-        zero = fld.zero
+        terms = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e_add(e1, e2)
-                s = fld.add(res.get(e, zero), fld.mul(c1, c2))
-                if s == zero:
-                    res.pop(e, None)
-                else:
-                    res[e] = s
+            fld.row_sub(res, fld.neg(c1), [(e_add(e1, e2), c2) for e2, c2 in terms])
         return Polynomial(self.ring, res, _clean=False)
 
     __rmul__ = __mul__

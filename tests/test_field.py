@@ -2,6 +2,8 @@
 
 The kernel is checked against plain Fraction arithmetic value by value, and
 the whole pipeline against a Fraction-only copy of the field, byte by byte.
+The fused row operation of Q and of F_p is checked against their own scalar
+sub and mul.
 """
 
 from fractions import Fraction
@@ -90,6 +92,66 @@ def test_constants_and_rejected_inputs():
             QQ.coerce(x)
 
 
+_SMALL_Q = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)).map(QQ.coerce),
+    _NON_INTEGRAL,
+).filter(bool)
+_ROW = st.dictionaries(st.integers(0, 5), _SMALL_Q, max_size=6)
+
+
+def _row_sub_reference(field, dst, coef, src):
+    """dst -= coef * src by the scalar sub and mul, zeros deleted."""
+    out = dict(dst)
+    for c, v in src.items():
+        x = field.sub(out.get(c, field.zero), field.mul(coef, v))
+        if x == field.zero:
+            out.pop(c, None)
+        else:
+            out[c] = x
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ROW, _ROW, _SMALL_Q)
+def test_row_sub_matches_the_scalar_reference(dst, src, coef):
+    want = _row_sub_reference(QQ, dst, coef, src)
+    got = dict(dst)
+    changed = QQ.row_sub(got, coef, src.items())
+    assert got == want
+    for c, v in got.items():
+        if c in src:
+            _check(v, Fraction(v))
+    assert sorted(changed) == sorted(c for c in set(dst) | set(want) if (c in dst) != (c in want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_row_sub_matches_the_scalar_reference_mod_p(data):
+    F = data.draw(st.sampled_from([PrimeField(7), PRIMES[0]]), label="F")
+    row = st.dictionaries(st.integers(0, 5), st.integers(1, F.p - 1), max_size=6)
+    dst, src = data.draw(row, label="dst"), data.draw(row, label="src")
+    # a negative coefficient, or one beyond p, stands for its residue
+    coef = data.draw(st.integers(-3 * F.p, 3 * F.p).filter(lambda c: c % F.p), label="coef")
+    want = _row_sub_reference(F, dst, coef, src)
+    got = dict(dst)
+    changed = F.row_sub(got, coef, src.items())
+    assert got == want
+    assert all(0 < v < F.p for v in got.values())
+    assert sorted(changed) == sorted(c for c in set(dst) | set(want) if (c in dst) != (c in want))
+
+
+def test_row_sub_turns_integral_results_into_ints():
+    half = Fraction(1, 2)
+    row = {0: half, 1: Fraction(1, 3), 2: 5}
+    changed = QQ.row_sub(row, -1, [(0, half), (1, Fraction(-1, 3)), (2, 5), (3, Fraction(3, 2))])
+    assert row == {0: 1, 2: 10, 3: Fraction(3, 2)} and type(row[0]) is int
+    assert changed == [1, 3]
+    row = {0: Fraction(2, 3)}
+    assert QQ.row_sub(row, Fraction(2, 3), [(1, Fraction(3, 2))]) == [1]
+    assert row[1] == -1 and type(row[1]) is int
+
+
 # ---------------------------------------------------------------------------
 # the Fraction-only field as a reference for the whole pipeline
 
@@ -120,6 +182,21 @@ class _FractionOnlyRationals:
     def div(self, a, b):
         return a / b
 
+    def row_sub(self, dst, coef, src):
+        changed = []
+        for c, v in src:
+            if c in dst:
+                x = dst[c] - coef * v
+                if x:
+                    dst[c] = x
+                else:
+                    del dst[c]
+                    changed.append(c)
+            else:
+                dst[c] = -coef * v
+                changed.append(c)
+        return changed
+
     def neg(self, a):
         return -a
 
@@ -133,7 +210,7 @@ class _FractionOnlyRationals:
             raise InputSyntaxError(f"bad rational literal {text!r}") from exc
 
 
-_KERNEL = ("zero", "one", "coerce", "add", "sub", "mul", "div", "neg", "inv", "parse")
+_KERNEL = ("zero", "one", "coerce", "add", "sub", "mul", "div", "row_sub", "neg", "inv", "parse")
 
 # a d = 2 complete intersection whose inverse systems carry non-integral
 # coefficients (the curve's are all integers)

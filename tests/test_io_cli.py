@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invsys import InputSyntaxError
-from invsys.cli import main
+from invsys.cli import _build_parser, main
 from invsys.io import (
     load_limit_system,
     lis_from_json,
@@ -272,6 +272,74 @@ def test_cli_refuses_header_out_of_step_with_stages(tmp_path, capsys, curve_lis3
         assert captured.err.startswith("error: ")
     if not case.startswith("json: "):
         assert "(line " in captured.err
+
+
+@pytest.mark.parametrize(
+    "key, spoil",
+    # each value int() would have read silently: 3.7 as 3, "2" as 2, true as 1
+    [("bound", lambda v: v + 0.7), ("s", str), ("r", lambda v: True)],
+    ids=["float", "string", "bool"],
+)
+def test_cli_refuses_a_json_header_value_that_is_no_json_integer(
+    tmp_path, capsys, curve_lis3, key, spoil
+):
+    _, doc = curve_lis3
+    doc = dict(doc, **{key: spoil(doc[key])})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for command in ("verify", "reconstruct"):
+        assert main([command, "-i", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed limit-system JSON: ")
+        assert f"{key!r} must be an integer" in captured.err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit before 3.10.7"
+)
+@pytest.mark.parametrize("where", ["r", "bound", "stage"])
+def test_cli_names_the_line_of_an_over_long_header_integer(tmp_path, capsys, curve_lis3, where):
+    text, _ = curve_lis3
+    lines = text.splitlines()
+    prefix = "m " if where == "stage" else f"{where} "
+    at = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[at] = f"m {'1' * 5000}:" if where == "stage" else f"{where} {'1' * 5000}"
+    bad = tmp_path / "long.lis"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "-i", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: an integer of 5000 digits is too long (line {at + 1})\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["perp", "-h"],
+        ["limit", "--help"],
+        ["monoid-socle", "-h"],
+        ["perp"],
+        ["reduce", "-i", "x"],
+        ["verify", "-i"],
+        ["limit", "-i", "x", "--mmax", "q"],
+        ["limit", "-i", "x", "--order", "foo"],
+        ["hilbert", "-i", "x", "--bogus"],
+        ["socle", "-i", "x", "stray"],
+        ["perp", "--deg", "1"],
+        ["rees-check", "-i", "x", "--seq", "y", "--level", "1.5"],
+    ],
+)
+def test_cli_parser_for_one_command_reads_as_the_full_parser(capsys, argv):
+    def parse(command):
+        try:
+            result = vars(_build_parser(command).parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    assert parse(argv[0]) == parse(None)
 
 
 def test_cli_exit_codes(tmp_path, capsys):

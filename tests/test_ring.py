@@ -1,4 +1,7 @@
+import gc
 import itertools
+import sys
+import threading
 import time
 
 import pytest
@@ -8,11 +11,14 @@ from invsys import (
     GREVLEX,
     LEX,
     ContextMismatchError,
+    Ideal,
     MonomialOrder,
     PrimeField,
     context_from_names,
     elimination_order,
 )
+from invsys.duality import perp_ideal
+from invsys.linalg import KeyTable
 
 
 @pytest.fixture
@@ -209,3 +215,58 @@ def test_degree_conventions(ctx2):
 def test_monomial_order_permutation():
     lex_zyx = MonomialOrder("lex", perm=(2, 1, 0))
     assert lex_zyx.compare((0, 0, 1), (5, 5, 0)) == 1
+
+
+def test_key_tables_hang_off_the_ring_context():
+    # the order itself keeps nothing per monomial
+    assert MonomialOrder.__slots__ == ("kind", "block", "base", "perm")
+    assert not hasattr(GREVLEX, "__dict__")
+
+    def live_tables():
+        gc.collect()
+        return sum(1 for o in gc.get_objects() if type(o) is KeyTable)
+
+    before = live_tables()
+    ctx = context_from_names("x,y,z")
+    key = ctx.order_key(GREVLEX)
+    table = key.__self__
+    for e in ctx.exponents_upto(3):
+        assert key(e) == GREVLEX.key(e)
+        assert ctx.order_key(LEX)(e) == LEX.key(e)
+    # one table per order, shared with the dual, not with an equal context
+    assert ctx.order_key(GREVLEX).__self__ is table
+    assert ctx.dual.order_key(GREVLEX).__self__ is table
+    assert ctx.order_key(LEX).__self__ is not table
+    assert context_from_names("x,y,z").order_key(GREVLEX).__self__ is not table
+    x, y, z = (ctx.variable(i) for i in range(3))
+    W = perp_ideal(Ideal(ctx, [x**2 - y * z, y**3, z**3, x * y]))
+    assert W.dim > 0 and len(table) > 20
+    assert live_tables() > before
+    del ctx, key, table, x, y, z, W
+    assert live_tables() == before
+
+
+def test_threads_sharing_a_context_see_one_key_per_exponent():
+    ctx = context_from_names("x,y,z,w")
+    exps = list(ctx.exponents_upto(6))
+    seen = []
+
+    def work(shift):
+        key = ctx.order_key(GREVLEX)
+        seen.append(all(key(e) == GREVLEX.key(e) for e in exps[shift:] + exps[:shift]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k * 37,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [True] * 8
+    table = ctx.order_key(GREVLEX).__self__
+    assert len(ctx._key_tables) == 1 and len(table) == len(exps)
+    assert all(table[e] == GREVLEX.key(e) for e in exps)
