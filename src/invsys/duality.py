@@ -264,10 +264,18 @@ def perp_module(W, order=GREVLEX):
             for u, c in row.items():
                 if u != v and sum(u) <= B:
                     rows[u][v] = fld.neg(c)
-    kept = sorted((u for u in rows if not covered(rows, u)), key=ring.order_key(GREVLEX))
-    A = Ideal(ring, [Polynomial(ring, rows[u]) for u in kept], trunc=B + 1)
+    key = ring.order_key(GREVLEX)
+    kept = sorted((u for u in rows if not covered(rows, u)), key=key)
+    gens = {u: Polynomial(ring, rows[u]) for u in kept}
+    A = Ideal(ring, list(gens.values()), trunc=B + 1)
     if W.max_degree() <= B:
-        A.adopt_quotient(ArtinianQuotient.from_rows(ring, GREVLEX, B + 1, rows))
+        # the kept rows and the degree-(B+1) monomials no row covers, by
+        # lead, are the reduced basis that ArtinianQuotient.reduced_basis
+        # would read off the same rows
+        top = (e for e in ring.exponents_of_degree(B + 1) if not covered(rows, e))
+        gens.update((e, ring.monomial(e)) for e in top)
+        basis = tuple(gens[u] for u in sorted(gens, key=key))
+        A.adopt_quotient(ArtinianQuotient.from_rows(ring, GREVLEX, B + 1, rows), basis)
     return A
 
 

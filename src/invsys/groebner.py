@@ -141,10 +141,17 @@ def buchberger(ring, gens, order=GREVLEX):
         reducers.append((lm, tail))
         return _gm_update(key, lms, monos, pairs, len(lms) - 1)
 
+    gens = [g.monic(order) for g in gens if not g.is_zero()]
+    # a monomial generator that another one divides adds nothing to the
+    # ideal: keep the minimal monomials, one copy each, before any pair forms
+    minimal = []
+    for e in sorted({e for g in gens if len(g.terms) == 1 for e in g.terms}, key=key):
+        if not any(e_divides(m, e) for m in minimal):
+            minimal.append(e)
+    minimal = set(minimal)
     for g in gens:
-        if g.is_zero():
+        if len(g.terms) == 1 and next(iter(g.terms)) not in minimal:
             continue
-        g = g.monic(order)
         fp = frozenset(g.terms.items())
         if fp not in seen:
             seen.add(fp)
@@ -221,9 +228,12 @@ class Ideal:
             aq = self._cache[key] = ArtinianQuotient(self, order)
         return aq
 
-    def adopt_quotient(self, aq):
-        """Take over aq as this ideal's ArtinianQuotient in aq.order."""
+    def adopt_quotient(self, aq, basis=None):
+        """Take over aq as this ideal's ArtinianQuotient in aq.order, and
+        basis, when given, as its reduced basis in that order."""
         self._cache[("quotient", aq.order.signature())] = aq
+        if basis is not None:
+            self._cache[aq.order.signature()] = basis
 
     def normal_form(self, p, order=GREVLEX):
         """Unique remainder of p modulo the reduced basis; 0 iff p in I."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 
 from .errors import InputSyntaxError
 from .field import field_from_name
@@ -279,16 +280,48 @@ def _unique_keys(pairs):
     return doc
 
 
+class _LongInteger:
+    """A JSON integer with more digits than int() converts, by its digit count."""
+
+    __slots__ = ("digits",)
+
+    def __init__(self, digits):
+        self.digits = digits
+
+
 def load_limit_system(text):
     """Sniff JSON vs text and parse accordingly."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
+        # Python's limit on the digits int() converts (0: none, and none
+        # before 3.10.7); a longer integer is named, not passed to int()
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        longs = []
+
+        def parse_int(numeral):
+            digits = len(numeral.lstrip("-"))
+            if limit and digits > limit:
+                longs.append(_LongInteger(digits))
+                return longs[-1]
+            return int(numeral)
+
         try:
-            doc = json.loads(text, object_pairs_hook=_unique_keys)
+            doc = json.loads(text, object_pairs_hook=_unique_keys, parse_int=parse_int)
         except ValueError as exc:
-            # a syntax error, or a number too long to convert
             raise InputSyntaxError(f"bad JSON: {exc}") from exc
         if "limit_system" in doc:  # CLI payload envelope
             doc = doc["limit_system"]
+        if longs:
+            header = doc if isinstance(doc, dict) else {}
+            key = next((k for k in ("d", "r", "s", "bound") if type(header.get(k)) is _LongInteger), None)
+            if key is None:
+                raise InputSyntaxError(
+                    f"bad JSON: an integer of {longs[0].digits} digits is over "
+                    f"the limit of {limit} digits"
+                )
+            raise InputSyntaxError(
+                f"malformed limit-system JSON: {key!r} is an integer of {header[key].digits} "
+                f"digits, over the limit of {limit} digits"
+            )
         return lis_from_json(doc)
     return parse_lis_file(text)

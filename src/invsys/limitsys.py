@@ -540,9 +540,11 @@ def reconstruct(H, order=GREVLEX):
     congruent to a high z-power modulo the true ideal falls out of some
     visible stage.  Survivors accumulate over stage prefixes, and the result
     is the first plateau of the accumulated ideals that reproduces every
-    visible stage: one kernel for the plateau, then a containment and a
-    length test per stage (see reproduces).  No such plateau within the
-    bound returns a partial result flagged unstable (caller raises the bound).
+    visible stage (one kernel for the plateau, then a containment and a
+    length test per stage; see reproduces) and on which the z-block is a
+    regular sequence, as the correspondence requires.  No such plateau
+    within the bound returns a partial result flagged unstable (caller
+    raises the bound).
     """
     ring = H.ring
     d = H.d
@@ -579,7 +581,7 @@ def reconstruct(H, order=GREVLEX):
         if not chain[K - 1].equals(chain[K], order):
             continue
         plateau = Ideal(ring, chain[K - 1].groebner(order))
-        if reproduces(plateau, anns):
+        if reproduces(plateau, anns) and _z_regular(plateau, order):
             return ReconstructionResult(plateau, True, K, f"stabilized at stage {K} of {B}")
     return ReconstructionResult(
         Ideal(ring, chain[-1].groebner(order) if chain else []),
@@ -587,6 +589,21 @@ def reconstruct(H, order=GREVLEX):
         B,
         "no reproducing plateau within the bound; raise the bound",
     )
+
+
+def _z_regular(candidate, order):
+    """True when the z-block is a regular sequence modulo candidate.
+
+    The correspondence covers only such ideals.  A pass is never a false
+    positive: a nonzerodivisor on K[x]/J stays one after localizing and
+    completing, which are flat; a false negative only asks for a higher
+    bound.
+    """
+    try:
+        check_z_regularity(candidate, order)
+    except PipelineError:
+        return False
+    return True
 
 
 def reproduces(candidate, anns):

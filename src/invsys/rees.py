@@ -188,24 +188,25 @@ def rees_dimension_check(seq, I, level, degcap=3, order=GREVLEX, ceiling=DEFAULT
     t = degcap
     base = I.plus(list(seq)).truncated(t)
     base_dim = base.quotient(order).length
-    s = len(seq)
+    one = ring.field.one
     report = ReesCheckReport(True)
+    # the generators of J^(l+1) are those of J^l times each f with index at
+    # least their last factor's: combinations with replacement, each built once
+    G_next = [(ring.one(), 0)]
     for l in range(level + 1):
-        G_l = [_product(ring, c) for c in itertools.combinations_with_replacement(seq, l)]
-        G_next = [_product(ring, c) for c in itertools.combinations_with_replacement(seq, l + 1)]
-        denom_gens = list(I.gens) + G_next
+        G_l = G_next
+        G_next = [(g * seq[i], i) for g, last in G_l for i in range(last, len(seq))]
+        denom_gens = list(I.gens) + [g for g, _ in G_next]
         for w in ring.exponents_of_degree(t):
-            wm = ring.monomial(w)
-            denom_gens.extend(wm * g for g in G_l)
+            denom_gens.extend(g.mul_term(w, one) for g, _ in G_l)
         denom = Ideal(ring, denom_gens)
         ech = Echelon(ring.field, ring.order_key(order))
-        for g in G_l:
+        for g, _ in G_l:
             for v in ring.exponents_upto(t - 1):
-                nf = denom.normal_form(ring.monomial(v) * g, order)
+                nf = denom.normal_form(g.mul_term(v, one), order)
                 if nf:
                     ech.insert(nf.terms)
-        count = len(G_l)
-        report.rows.append(ReesCheckRow(l, ech.rank, count * base_dim))
+        report.rows.append(ReesCheckRow(l, ech.rank, len(G_l) * base_dim))
     return report
 
 

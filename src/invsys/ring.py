@@ -536,7 +536,12 @@ MAX_NESTING = 100  # parentheses plus unary minus signs; each level costs <= 4 f
 
 
 class _ExprParser:
-    """Recursive descent for sums of products of powers, with parentheses."""
+    """Recursive descent for sums of products of powers, with parentheses.
+
+    A sum accumulates into one term dict, and a run of name[^int] and number
+    factors folds into one coefficient and exponent; only parenthesised and
+    negated factors are multiplied as polynomials.
+    """
 
     def __init__(self, ctx, tokens):
         self.ctx = ctx
@@ -561,60 +566,85 @@ class _ExprParser:
         tok = self.peek()
         if tok[0] != "end":
             self.fail(f"unexpected {tok[1]!r}")
-        return p
+        return Polynomial(self.ctx, p, _clean=False)
 
     def expr(self):
+        """The term dict of a sum; acc -= sign * term adds or subtracts."""
+        fld = self.ctx.field
+        plus = fld.neg(fld.one)
+        sign = plus
         kind, val, _ = self.peek()
-        negate = False
         if kind == "op" and val in "+-":
             self.take()
-            negate = val == "-"
-        p = self.term()
-        if negate:
-            p = -p
+            sign = fld.one if val == "-" else plus
+        acc = {}
         while True:
+            fld.row_sub(acc, sign, self.term().items())
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                q = self.term()
-                p = p - q if val == "-" else p + q
-            else:
-                return p
+            if kind != "op" or val not in "+-":
+                return acc
+            self.take()
+            sign = fld.one if val == "-" else plus
 
     def term(self):
-        p = self.factor()
+        """The term dict of a product."""
+        ctx = self.ctx
+        fld = ctx.field
+        coef = fld.one
+        exp = [0] * ctx.nvars
+        poly = None
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
+            tok = self.peek()
+            if tok[0] == "name":
                 self.take()
-                p = p * self.factor()
+                i = ctx.index.get(tok[1])
+                if i is None:
+                    self.fail(f"unknown variable {tok[1]!r}", tok)
+                exp[i] += self.power()
+            elif tok[0] == "int":
+                self.take()
+                coef = fld.mul(coef, _field_pow(fld, self.number(tok[1]), self.power()))
             else:
-                return p
+                p = self.factor()
+                poly = p if poly is None else poly * p
+            kind, val, _ = self.peek()
+            if kind != "op" or val != "*":
+                break
+            self.take()
+        if poly is not None:
+            return poly.mul_term(tuple(exp), coef).terms
+        return {tuple(exp): coef} if coef != fld.zero else {}
 
-    def factor(self):
-        base = self.atom()
+    def power(self):
+        """The exponent after an optional '^'; 1 without one."""
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.take()
             tok = self.take()
             if tok[0] != "int":
                 self.fail("exponent must be a natural number", tok)
-            return base ** int(tok[1])
-        return base
+            return int(tok[1])
+        return 1
+
+    def number(self, val):
+        """The value of the literal INT or INT/INT whose first INT, val, was taken."""
+        nxt = self.peek()
+        if nxt[0] == "op" and nxt[1] == "/":
+            self.take()
+            den = self.take()
+            if den[0] != "int":
+                self.fail("expected integer denominator", den)
+            val = f"{val}/{den[1]}"
+        return self.ctx.field.parse(val)
+
+    def factor(self):
+        return self.atom() ** self.power()
 
     def atom(self):
         tok = self.take()
         kind, val, start = tok
         if kind == "int":
-            # rational literal: INT or INT/INT
-            nxt = self.peek()
-            if nxt[0] == "op" and nxt[1] == "/":
-                self.take()
-                den = self.take()
-                if den[0] != "int":
-                    self.fail("expected integer denominator", den)
-                return self.ctx.constant(self.ctx.field.parse(f"{val}/{den[1]}"))
-            return self.ctx.constant(self.ctx.field.parse(val))
+            return self.ctx.constant(self.number(val))
         if kind == "name":
             if val not in self.ctx.index:
                 self.fail(f"unknown variable {val!r}", tok)
@@ -624,7 +654,7 @@ class _ExprParser:
             if self.depth > MAX_NESTING:
                 self.fail(f"expression nested deeper than {MAX_NESTING} levels", tok)
             if val == "(":
-                p = self.expr()
+                p = Polynomial(self.ctx, self.expr(), _clean=False)
                 close = self.take()
                 if close[:2] != ("op", ")"):
                     self.fail("expected ')'", close)
@@ -633,6 +663,18 @@ class _ExprParser:
             self.depth -= 1
             return p
         self.fail(f"unexpected {val!r}" if val else "unexpected end of input", tok)
+
+
+def _field_pow(fld, c, n):
+    """c^n by squaring, as Polynomial.__pow__ computes it."""
+    result = fld.one
+    while n:
+        if n & 1:
+            result = fld.mul(result, c)
+        n >>= 1
+        if n:
+            c = fld.mul(c, c)
+    return result
 
 
 def parse_polynomial(ctx, text):

@@ -313,6 +313,58 @@ def test_cli_names_the_line_of_an_over_long_header_integer(tmp_path, capsys, cur
     assert captured.err == f"error: an integer of 5000 digits is too long (line {at + 1})\n"
 
 
+def _with_raw_value(doc, key, numeral, envelope=False):
+    """doc as JSON text with numeral, verbatim, as the value of key."""
+    doc = dict(doc, **{key: "RAW"})
+    text = json.dumps({"limit_system": doc} if envelope else doc)
+    return text.replace('"RAW"', numeral)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit before 3.10.7"
+)
+@pytest.mark.parametrize("key", ["d", "r", "s", "bound"])
+@pytest.mark.parametrize("envelope", [False, True], ids=["document", "envelope"])
+def test_cli_names_an_over_long_json_header_integer(tmp_path, capsys, curve_lis3, key, envelope):
+    _, doc = curve_lis3
+    bad = tmp_path / "long.json"
+    bad.write_text(_with_raw_value(doc, key, "-" + "1" * 5000, envelope))
+    for command in ("verify", "reconstruct"):
+        assert main([command, "-i", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: malformed limit-system JSON: {key!r} is an integer of 5000 digits, "
+            f"over the limit of {sys.get_int_max_str_digits()} digits\n"
+        )
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit before 3.10.7"
+)
+@pytest.mark.parametrize("where", ["unknown key", "array", "nested object"])
+def test_cli_refuses_an_over_long_json_integer_elsewhere(tmp_path, capsys, curve_lis3, where):
+    _, doc = curve_lis3
+    numeral = "2" * 4400
+    if where == "unknown key":
+        text = _with_raw_value(doc, "comment", numeral)
+    elif where == "array":
+        text = _with_raw_value(doc, "comment", f"[1, {numeral}]")
+    else:
+        # a key named like a header key, but not in the header
+        text = _with_raw_value(doc, "comment", f'{{"r": {numeral}}}')
+    bad = tmp_path / "long.json"
+    bad.write_text(text)
+    assert main(["verify", "-i", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: bad JSON: an integer of 4400 digits is over the limit of "
+        f"{sys.get_int_max_str_digits()} digits\n"
+    )
+    assert "set_int_max_str_digits" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,4 +1,5 @@
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -547,6 +548,65 @@ def test_reproduction_check_refuses_decreasing_truncations(curve_H9):
     assert [anns[k].trunc for k in (1, 2, 3)] == [4, 5, 6]  # N_k = k + s - d + 1
     with pytest.raises(ValueError, match="decrease"):
         limitsys.reproduces(candidate, {1: anns[1], 2: anns[3], 3: anns[2]})
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_stable_only_on_a_plateau_where_the_z_block_is_regular(curve, ci_d2, order):
+    # at bounds 6 and 7 the curve's first reproducing plateaus (lex at 6 and
+    # 7, grevlex at 7) strictly contain I, and x is a zero divisor modulo
+    # each; from bound 9, and on the ci instance, the plateau is the ideal
+    ctx, I = curve
+    H = section_lift(dual_tower(I, 9, order), order=order)
+    for B in (6, 7):
+        assert not reconstruct(restricted(H, B), order).stable
+    for J, H_B in ((I, H), (ci_d2[1], section_lift(dual_tower(ci_d2[1], 5, order), order=order))):
+        res = reconstruct(H_B, order)
+        assert res.stable and res.ideal.equals(J)
+
+
+def test_plateaus_that_reproduce_but_fail_regularity(curve):
+    # without the regularity check each of these families is called stable
+    # with an ideal that is not I: the check is what refuses them
+    ctx, I = curve
+    for order, B in ((GREVLEX, 7), (LEX, 6), (LEX, 7)):
+        H = section_lift(dual_tower(I, B, order), order=order)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limitsys, "_z_regular", lambda candidate, order: True)
+            res = reconstruct(H, order)
+        assert res.stable and not res.ideal.equals(I)
+        assert not limitsys._z_regular(res.ideal, order)
+        assert not reconstruct(H, order).stable
+
+
+def test_annihilators_carry_their_reduced_basis(curve_H9, ci_d2, monkeypatch):
+    # perp_module hands over its GREVLEX reduced basis with its kernel, equal
+    # to the one reduced_basis reads off the same rows
+    from invsys.groebner import ArtinianQuotient
+
+    H_ci = section_lift(dual_tower(ci_d2[1], 5))
+    modules = [curve_H9.module_at((k,)) for k in range(1, 10)]
+    modules += [H_ci.module_at(m) for m in grid(2, 5)]
+    fresh = ArtinianQuotient.reduced_basis
+    calls = []
+    monkeypatch.setattr(ArtinianQuotient, "reduced_basis", lambda self: calls.append(1) or fresh(self))
+    for W in modules:
+        A = perp_module(W)
+        assert A.groebner(GREVLEX) == fresh(A.quotient(GREVLEX))
+    assert calls == []
+
+
+def test_cli_reconstruct_reads_no_reduced_basis_off_a_kernel(tmp_path, capsys, monkeypatch):
+    from invsys.cli import main
+    from invsys.groebner import ArtinianQuotient
+    golden = Path(__file__).resolve().parent / "golden" / "curve9.grevlex.limit.txt"
+    path = tmp_path / "H9.lis"
+    path.write_text(golden.read_text().partition("\n")[2])  # after the exit-code line
+    calls = []
+    fresh = ArtinianQuotient.reduced_basis
+    monkeypatch.setattr(ArtinianQuotient, "reduced_basis", lambda self: calls.append(1) or fresh(self))
+    assert main(["reconstruct", "-i", str(path)]) == 0
+    assert "stable True" in capsys.readouterr().out
+    assert calls == []
 
 
 def test_invariants(band, curve):
