@@ -53,6 +53,18 @@ def _contract_var(i, terms):
     return {m[:i] + (m[i] - 1,) + m[i + 1 :]: b for m, b in terms.items() if m[i]}
 
 
+def _contract_terms(e, terms):
+    """Contraction by the monomial x^e, term dict to term dict.
+
+    Only the slots where e is nonzero are tested and shifted, one slot at a
+    time, as _contract_var slices them; for e = 0 the input dict comes back.
+    """
+    for i, k in enumerate(e):
+        if k:
+            terms = {m[:i] + (m[i] - k,) + m[i + 1 :]: b for m, b in terms.items() if m[i] >= k}
+    return terms
+
+
 def dual_pairing(p, F):
     """<p, F> = constant coefficient of p acting on F."""
     return contract(p, F).constant_coefficient()
@@ -140,7 +152,7 @@ class DualModule:
         """Image of the module under contraction by the monomial x^e."""
         bound = max(self.degbound - sum(e), 0)
         ech = Echelon(self.ring.field, self.ring.order_key(self.order)).extend(
-            {e_sub(m, e): b for m, b in F.terms.items() if e_divides(e, m)} for F in self.basis
+            _contract_terms(e, F.terms) for F in self.basis
         )
         dual = self.ring.dual
         rows = [Polynomial(dual, row, _clean=False) for row in ech.basis()]

@@ -10,6 +10,7 @@ stabilized generator set.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 
@@ -119,49 +120,49 @@ class LimitInverseSystem:
         return sorted(self.family)
 
     def module_at(self, m, order=GREVLEX):
-        """The module generated by H_m, with degree bound |m| + s - d.
+        """The module P.H_m, with degree bound |m| + s - d.
 
-        A stage whose H_m is the z_j-contraction of a stored upper neighbour
-        H_(m+e_j), entry by entry, is that neighbour's module contracted by
-        z_j (P.H_m = z_j . P.H_(m+e_j)), with the same canonical basis and
-        degree bound as its contraction closure.  Only the top stage and
-        stages with no compatible upper neighbour run the closure.
+        The top stage runs the contraction closure of H_top.  A stage whose
+        H_m is z^(top - m) . H_top, entry by entry, is one contraction of the
+        top module, P.H_m = z^(top - m) . P.H_top, with the same canonical
+        basis and degree bound as its own closure; any other stage runs its
+        own closure.
 
         Built once per stage and order: the family is not mutated after
         construction, so verify_lis and reconstruct share the modules.
         """
         sig = order.signature()
         m = tuple(m)
-        below = []  # (stage, slot) pairs to contract down to, nearest last
         W = self._modules.get((m, sig))
-        while W is None:
-            slot = next(
-                (j for j in range(self.d) if m[j] < self.bound and _compatible(self, m, j)), None
-            )
-            if slot is None:
+        if W is None:
+            top = diag(self.d, self.bound)
+            if m != top and _contracts(self, m, top):
+                W = self.module_at(top, order).contract_by(_zshift(self.ring, m, top))
+            else:
                 bound = sum(m) + self.s - self.d if self.d else self.s
                 W = DualModule.generate(
                     self.ring, self.family.get(m, ()), degbound=max(bound, 0), order=order
                 )
-                self._modules[(m, sig)] = W
-                break
-            below.append((m, slot))
-            m = _step(m, slot, 1)
-            W = self._modules.get((m, sig))
-        for m, slot in reversed(below):
-            W = W.contract_by(_zpower_exp(self.ring, slot, 1))
             self._modules[(m, sig)] = W
         return W
+
+
+def _zshift(ring, m, n):
+    """The exponent of z^(n - m), for stages m <= n."""
+    e = [0] * ring.nvars
+    for i, a, b in zip(ring.zindices, m, n):
+        e[i] = b - a
+    return tuple(e)
 
 
 def _step(m, slot, delta):
     return m[:slot] + (m[slot] + delta,) + m[slot + 1:]
 
 
-def _compatible(H, m, slot):
-    """True when H_m is the z_slot-contraction of H_(m + e_slot), entrywise."""
-    e = _zpower_exp(H.ring, slot, 1)
-    got = tuple(contract_exp(e, F) for F in H.family.get(_step(m, slot, 1), ()))
+def _contracts(H, m, n):
+    """True when H_m is z^(n - m) . H_n, entry by entry."""
+    e = _zshift(H.ring, m, n)
+    got = tuple(contract_exp(e, F) for F in H.family.get(n, ()))
     return got == tuple(H.family.get(m, ()))
 
 
@@ -371,13 +372,7 @@ def section_lift(tower, B=None, order=GREVLEX):
         if m in family:
             continue
         k = max(m)
-        e = tuple(
-            sum(
-                (k - m[slot]) if i == ring.zindices[slot] else 0
-                for slot in range(d)
-            )
-            for i in range(ring.nvars)
-        )
+        e = _zshift(ring, m, diag(d, k))
         family[m] = tuple(contract_exp(e, F) for F in family[diag(d, k)])
     return LimitInverseSystem(ring, d, r, s, B, family)
 
@@ -417,12 +412,19 @@ def verify_lis(H, order=GREVLEX):
     H_m; (c) W_m meets the V-space inside W_(m - e_j); (d) the top degree of
     H_m is |m| + s - d.  Failures carry witnesses.
 
-    When every compat, (b) and (d) check passes, W_m lies in degrees
-    <= |m| + s - d and W_(m - e_j) = z_j . W_m is killed by z_j^(m_j - 1), so
-    W_m cap V is the kernel of z_j^(m_j - 1) on W_m and (c) is the identity
-    dim W_m - dim W_(m with m_j = 1) = dim W_(m - e_j) (0 when m_j = 1):
-    freeness of W_m over K[z_j]/(z_j^m_j).  Otherwise (c) meets W_m with the
-    V-space and tests containment in W_(m - e_j) directly.
+    (c) is decided in one of two ways.  When every compat, (b) and (d) check
+    passes, H_m = z^(top - m) . H_top, so W_m = z^(top - m) . W_top.  W_m
+    lies in degrees <= |m| + s - d, so W_m cap V is the kernel of
+    z_j^(m_j - 1) on W_m, which holds W_(m - e_j) = z_j . W_m.  W_top is a
+    module over R = K[z]/(z_1^B, ..., z_d^B); let e be the dimension of its
+    socle, W_top met with span{X^a : a_z = 0}.  R is Gorenstein, so W_top
+    embeds in R^e and dim W_top <= e * B^d, with equality exactly when
+    W_top is free (see _free_rank).  A free W_top makes every W_m free of
+    rank e over K[z]/(z_1^(m_1), ..., z_d^(m_d)), so W_m cap V has the
+    dimension e * prod(m - e_j) of W_(m - e_j): every (c) check passes, and
+    no module but W_top is built.  When the gate fails or W_top is not free,
+    each (c) check meets W_m with the V-space and tests containment in
+    W_(m - e_j), which builds every stage module.
     """
     ring = H.ring
     d, r, s, B = H.d, H.r, H.s, H.bound
@@ -474,7 +476,7 @@ def verify_lis(H, order=GREVLEX):
                 rep.add(
                     "compat",
                     m,
-                    _compatible(H, m, slot),
+                    _contracts(H, m, up),
                     f"z-contraction of H at {up} vs stored H at {m}",
                 )
 
@@ -493,19 +495,15 @@ def verify_lis(H, order=GREVLEX):
     )
 
     # (c): W_m cap V^(j, s-d)_m inside W_(m - e_j)
-    by_dims = all(c.ok for c in rep.checks if c.condition in ("b", "compat", "d"))
+    gate = all(c.ok for c in rep.checks if c.condition in ("b", "compat", "d"))
+    rank = _free_rank(H.module_at(diag(d, B), order), B) if gate else None
     for m in stages:
-        Wm = H.module_at(m, order)
         for slot in range(d):
             prev = _step(m, slot, -1)
-            if by_dims:
-                # W_m sits in degrees <= |m|+s-d, so W_m cap V is the kernel of
-                # z_j^(m_j-1) on W_m, whose image is W at m_j = 1
-                base = H.module_at(_step(m, slot, 1 - m[slot]), order)
-                dim = Wm.dim - base.dim
-                ok = dim == (H.module_at(prev, order).dim if m[slot] > 1 else 0)
+            if rank is not None:
+                dim, ok = rank * math.prod(prev), True
             else:
-                inter = VSpace(slot, s - d, m).meet(Wm, order)
+                inter = VSpace(slot, s - d, m).meet(H.module_at(m, order), order)
                 dim = len(inter)
                 Wprev = H.module_at(prev, order) if m[slot] > 1 else zero_mod
                 ech = Wprev._echelon()
@@ -517,6 +515,26 @@ def verify_lis(H, order=GREVLEX):
                 f"slot {slot + 1}: intersection dim {dim} inside W at {prev}",
             )
     return rep
+
+
+def _free_rank(W, B):
+    """The rank of W over R = K[z]/(z_1^B, ..., z_d^B) when W is free, else None.
+
+    W must be killed by every z_i^B.  Its socle over R, the elements every
+    z_i kills, is W & span{X^a : a_z = 0}, read off one coordinate meet.
+    R is Gorenstein, so W embeds in R^rank for rank the socle dimension, and
+    W is free exactly when dim W = rank * B^d.
+    """
+    ring = W.ring
+    zi = ring.zindices
+    socle = coordinate_meet(
+        ring.field,
+        ring.order_key(W.order),
+        (F.terms for F in W.basis),
+        lambda e: not any(e[i] for i in zi),
+    )
+    rank = len(socle)
+    return rank if W.dim == rank * B ** len(zi) else None
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ variables index the dual "divided power" monomials.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass, field as dc_field
@@ -533,6 +534,12 @@ def _tokenize(text):
 
 
 MAX_NESTING = 100  # parentheses plus unary minus signs; each level costs <= 4 frames
+# Most term products one polynomial product of the parser may make.  A
+# product of parenthesised factors makes one per pair of terms.  Expanding p^k
+# multiplies two powers of p of exponent <= h = ceil(k/2), and a t-term p^h
+# has at most C(t+h-1, h) terms, so it is held to C(t+h-1, h)^2 products:
+# (x+y+z)^80 stays in with 741,321, (x+y+z)^120 and (x+y)^2000 are refused.
+MAX_TERM_PRODUCTS = 10**6
 
 
 class _ExprParser:
@@ -606,7 +613,11 @@ class _ExprParser:
                 coef = fld.mul(coef, _field_pow(fld, self.number(tok[1]), self.power()))
             else:
                 p = self.factor()
-                poly = p if poly is None else poly * p
+                if poly is not None:
+                    a, b = len(poly.terms), len(p.terms)
+                    self.check_products(a * b, f"a product of {a}- and {b}-term factors", tok)
+                    p = poly * p
+                poly = p
             kind, val, _ = self.peek()
             if kind != "op" or val != "*":
                 break
@@ -638,7 +649,19 @@ class _ExprParser:
         return self.ctx.field.parse(val)
 
     def factor(self):
-        return self.atom() ** self.power()
+        p = self.atom()
+        at = self.i + 1  # the exponent's token, when a '^' follows
+        k = self.power()
+        t = len(p.terms)
+        if t > 1 and k > 1:
+            count = math.comb(t + (k + 1) // 2 - 1, t - 1) ** 2
+            self.check_products(count, f"the power {k} of a {t}-term sum", self.tokens[at])
+        return p ** k
+
+    def check_products(self, count, what, tok):
+        """Refuse, at tok, a product of more than MAX_TERM_PRODUCTS term products."""
+        if count > MAX_TERM_PRODUCTS:
+            self.fail(f"{what} needs more than {MAX_TERM_PRODUCTS} term products to expand", tok)
 
     def atom(self):
         tok = self.take()

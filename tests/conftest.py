@@ -6,7 +6,7 @@ import pytest
 from invsys import Ideal, context_from_names, is_regular
 from invsys.io import parse_ideal_file
 from invsys.duality import contract_exp
-from invsys.limitsys import LimitInverseSystem, dual_tower, section_lift
+from invsys.limitsys import LimitInverseSystem, dual_tower, grid, section_lift
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -142,6 +142,18 @@ def theorem_class_suite(seed=11, randoms=7):
     return out
 
 
+def top_family(ctx, B, s, top):
+    """The type-one family H_m = z^(B - m) . top over the grid {1..B}^d."""
+    d = len(ctx.zindices)
+    family = {}
+    for m in grid(d, B):
+        e = [0] * ctx.nvars
+        for i, k in zip(ctx.zindices, m):
+            e[i] = B - k
+        family[m] = (contract_exp(tuple(e), top),)
+    return LimitInverseSystem(ctx, d, 1, s, B, family)
+
+
 def non_free_family(B):
     """H_B = Y*Z^(B-1) + Y^B over y,z with z-block z, and H_k = z^(B-k) . H_B.
 
@@ -150,6 +162,13 @@ def non_free_family(B):
     W_(B-1), so (c) fails at m = (B,) alone.
     """
     ctx = context_from_names("y,z", zvars="z")
-    top = ctx.dual.parse(f"Y*Z^{B - 1} + Y^{B}")
-    family = {(k,): (contract_exp((0, B - k), top),) for k in range(1, B + 1)}
-    return LimitInverseSystem(ctx, 1, 1, 1, B, family)
+    return top_family(ctx, B, 1, ctx.dual.parse(f"Y*Z^{B - 1} + Y^{B}"))
+
+
+def non_free_family_d2():
+    """A d = 2 family at B = 3 that passes (a), (b), compatibility and (d)
+    but whose top module is not free over K[z0,z1]/(z0^3, z1^3); its (c)
+    fails at (3,3)."""
+    ctx = context_from_names("y,z0,z1", zvars="z0,z1")
+    top = ctx.dual.parse("-Y^5 - Y^2*Z0^2*Z1 + 2*Y*Z0^2*Z1^2 + 2*Z1")
+    return top_family(ctx, 3, 1, top)

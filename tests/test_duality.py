@@ -1,3 +1,4 @@
+import itertools
 import random
 import warnings
 from fractions import Fraction
@@ -432,3 +433,20 @@ def test_failed_closure_check_leaves_the_module_open(ctx2):
     with pytest.raises(AssertionError):
         verify_closed(W)
     assert not W._closed
+
+
+def test_contract_by_matches_termwise_contraction(curve_H9):
+    # contract_by tests and shifts only the slots where the exponent is
+    # nonzero; its basis must be the canonical echelon basis of the
+    # termwise images, for zero, one-slot and many-slot exponents
+    H_ci = section_lift(dual_tower(_ci_d2_ideal(), 3))
+    for W in [curve_H9.module_at((5,)), curve_H9.module_at((5,), LEX), H_ci.module_at((3, 3))]:
+        ctx = W.ring
+        for e in itertools.product(range(3), repeat=ctx.nvars):
+            got = W.contract_by(e)
+            images = [
+                Polynomial(ctx.dual, {e_sub(m, e): b for m, b in F.terms.items() if e_divides(e, m)})
+                for F in W.basis
+            ]
+            expected = DualModule(ctx, max(W.degbound - sum(e), 0), images, W.order)
+            assert (got.basis, got.degbound) == (expected.basis, expected.degbound), e

@@ -1,7 +1,9 @@
+import random
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import invsys.limitsys as limitsys
 from invsys import Ideal, PipelineError, artinian_form, context_from_names, equal_as_artinian
@@ -21,7 +23,7 @@ from invsys.limitsys import (
 from invsys.linalg import intersect_spans
 from invsys.ring import GREVLEX, LEX, Polynomial, e_unit
 
-from conftest import non_free_family, theorem_class_suite
+from conftest import non_free_family, non_free_family_d2, theorem_class_suite, top_family
 
 
 @pytest.fixture
@@ -285,6 +287,12 @@ def test_condition_c_matches_zassenhaus_reference(band, curve_H9, ci_d2):
             ("c", (B,), f"slot 1: intersection dim {dim} inside W at ({B - 1},)")
         ]
         families.append(H)
+    H = non_free_family_d2()
+    assert [(c.condition, c.m, c.detail) for c in verify_lis(H).failures()] == [
+        ("c", (3, 3), f"slot {j}: intersection dim 14 inside W at {prev}")
+        for j, prev in [(1, (2, 3)), (2, (3, 2))]
+    ]
+    families.append(H)
     verdicts = set()
     nonempty = 0
     for H in families:
@@ -299,6 +307,42 @@ def test_condition_c_matches_zassenhaus_reference(band, curve_H9, ci_d2):
     assert verdicts == {True, False} and nonempty > 0
 
 
+def random_top_family(rng, B):
+    """A type-one family z^(top - m) . H_top over y,z0,z1 with s = 1.
+
+    H_top holds Y*Z0^(B-1)*Z1^(B-1), which makes every stage meet (b) and
+    (d), plus random terms of degree <= 2B - 1 killed by z0^B and z1^B, so
+    verify_lis decides (c) by the rank of the top module, free or not.
+    """
+    ctx = context_from_names("y,z0,z1", zvars="z0,z1")
+    pool = [e for e in ctx.exponents_upto(2 * B - 1) if max(e[1:]) < B]
+    terms = {(1, B - 1, B - 1): rng.choice([-2, -1, 1, 2])}
+    for _ in range(rng.randint(1, 4)):
+        terms[rng.choice(pool)] = rng.choice([-2, -1, 1, 2])
+    return top_family(ctx, B, 1, ctx.dual.from_terms(terms))
+
+
+def free_top(H):
+    return limitsys._free_rank(H.module_at(diag(H.d, H.bound)), H.bound) is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.sampled_from([GREVLEX, LEX]))
+def test_condition_c_by_rank_matches_reference_on_random_tops(seed, B, order):
+    H = random_top_family(random.Random(seed), B)
+    fresh = LimitInverseSystem(H.ring, H.d, H.r, H.s, H.bound, H.family)
+    rep = verify_lis(fresh, order)
+    assert all(c.ok for c in rep.checks if c.condition in ("b", "compat", "d"))
+    checks, _ = reference_c_checks(H, order)
+    assert [(c.m, c.ok, c.detail) for c in rep.checks if c.condition == "c"] == checks
+
+
+def test_random_tops_are_free_and_not_free():
+    # the seeded families of the property above reach both ways of deciding (c)
+    kinds = {free_top(random_top_family(random.Random(seed), 3)) for seed in range(20)}
+    assert kinds == {True, False}
+
+
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
 def test_stage_modules_by_contraction_match_generation(order, band, curve_H9, ci_d2):
     # module_at contracts a compatible upper neighbour's module; the result
@@ -306,7 +350,7 @@ def test_stage_modules_by_contraction_match_generation(order, band, curve_H9, ci
     families = [curve_H9, section_lift(dual_tower(ci_d2[1], 5))]
     families += [section_lift(dual_tower(I, B)) for _, I, B in theorem_class_suite()]
     families += mutated_families(section_lift(dual_tower(band[1], 3)))
-    families += [non_free_family(4)]
+    families += [non_free_family(4), non_free_family_d2()]
     for H in families:
         fresh = LimitInverseSystem(H.ring, H.d, H.r, H.s, H.bound, H.family)
         for m in grid(H.d, H.bound):
@@ -362,13 +406,14 @@ def test_reconstruct_needs_bound(curve):
 
 
 def test_verify_and_reconstruct_share_stage_modules(curve_H9, ci_d2, tmp_path, capsys, monkeypatch):
-    # the CLI verifies every stage before it reconstructs along the diagonal;
-    # each stage module is built once, and only the top stage runs the
-    # contraction closure: every other stage contracts a compatible neighbour
+    # a free top module settles every (c) check, so verify builds the top
+    # stage alone; reconstruct then reads its B diagonal stages, each built
+    # once, and only the top stage runs the contraction closure: every other
+    # stage is one contraction of the top module
     from invsys.cli import main
     from invsys.io import render_lis_file
 
-    families = [(curve_H9, 9), (section_lift(dual_tower(ci_d2[1], 5)), 25)]
+    families = [(curve_H9, 9), (section_lift(dual_tower(ci_d2[1], 5)), 5)]
     calls = {"generate": 0, "contract_by": 0}
     generate = DualModule.generate.__func__
     contract_by = DualModule.contract_by
@@ -383,13 +428,17 @@ def test_verify_and_reconstruct_share_stage_modules(curve_H9, ci_d2, tmp_path, c
 
     monkeypatch.setattr(DualModule, "generate", classmethod(counted_generate))
     monkeypatch.setattr(DualModule, "contract_by", counted_contract_by)
-    for H, stages in families:
+    for H, B in families:
         path = tmp_path / "H.lis"
         path.write_text(render_lis_file(H))
         calls.update(generate=0, contract_by=0)
+        assert main(["verify", "-i", str(path)]) == 0
+        assert "verdict PASS" in capsys.readouterr().out
+        assert calls == {"generate": 1, "contract_by": 0}
+        calls.update(generate=0, contract_by=0)
         assert main(["reconstruct", "-i", str(path)]) == 0
         assert "stable True" in capsys.readouterr().out
-        assert calls == {"generate": 1, "contract_by": stages - 1}
+        assert calls == {"generate": 1, "contract_by": B - 1}
 
 
 def test_reconstruct_reuses_annihilator_kernels(curve_H9, monkeypatch):

@@ -192,6 +192,41 @@ def test_parse_nesting_limit(ctx2):
             ctx2.parse(text)
 
 
+def test_parse_caps_the_expansion_of_sums():
+    # a short line must not stall the parser: expanding (x+y+z)^120 or a
+    # product of two big powers is refused at once, at the exponent or the
+    # factor, while (x+y+z)^80 still expands in full
+    from invsys import InputSyntaxError
+    from invsys.ring import MAX_TERM_PRODUCTS
+
+    ctx = context_from_names("x,y,z")
+    assert len(ctx.parse("(x+y+z)^80").terms) == 3321
+    for text, col, what in [
+        ("1 + (x+y+z)^120", 13, "the power 120 of a 3-term sum"),
+        ("-(x + y)^2000", 10, "the power 2000 of a 2-term sum"),
+        ("(x+y)^100000000", 7, "the power 100000000 of a 2-term sum"),
+        ("(x+y+z)^50*x*(x+y+z)^50", 14, "a product of 1326- and 1326-term factors"),
+        ("(x+y+z)^50*(x+y+z)^40", 12, "a product of 1326- and 861-term factors"),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(InputSyntaxError) as exc:
+            ctx.parse(text)
+        # a refused power or product is never expanded
+        assert time.perf_counter() - start < 1.0
+        assert str(exc.value) == f"{what} needs more than {MAX_TERM_PRODUCTS} term products to expand"
+        assert exc.value.col == col, text
+
+
+def test_cli_refuses_an_oversized_power(tmp_path, capsys):
+    from invsys.cli import main
+
+    path = tmp_path / "big.ideal"
+    path.write_text("field Q\nring graded vars x,y,z\nideal:\nx^2\n(x+y+z)^120\n")
+    assert main(["hilbert", "-i", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad polynomial: the power 120") and err.endswith(" (line 5)\n")
+
+
 def test_context_mismatch(ctx2, ctx4):
     with pytest.raises(ContextMismatchError):
         ctx2.variable(0) + ctx4.variable(0)
