@@ -276,15 +276,21 @@ def perp_module(W, order=GREVLEX):
             for u, c in row.items():
                 if u != v and sum(u) <= B:
                     rows[u][v] = fld.neg(c)
+    # an uncovered monomial u has every u - e_i outside the leads, so it is
+    # 0 or some v + e_i for a closure pivot v
+    n = ring.nvars
+    pivots = [v for v in closure.rows if sum(v) <= B]
+    near = {v[:i] + (v[i] + 1,) + v[i + 1 :] for v in pivots for i in range(n)}
+    near.add((0,) * n)
     key = ring.order_key(GREVLEX)
-    kept = sorted((u for u in rows if not covered(rows, u)), key=key)
+    kept = sorted((u for u in near if u in rows and not covered(rows, u)), key=key)
     gens = {u: Polynomial(ring, rows[u]) for u in kept}
     A = Ideal(ring, list(gens.values()), trunc=B + 1)
     if W.max_degree() <= B:
         # the kept rows and the degree-(B+1) monomials no row covers, by
         # lead, are the reduced basis that ArtinianQuotient.reduced_basis
         # would read off the same rows
-        top = (e for e in ring.exponents_of_degree(B + 1) if not covered(rows, e))
+        top = (e for e in near if sum(e) == B + 1 and not covered(rows, e))
         gens.update((e, ring.monomial(e)) for e in top)
         basis = tuple(gens[u] for u in sorted(gens, key=key))
         A.adopt_quotient(ArtinianQuotient.from_rows(ring, GREVLEX, B + 1, rows), basis)

@@ -443,16 +443,18 @@ def _graded_bound(ideal, order, ceiling):
     )
 
 
-def _local_form(ideal, order, ceiling, hint):
+def _local_form(ideal, order, ceiling, hint, length=None):
     """(I + m^N, N) for the least N with m^N inside I in the power-series ring.
 
-    The truncation G grows by one from the hint until m^(G-1) <= I + m^G,
-    which certifies by Nakayama; N is then the least k with m^k <= I + m^G,
-    read off the same kernel.  As I + m^N = I + m^G, that kernel serves the
-    result as well.
+    The truncation G grows by one from the hint until it is certified: by
+    Nakayama, when m^(G-1) <= I + m^G, or, when the caller knows that P^/I
+    has length at most length, when P/(I + m^G) reaches it, as P^/I maps
+    onto P/(I + m^G).  N is then the least k with m^k <= I + m^G, read off
+    the same kernel.  As I + m^N = I + m^G, that kernel serves the result as
+    well.
     """
     n = ideal.ring.nvars
-    G = 2 if hint is None else max(2, hint + 1)
+    G = 2 if hint is None else max(2, hint)
     while G <= ceiling + 1:
         width = math.comb(G + n - 1, n - 1)
         if width > LOCAL_DEGREE_CAP:
@@ -463,7 +465,7 @@ def _local_form(ideal, order, ceiling, hint):
                 f"(truncation degree {G} has {width})",
             )
         aq = ideal.truncated(G).quotient(order)
-        if aq.vanishes(G - 1):
+        if aq.length == length or aq.vanishes(G - 1):
             N = aq.bound()
             J = ideal.truncated(N)
             J.adopt_quotient(aq)
@@ -477,13 +479,15 @@ def _local_form(ideal, order, ceiling, hint):
     )
 
 
-def artinian_bound(ideal, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None):
+def artinian_bound(ideal, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None, length=None):
     """Smallest verified N with m^N inside the ideal.
 
     Graded mode tests membership against the reduced basis.  Local mode
     certifies m^N <= I + m^(N+1) by linear algebra, which suffices by
-    Nakayama in the complete local ring; a truncated ideal reads N off its
-    own kernel.
+    Nakayama in the complete local ring, or reaches a known upper bound on
+    the length of the quotient (see _local_form); hint is the first
+    truncation degree it tries.  A truncated ideal reads N off its own
+    kernel.
     """
     if ideal._form is None:
         if ideal.trunc is not None:
@@ -491,13 +495,13 @@ def artinian_bound(ideal, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None):
         elif ideal.ring.mode == "graded":
             ideal._form = (ideal, _graded_bound(ideal, order, ceiling))
         else:
-            ideal._form = _local_form(ideal, order, ceiling, hint)
+            ideal._form = _local_form(ideal, order, ceiling, hint, length)
     return ideal._form[1]
 
 
-def artinian_form(ideal, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None):
+def artinian_form(ideal, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None, length=None):
     """(truncation-exact ideal, bound N): local ideals get trunc = N."""
-    artinian_bound(ideal, order, ceiling, hint)
+    artinian_bound(ideal, order, ceiling, hint, length)
     return ideal._form
 
 

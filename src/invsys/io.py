@@ -38,6 +38,16 @@ def _meaningful_lines(text):
             yield lineno, line
 
 
+def _bad_line(what, exc, text, lineno):
+    """exc, a parser error in the stripped line lineno of text, as an error
+    naming that line and the column in it."""
+    col = exc.col
+    if col is not None:
+        raw = text.splitlines()[lineno - 1]
+        col += len(raw) - len(raw.lstrip())
+    return InputSyntaxError(f"{what}: {exc}", lineno, col)
+
+
 def _parse_header(lines):
     """Common `field`/`ring`/`zvars` header; returns (ctx, lines consumed)."""
     field = None
@@ -103,7 +113,7 @@ def parse_ideal_file(text, field_override=None):
         try:
             gens.append(parse_polynomial(ctx, line))
         except InputSyntaxError as exc:
-            raise InputSyntaxError(f"bad polynomial: {exc}", lineno) from exc
+            raise _bad_line("bad polynomial", exc, text, lineno) from exc
     return ctx, Ideal(ctx, gens)
 
 
@@ -214,7 +224,7 @@ def parse_lis_file(text):
             try:
                 family[current].append(parse_polynomial(dual, line))
             except InputSyntaxError as exc:
-                raise InputSyntaxError(f"bad dual polynomial: {exc}", lineno) from exc
+                raise _bad_line("bad dual polynomial", exc, text, lineno) from exc
     _check_stages(ctx, meta["d"], meta["bound"], stages, where)
     return LimitInverseSystem(
         ctx, meta["d"], meta["r"], meta["s"], meta["bound"],

@@ -211,14 +211,17 @@ class DualTower:
     modules: Mapping  # m -> DualModule, built on first read
 
 
-def artinian_reduction(I, m, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None, certified=None):
+def artinian_reduction(
+    I, m, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None, certified=None, length=None
+):
     """The ideal I + <z_i^(m_i)>, checked Artinian.
 
     Raises PipelineError when the reduction is not Artinian, which means the
     z-block does not map to a maximal regular sequence for this input.
     certified names a stage whose reduction is known to be Artinian; every
     reduction has the same radical, so a failure can then only be a
-    truncation limit, and the error names the limit and the stage.
+    truncation limit, and the error names the limit and the stage.  hint and
+    length pass to artinian_form.
     """
     ring = I.ring
     m = tuple(m)
@@ -233,7 +236,7 @@ def artinian_reduction(I, m, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None, 
     ]
     red = I.plus(powers)
     try:
-        artinian_form(red, order, ceiling, hint=hint)
+        artinian_form(red, order, ceiling, hint=hint, length=length)
     except UnboundedQuotientError as exc:
         if certified is None or not isinstance(exc, TruncationLimitError):
             raise PipelineError(
@@ -277,6 +280,14 @@ def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False
     contains I + <z^top>, which contains a power of the maximal ideal, so
     W_m = W_top & span{X^e : e_(z_j) < m_j}, exactly.  Whatever it reads,
     a caller pays for two reductions and one meet per further stage.
+
+    Each of the B^d layers of the z-monomial filtration of P^/(I + <z^B>)
+    is a quotient of P/(I + <z>), so that ring has at most B^d times the
+    length of stage one, for any I.  A local top truncation whose quotient
+    reaches that length is exact, so the search starts at the degree the top
+    stage needs, N_top = dB + s - d + 1, one below the first degree Nakayama
+    can certify.  Where the z-block is regular the length is reached; where
+    it is not (trust_regular), the search goes on to Nakayama's certificate.
     """
     if B < 1:
         raise PipelineError(f"tower bound {B} must be at least 1")
@@ -287,14 +298,17 @@ def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False
     one = diag(d, 1)
     top = diag(d, B)
     I1 = artinian_reduction(I, one, order, ceiling)
-    s = hilbert_data(I1, order, ceiling).socle_degree
+    hd = hilbert_data(I1, order, ceiling)
+    s = hd.socle_degree
 
     def stage(m):
         if m == one:
             red = I1
         elif m == top:
-            hint = sum(m) + s - d + 1
-            red = artinian_reduction(I, m, order, ceiling, hint=hint, certified=one)
+            red = artinian_reduction(
+                I, m, order, ceiling, hint=sum(m) + s - d + 1, certified=one,
+                length=B ** d * hd.length,
+            )
         else:
             return _stage_below(modules[top], m)
         J, N = artinian_form(red, order, ceiling)
@@ -631,14 +645,16 @@ def reproduces(candidate, anns):
     truncated at N_k, where N_k must not decrease with k.  Ideals that
     contain m^N are equal exactly when one contains the other and their
     quotients have the same length.  Each generator of candidate + <z^k> is
-    looked up in the kernel anns[k] carries.  The lengths come from one
-    kernel and one echelon: with B the largest stage and N the largest N_k,
-    every C_k = candidate + <z^k> + m^(N_k) contains
-    J = candidate + <z^B> + m^N, so the perp of C_k is the perp of J met
-    with S_k = span{X^e : |e| < N_k, e_(z_j) < k}.  The S_k are nested, so
-    one echelon of perp(J), keyed first by the stage each monomial enters,
-    gives every dim(perp(J) & S_k) (linalg.nested_meet_dims).  Lengths do
-    not depend on the order, so everything runs in grevlex.
+    looked up in the kernel anns[k] carries, so anns[k] contains
+    C_k = candidate + <z^k> + m^(N_k).  The lengths are then certified by
+    the z-filtration bound (see _filtration_bound_holds), and only where it
+    is not reached, compared in full: with B the largest stage and N the
+    largest N_k, every C_k contains J = candidate + <z^B> + m^N, so the perp
+    of C_k is the perp of J met with S_k = span{X^e : |e| < N_k,
+    e_(z_j) < k}.  The S_k are nested, so one echelon of perp(J), keyed
+    first by the stage each monomial enters, gives every dim(perp(J) & S_k)
+    (linalg.nested_meet_dims).  Lengths do not depend on the order, so
+    everything runs in grevlex.
     """
     ring = candidate.ring
     zi = ring.zindices
@@ -653,6 +669,8 @@ def reproduces(candidate, anns):
     for k, A in anns.items():
         if not all(A.contains(g) for g in itertools.chain(candidate.gens, zpowers(k))):
             return False
+    if _filtration_bound_holds(candidate, anns):
+        return True
     N = Ns[-1]
     J = candidate.plus(zpowers(ks[-1])).truncated(N)
     rows = [F.terms for F in perp_ideal(J, degbound=N - 1).basis]
@@ -665,6 +683,34 @@ def reproduces(candidate, anns):
 
     dims = nested_meet_dims(ring.field, ring.order_key(GREVLEX), rows, entry, len(ks))
     return all(dim == anns[k].quotient().length for dim, k in zip(dims, ks))
+
+
+def _filtration_bound_holds(candidate, anns):
+    """True when every anns[k] has length k^d * e, e = length P^/(candidate + <z>).
+
+    Each anns[k] contains C_k = candidate + <z^k> + m^(N_k) (reproduces
+    checks this first).  Each of the k^d layers of the z-monomial filtration
+    of P^/(candidate + <z^k>) is a quotient of P^/(candidate + <z>), so
+    length P/anns[k] <= length P/C_k <= k^d * e, for any candidate; equality
+    at the ends forces anns[k] = C_k.  It also puts m^(N_k) in
+    candidate + <z^k>, inside candidate + <z>.  So with low the least N_k,
+    the one kernel tried is at truncation low + 1, where Nakayama certifies
+    every candidate + <z> that can pass; any other fails here.
+    """
+    ring = candidate.ring
+    d = len(ring.zindices)
+    low = min(A.trunc for A in anns.values())
+    try:
+        J, _ = artinian_form(
+            candidate.plus(ring.variable(i) for i in ring.zindices),
+            GREVLEX,
+            ceiling=low,
+            hint=low + 1,
+        )
+    except UnboundedQuotientError:
+        return False
+    e = J.quotient().length
+    return all(A.quotient().length == k ** d * e for k, A in anns.items())
 
 
 def invariants_of(I, order=GREVLEX, ceiling=DEFAULT_CEILING):

@@ -540,6 +540,12 @@ MAX_NESTING = 100  # parentheses plus unary minus signs; each level costs <= 4 f
 # has at most C(t+h-1, h) terms, so it is held to C(t+h-1, h)^2 products:
 # (x+y+z)^80 stays in with 741,321, (x+y+z)^120 and (x+y)^2000 are refused.
 MAX_TERM_PRODUCTS = 10**6
+# Most bits a coefficient of a power the parser takes over Q may need, by the
+# bound of _power_bits, checked before the power is computed: 2^5000 and
+# 3^5000 stay in, 2^5001 and 2^1000000000 are refused.  Every such power
+# stays below Python's 4,300-digit limit on converting an int to text.  Over
+# F_p a power costs O(log k) field products and is not bounded.
+MAX_POWER_BITS = 10**4
 
 
 class _ExprParser:
@@ -610,7 +616,11 @@ class _ExprParser:
                 exp[i] += self.power()
             elif tok[0] == "int":
                 self.take()
-                coef = fld.mul(coef, _field_pow(fld, self.number(tok[1]), self.power()))
+                c = self.number(tok[1])
+                at = self.i + 1  # the exponent's token, when a '^' follows
+                k = self.power()
+                self.check_bits([c], k, at)
+                coef = fld.mul(coef, _field_pow(fld, c, k))
             else:
                 p = self.factor()
                 if poly is not None:
@@ -656,12 +666,25 @@ class _ExprParser:
         if t > 1 and k > 1:
             count = math.comb(t + (k + 1) // 2 - 1, t - 1) ** 2
             self.check_products(count, f"the power {k} of a {t}-term sum", self.tokens[at])
+        self.check_bits(p.terms.values(), k, at)
         return p ** k
 
     def check_products(self, count, what, tok):
         """Refuse, at tok, a product of more than MAX_TERM_PRODUCTS term products."""
         if count > MAX_TERM_PRODUCTS:
             self.fail(f"{what} needs more than {MAX_TERM_PRODUCTS} term products to expand", tok)
+
+    def check_bits(self, values, k, at):
+        """Refuse, at token at, a power k over Q of a polynomial with the
+        coefficients values whose own coefficients may pass MAX_POWER_BITS bits."""
+        if k > 1 and self.ctx.field.char == 0:
+            bits = _power_bits(values, k)
+            if bits > MAX_POWER_BITS:
+                self.fail(
+                    f"the power {k} may need {bits} bits per coefficient, "
+                    f"more than {MAX_POWER_BITS}",
+                    self.tokens[at],
+                )
 
     def atom(self):
         tok = self.take()
@@ -686,6 +709,21 @@ class _ExprParser:
             self.depth -= 1
             return p
         self.fail(f"unexpected {val!r}" if val else "unexpected end of input", tok)
+
+
+def _power_bits(values, k):
+    """An upper bound on the bits of every coefficient of p^k, for p over Q
+    with the nonzero coefficients values.
+
+    With D the product of their denominators, p = (1/D) sum A_i x^(a_i) for
+    integers A_i, and the l1 norm is submultiplicative, so each coefficient
+    of p^k is an integer of size at most (sum |A_i|)^k over a divisor of D^k.
+    A numerator sum or a D of 1 adds no bits.
+    """
+    values = list(values)
+    D = math.prod(c.denominator for c in values)
+    num = sum(abs(c.numerator) * (D // c.denominator) for c in values)
+    return k * sum(x.bit_length() for x in (num, D) if x > 1)
 
 
 def _field_pow(fld, c, n):

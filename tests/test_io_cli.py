@@ -11,7 +11,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invsys import InputSyntaxError
+from invsys import Ideal, InputSyntaxError
 from invsys.cli import _build_parser, main
 from invsys.io import (
     load_limit_system,
@@ -416,7 +416,7 @@ CI_D2 = "field Q\nring graded vars y0,y1,z0,z1\nzvars z0,z1\nideal:\ny0^3 - 2*y1
 # the degree ceiling, or the local kernel's cap on the monomials of a degree
 TRUNCATION_LIMITS = {
     "curve-degcap": (None, ["--mmax", "9", "--degcap", "8"], "(9,)", "degree ceiling 8"),
-    "curve-cap": (None, ["--mmax", "14"], "(14,)", "cap of 1200 monomials per degree"),
+    "curve-cap": (None, ["--mmax", "15"], "(15,)", "cap of 1200 monomials per degree"),
     "ci-d2-ceiling": (CI_D2, ["--mmax", "300"], "(300, 300)", "degree ceiling 64"),
 }
 
@@ -435,6 +435,20 @@ def test_cli_limit_names_the_truncation_limit(tmp_path, capsys, case):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "not Artinian" not in lines[0]
     assert stage in lines[0] and limit in lines[0]
+
+
+def test_cli_curve_at_the_largest_bound_under_the_cap(tmp_path, capsys):
+    # the top stage (14,) is certified by its length at truncation degree 17,
+    # whose 1,140 monomials fit under the cap; Nakayama would need degree 18
+    path = tmp_path / "H14.lis"
+    assert main(["limit", "-i", EXAMPLE, "--mmax", "14", "-o", str(path)]) == 0
+    assert main(["verify", "-i", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict PASS"
+    assert main(["reconstruct", "-i", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "stable True"
+    ctx, ideal = parse_ideal_file((DATA / "example.ideal").read_text())
+    assert Ideal(ctx, [ctx.parse(g) for g in lines[:-2]]).equals(ideal)
 
 
 def test_cli_limit_blames_a_non_artinian_first_stage(tmp_path, capsys):
@@ -507,7 +521,7 @@ def test_cli_reconstruct_from_json_recovers_generators(tmp_path, capsys):
     from invsys import Ideal
     from invsys.io import parse_ideal_file
 
-    ctx, ideal = parse_ideal_file(open(EXAMPLE).read())
+    ctx, ideal = parse_ideal_file((DATA / "example.ideal").read_text())
     recon = Ideal(ctx, [ctx.parse(g) for g in gens])
     assert all(recon.contains(g) for g in ideal.gens)
 

@@ -140,6 +140,34 @@ def test_dual_tower_builds_only_the_read_stages(ci_d2, curve, monkeypatch):
                 tower.modules[low]
 
 
+def test_local_top_stage_is_certified_by_its_length(curve, monkeypatch):
+    # the curve's top reduction reaches B times the length of stage one at
+    # truncation N_top = B + s, one degree below Nakayama's certificate, and
+    # its one kernel is built there; on a z-block that is not regular
+    # (<y^2, y*z>, under trust_regular) the length falls short and Nakayama
+    # certifies, and both tops equal the perp of the Nakayama-certified
+    # reduction
+    import invsys.groebner as groebner
+
+    built = []
+    init = groebner.ArtinianQuotient.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.N)
+
+    monkeypatch.setattr(groebner.ArtinianQuotient, "__init__", counted)
+    ctx = context_from_names("y,z", mode="local", zvars="z")
+    zero_divisor = Ideal(ctx, [ctx.parse("y^2"), ctx.parse("y*z")])
+    for I, B, top_kernels in ((curve[1], 9, [12]), (zero_divisor, 3, [4])):
+        tower = dual_tower(I, B, trust_regular=True)
+        del built[:]
+        W = tower.modules[(B,)]
+        assert built == top_kernels
+        J, N = artinian_form(artinian_reduction(I, (B,)))
+        assert W.basis == perp_ideal(J, degbound=N - 1).basis
+
+
 def test_dual_tower_does_no_grid_work_up_front(band):
     # membership is a range test and iteration is lazy, so a huge bound costs
     # nothing until a stage is read; the top stage then fails on the ceiling
@@ -442,16 +470,18 @@ def test_verify_and_reconstruct_share_stage_modules(curve_H9, ci_d2, tmp_path, c
 
 
 def test_reconstruct_reuses_annihilator_kernels(curve_H9, monkeypatch):
-    # each stage annihilator carries its kernel, so a kernel is built from
-    # generators only once per reproduction check, at the top stage
+    # each stage annihilator carries its kernel, and the z-filtration bound
+    # certifies every stage length, so the one kernel built from generators
+    # is that of candidate + <z>, at the truncation N_1 + 1 where stage one's
+    # own reduction is certified; no kernel of the top stage is built
     import invsys.groebner as groebner
 
     built = []
     init = groebner.ArtinianQuotient.__init__
 
     def counted(self, *args, **kwargs):
-        built.append(1)
         init(self, *args, **kwargs)
+        built.append(self.N)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("nullspace called")
@@ -461,7 +491,8 @@ def test_reconstruct_reuses_annihilator_kernels(curve_H9, monkeypatch):
         if name.startswith("invsys") and hasattr(mod, "nullspace"):
             monkeypatch.setattr(mod, "nullspace", forbidden)
     assert reconstruct(curve_H9).stable
-    assert len(built) == 1
+    N1 = perp_module(curve_H9.module_at((1,))).trunc
+    assert built == [N1 + 1]
 
 
 def reference_reproduces(candidate, anns, order=GREVLEX):
@@ -597,6 +628,45 @@ def test_reproduction_check_refuses_decreasing_truncations(curve_H9):
     assert [anns[k].trunc for k in (1, 2, 3)] == [4, 5, 6]  # N_k = k + s - d + 1
     with pytest.raises(ValueError, match="decrease"):
         limitsys.reproduces(candidate, {1: anns[1], 2: anns[3], 3: anns[2]})
+
+
+def counted_fallbacks(monkeypatch):
+    """A list that grows by one each time reproduces compares lengths in full."""
+    calls = []
+    full = limitsys.nested_meet_dims
+    monkeypatch.setattr(limitsys, "nested_meet_dims", lambda *a, **kw: calls.append(1) or full(*a, **kw))
+    return calls
+
+
+def test_reproduction_check_falls_back_below_the_filtration_bound(monkeypatch):
+    # z is a zero divisor modulo <y^2, y*z>: the stage ideals <y^2, y*z, z^k>
+    # have length k + 1, short of k * e for e = length P/<y^2, y*z, z> = 2,
+    # so the lengths are compared in full, and both verdicts agree with the
+    # per-stage reference
+    ctx = context_from_names("y,z", zvars="z")
+    y, z = ctx.variable(0), ctx.variable(1)
+    anns = {}
+    for k in range(1, 5):
+        stage = Ideal(ctx, [y**2, y * z, z**k])
+        anns[k] = perp_module(perp_ideal(stage, degbound=k))
+        assert anns[k].quotient().length == k + 1
+    fallbacks = counted_fallbacks(monkeypatch)
+    for candidate, verdict in ((Ideal(ctx, [y**2, y * z]), True), (Ideal(ctx, [y**2]), False)):
+        del fallbacks[:]
+        assert limitsys.reproduces(candidate, anns) is verdict
+        assert reference_reproduces(candidate, anns) is verdict
+        assert fallbacks == [1]
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_limit_outputs_reproduce_by_the_filtration_bound(curve, ci_d2, order, monkeypatch):
+    # on a limit output the z-block is regular, so every stage reaches k^d * e
+    # and no plateau check compares lengths in full
+    fallbacks = counted_fallbacks(monkeypatch)
+    for (_, I), B in ((curve, 9), (ci_d2, 5)):
+        res = reconstruct(section_lift(dual_tower(I, B, order), order=order), order)
+        assert res.stable and res.ideal.equals(I)
+    assert fallbacks == []
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])

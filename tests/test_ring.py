@@ -3,6 +3,7 @@ import itertools
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,7 +225,58 @@ def test_cli_refuses_an_oversized_power(tmp_path, capsys):
     path.write_text("field Q\nring graded vars x,y,z\nideal:\nx^2\n(x+y+z)^120\n")
     assert main(["hilbert", "-i", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: bad polynomial: the power 120") and err.endswith(" (line 5)\n")
+    assert err.startswith("error: bad polynomial: the power 120") and err.endswith(" (line 5, col 9)\n")
+    # the column counts from the start of the line, indentation included,
+    # in an ideal file and in a limit file alike
+    path.write_text("field Q\nring graded vars x,y,z\nideal:\nx^2\n   (x+y+z)^120  # big\n")
+    assert main(["hilbert", "-i", str(path)]) == 2
+    assert capsys.readouterr().err.endswith(" (line 5, col 12)\n")
+    lis = tmp_path / "big.lis"
+    lis.write_text("limit-system\nfield Q\nring graded vars x,y\nd 0\nr 1\ns 1\nbound 1\nm:\n  (X+Y)^2000\n")
+    assert main(["verify", "-i", str(lis)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad dual polynomial: the power 2000") and err.endswith(" (line 9, col 9)\n")
+
+
+def test_parser_refuses_a_power_of_too_many_bits():
+    from invsys import InputSyntaxError
+    from invsys.ring import MAX_POWER_BITS
+
+    ctx = context_from_names("x,y")
+    # the largest powers of a number that stay in, at their exact values
+    assert ctx.parse("2^5000*x").terms == {(1, 0): 2**5000}
+    assert ctx.parse("(2/3*y)^2500").terms == {(0, 2500): Fraction(2, 3) ** 2500}
+    # powers of 0 and +-1 never grow, whatever the exponent
+    assert ctx.parse("1^1000000000*x - (-1)^1000000001*y + 0^1000000000").terms == {(1, 0): 1, (0, 1): 1}
+    for text, col, k in [
+        ("2^1000000000*x", 3, 1000000000),
+        ("x + 2^5001", 7, 5001),
+        ("(2)^1000000000", 5, 1000000000),
+        ("y*(-3*x)^9000", 10, 9000),
+        ("(2^100*x + y)^200", 15, 200),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(InputSyntaxError) as exc:
+            ctx.parse(text)
+        # a refused power is never computed
+        assert time.perf_counter() - start < 0.1
+        assert f"the power {k} may need " in str(exc.value)
+        assert str(exc.value).endswith(f" bits per coefficient, more than {MAX_POWER_BITS}")
+        assert exc.value.col == col, text
+    # over F_p a power costs O(log k) products and is not bounded
+    fp = context_from_names("x,y", field="fp:32003")
+    assert fp.parse("2^1000000000*x").terms == {(1, 0): pow(2, 10**9, 32003)}
+
+
+def test_cli_refuses_a_power_of_too_many_bits(tmp_path, capsys):
+    from invsys.cli import main
+
+    path = tmp_path / "big.ideal"
+    path.write_text("field Q\nring graded vars x,y\nideal:\n2^1000000000*x\ny^2\n")
+    assert main(["hilbert", "-i", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad polynomial: the power 1000000000") and err.endswith(" (line 4, col 3)\n")
+    assert main(["hilbert", "-i", str(path), "--field", "fp:32003"]) == 0
 
 
 def test_context_mismatch(ctx2, ctx4):
