@@ -170,8 +170,11 @@ class DualModule:
         if degbound is None:
             degs = [F.degree for F in elements if not F.is_zero()]
             degbound = int(max(degs)) if degs else 0
+        # the closure's rows are already the reduced echelon form under the
+        # order's key, which is unique: no second echelon is needed
         ech = _closure(ring, elements, ring.order_key(order))
-        W = cls(ring, degbound, [Polynomial(dual, r) for r in ech.basis()], order)
+        rows = [Polynomial(dual, r, _clean=False) for r in ech.basis()]
+        W = cls(ring, degbound, rows, order, _canonical=True)
         W._closed = True
         return W
 

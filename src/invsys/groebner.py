@@ -12,9 +12,9 @@ stopping rule m^N <= I + m^(N+1), where polynomial and power-series
 arithmetic agree exactly.  A truncated ideal object represents <gens> + m^N.
 
 Buchberger's algorithm serves untruncated work: intersection, colon on
-non-Artinian ideals, and graded ideals.  A graded ideal is finite only with a
-pure power of every variable among its lead monomials, so a
-positive-dimensional ideal fails before any enumeration; its bound comes
+non-Artinian ideals, the regularity test, and graded ideals.  A graded ideal
+is finite only with a pure power of every variable among its lead monomials,
+so a positive-dimensional ideal fails before any enumeration; its bound comes
 from normal forms against the same basis.
 """
 
@@ -33,6 +33,7 @@ from .errors import (
 from .linalg import Echelon, nullspace
 from .ring import (
     GREVLEX,
+    MonomialOrder,
     Polynomial,
     RingContext,
     e_add,
@@ -664,17 +665,49 @@ def ideal_colon(I, divisor, order=GREVLEX):
 
 
 def is_regular(f, I, order=GREVLEX):
-    """Nonzerodivisor test: (I : f) = I.
+    """Nonzerodivisor test: (I : f) = I, read off one homogeneous basis.
+
+    f gets a variable v of its own: f itself when f is a variable up to a
+    unit, else a fresh u with u - f adjoined, as P[u]/(I + (u - f)) is P/I
+    with u acting as f.  Homogenizing a grevlex basis of that ideal with a
+    fresh h keeps v regular or not (Cox-Little-O'Shea, Ch. 8 Sec. 4), and
+    for the homogeneous ideal K so obtained, in grevlex with v last,
+    in(K : v) = in(K) : v (Bayer-Stillman).  So v is regular exactly when no
+    lead monomial of K's reduced basis contains v.  The verdict does not
+    depend on order, which serves the membership test only.
 
     In local mode this is the polynomial-representative test; components away
     from the origin can cause a false negative, never a false positive on the
     Artinian-reduction pipeline.
     """
-    I.ring.check_same(f.ring)
+    ring = I.ring
+    ring.check_same(f.ring)
     if f.is_zero() or I.contains(f, order):
         raise DegenerateInputError("regularity test of an element of the ideal")
-    C = ideal_colon(I, f, order)
-    return all(I.contains(g, order) for g in C.groebner(order))
+    basis = I.groebner(GREVLEX)
+    names = ring.names
+    lm = next(iter(f.terms))
+    if len(f.terms) == 1 and sum(lm) == 1:
+        v = lm.index(1)
+    else:
+        v = len(names)
+        names += (_fresh_name(names),)
+        ext = RingContext(ring.field, names, "graded", ())
+        gens = [
+            Polynomial(ext, {e + (0,): c for e, c in g.terms.items()}, _clean=False)
+            for g in basis + (-f,)
+        ]
+        gens[-1] += ext.variable(v)  # u - f
+        basis = buchberger(ext, gens, GREVLEX)
+    names += (_fresh_name(names),)
+    hom = RingContext(ring.field, names, "graded", ())
+    gens = []
+    for g in basis:
+        d = g.degree
+        terms = {e + (d - sum(e),): c for e, c in g.terms.items()}
+        gens.append(Polynomial(hom, terms, _clean=False))
+    last = MonomialOrder(perm=[i for i in range(len(names)) if i != v] + [v])
+    return not any(g.lead(last)[0][v] for g in buchberger(hom, gens, last))
 
 
 def find_linear_regular_sequence(I, d, trials=300, seed=0, order=GREVLEX):

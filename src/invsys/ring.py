@@ -409,15 +409,25 @@ class Polynomial:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
+        fld = self.ring.field
+        # over Q, expand (D p)^n on integers, D the lcm of the denominators,
+        # and divide by D^n at the end: the same terms in the same order, as
+        # every intermediate coefficient is scaled by a power of D
+        D = math.lcm(*(c.denominator for c in self.terms.values())) if fld.char == 0 else 1
         result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
+        base = self if D == 1 else self * D
+        k = n
+        while k:
+            if k & 1:
                 result = result * base
-            n >>= 1
-            if n:
+            k >>= 1
+            if k:
                 base = base * base
-        return result
+        if D == 1:
+            return result
+        Dn = D**n
+        terms = {e: fld.div(c, Dn) for e, c in result.terms.items()}
+        return Polynomial(self.ring, terms, _clean=False)
 
     def mul_term(self, exponent, coeff):
         """Multiply by coeff * x^exponent (no coercion checks, hot path)."""
@@ -542,9 +552,11 @@ MAX_NESTING = 100  # parentheses plus unary minus signs; each level costs <= 4 f
 MAX_TERM_PRODUCTS = 10**6
 # Most bits a coefficient of a power the parser takes over Q may need, by the
 # bound of _power_bits, checked before the power is computed: 2^5000 and
-# 3^5000 stay in, 2^5001 and 2^1000000000 are refused.  Every such power
-# stays below Python's 4,300-digit limit on converting an int to text.  Over
-# F_p a power costs O(log k) field products and is not bounded.
+# 3^5000 stay in, 2^5001 and 2^1000000000 are refused.  The numerator and
+# the denominator of every coefficient of a parsed sum are held to it as
+# well, so 2^5000*2^5000 is refused.  Each stays below Python's 4,300-digit
+# limit on converting an int to text.  Over F_p a power costs O(log k) field
+# products and is not bounded.
 MAX_POWER_BITS = 10**4
 
 
@@ -592,7 +604,10 @@ class _ExprParser:
             sign = fld.one if val == "-" else plus
         acc = {}
         while True:
-            fld.row_sub(acc, sign, self.term().items())
+            start = self.peek()
+            terms = self.term()
+            fld.row_sub(acc, sign, terms.items())
+            self.check_size(acc, terms, start)
             kind, val, _ = self.peek()
             if kind != "op" or val not in "+-":
                 return acc
@@ -685,6 +700,15 @@ class _ExprParser:
                     f"more than {MAX_POWER_BITS}",
                     self.tokens[at],
                 )
+
+    def check_size(self, acc, exps, tok):
+        """Refuse, at tok, a coefficient of acc at one of exps over Q whose
+        numerator or denominator has more than MAX_POWER_BITS bits."""
+        if self.ctx.field.char == 0:
+            for e in exps:
+                c = acc.get(e, 0)
+                if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_POWER_BITS:
+                    self.fail(f"a coefficient has more than {MAX_POWER_BITS} bits", tok)
 
     def atom(self):
         tok = self.take()

@@ -11,6 +11,7 @@ from invsys import Ideal, context_from_names, equal_as_artinian, hilbert_data
 from invsys.duality import (
     DualModule,
     contract,
+    contract_exp,
     dual_pairing,
     minimal_cogenerators,
     perp_ideal,
@@ -433,6 +434,20 @@ def test_failed_closure_check_leaves_the_module_open(ctx2):
     with pytest.raises(AssertionError):
         verify_closed(W)
     assert not W._closed
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_generate_keeps_the_closure_echelon(curve_H9, order):
+    # generate hands its closure's rows over as they are: they must be the
+    # basis a fresh echelon gives, of those rows and of every contraction
+    H_ci = section_lift(dual_tower(_ci_d2_ideal(), 5))
+    for H in (curve_H9, H_ci):
+        top = (H.bound,) * H.d
+        W = DualModule.generate(H.ring, H.family[top], order=order)
+        assert W._closed
+        assert W.basis == DualModule(H.ring, W.degbound, W.basis, order).basis, top
+        images = [contract_exp(e, F) for F in H.family[top] for e in H.ring.exponents_upto(W.degbound)]
+        assert W.basis == DualModule(H.ring, W.degbound, images, order).basis, top
 
 
 def test_contract_by_matches_termwise_contraction(curve_H9):

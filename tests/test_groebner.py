@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invsys import (
     GREVLEX,
+    LEX,
     DegenerateInputError,
     Ideal,
     InvalidDivisorError,
@@ -203,6 +205,79 @@ def test_is_regular(ctx2):
 def test_is_regular_curve(curve):
     ctx, I = curve
     assert is_regular(ctx.variable(0), I)
+
+
+def _colon_regular(f, I, order):
+    """The reference verdict: (I : f) inside I, by the colon."""
+    if I.contains(f, order):
+        raise DegenerateInputError("regularity test of an element of the ideal")
+    C = ideal_colon(I, f, order)
+    return all(I.contains(g, order) for g in C.groebner(order))
+
+
+def _verdict(test, f, I, order):
+    try:
+        return test(f, Ideal(I.ring, I.gens, trunc=I.trunc), order)
+    except DegenerateInputError:
+        return "member"
+
+
+_COEFFS = st.sampled_from([1, -1, 2, -3, 5])
+
+
+@st.composite
+def _regularity_cases(draw):
+    n = draw(st.sampled_from([2, 3]))
+    ctx = context_from_names(
+        ",".join(f"x{i}" for i in range(n)),
+        field=draw(st.sampled_from(["Q", "F32003"])),
+        mode=draw(st.sampled_from(["graded", "local"])),
+    )
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: 0 < sum(e) <= 3)
+    poly = st.dictionaries(exps, _COEFFS, min_size=1, max_size=3).map(ctx.from_terms)
+    gens = draw(st.lists(poly, min_size=1, max_size=3))
+    trunc = draw(st.sampled_from([None, None, 2, 3, 4]))
+    kind = draw(st.sampled_from(["variable", "scaled", "polynomial", "unit part"]))
+    if kind in ("variable", "scaled"):
+        f = ctx.variable(draw(st.integers(0, n - 1))) * (draw(_COEFFS) if kind == "scaled" else 1)
+    else:
+        f = draw(poly) + (1 if kind == "unit part" else 0)
+    I = Ideal(ctx, gens) if trunc is None else Ideal(ctx, gens).truncated(trunc)
+    return f, I, draw(st.sampled_from([GREVLEX, LEX]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_regularity_cases())
+def test_is_regular_matches_the_colon_reference(case):
+    f, I, order = case
+    assert _verdict(is_regular, f, I, order) == _verdict(_colon_regular, f, I, order)
+
+
+def test_is_regular_builds_one_homogeneous_basis(ctx2, monkeypatch):
+    # no colon or intersection: a variable costs one Buchberger run past
+    # the ideal's own basis, any other polynomial one more for u - f
+    from invsys import groebner
+
+    calls = []
+
+    def counted(name):
+        real = getattr(groebner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("ideal_colon", "ideal_intersect", "buchberger"):
+        monkeypatch.setattr(groebner, name, counted(name))
+    x, y = ctx2.variable(0), ctx2.variable(1)
+    I = Ideal(ctx2, [x * y + y**2])
+    I.groebner(GREVLEX)
+    for f, runs in ((x, 1), (3 * y, 1), (x + y, 2), (x**2 + 1, 2)):
+        del calls[:]
+        is_regular(f, I)
+        assert calls == ["buchberger"] * runs, f
 
 
 def test_find_linear_regular_sequence(ctx2):

@@ -145,6 +145,27 @@ def test_cli_limit_verify_reconstruct(tmp_path, capsys):
     assert main(["reconstruct", "-i", str(out)]) == 1
 
 
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize(
+    "gens,reason",
+    [
+        ("y^2\ny*z", "(colon grows); the input is outside the correspondence class"),
+        ("z\ny^2", ": regularity test of an element of the ideal"),
+    ],
+    ids=["zero-divisor", "member"],
+)
+def test_cli_limit_refuses_a_z_block_that_is_not_regular(tmp_path, capsys, gens, reason, order):
+    path = tmp_path / "bad.ideal"
+    path.write_text(f"field Q\nring graded vars y,z\nzvars z\nideal:\n{gens}\n")
+    out = tmp_path / "H.lis"
+    assert main(["limit", "-i", str(path), "--mmax", "3", "--order", order, "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    sep = "" if reason.startswith(":") else " "
+    assert captured.err == f"error: variable 'z' is not regular modulo the ideal{sep}{reason}\n"
+    assert not out.exists()
+
+
 def test_cli_limit_golden_stability(tmp_path):
     a, b = tmp_path / "a.lis", tmp_path / "b.lis"
     assert main(["limit", "-i", EXAMPLE, "--mmax", "2", "-o", str(a)]) == 0

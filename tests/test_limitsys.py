@@ -683,6 +683,21 @@ def test_stable_only_on_a_plateau_where_the_z_block_is_regular(curve, ci_d2, ord
         assert res.stable and res.ideal.equals(J)
 
 
+def test_z_regularity_runs_no_colon_or_intersection(curve, monkeypatch):
+    # the z-block check reads its verdict off one homogeneous basis
+    from invsys import groebner
+
+    calls = []
+    for name in ("ideal_colon", "ideal_intersect"):
+        real = getattr(groebner, name)
+        monkeypatch.setattr(
+            groebner, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        )
+    ctx, I = curve
+    limitsys.check_z_regularity(Ideal(ctx, I.gens))
+    assert calls == []
+
+
 def test_plateaus_that_reproduce_but_fail_regularity(curve):
     # without the regularity check each of these families is called stable
     # with an ideal that is not I: the check is what refuses them

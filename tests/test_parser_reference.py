@@ -8,16 +8,29 @@ polynomials both must give the same polynomial, with its terms in the same
 order, or the same InputSyntaxError text.
 """
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invsys import GREVLEX, LEX, context_from_names
 from invsys.errors import InputSyntaxError
-from invsys.ring import MAX_NESTING, _tokenize, parse_polynomial
+from invsys.ring import (
+    MAX_NESTING,
+    MAX_POWER_BITS,
+    MAX_TERM_PRODUCTS,
+    _power_bits,
+    _tokenize,
+    parse_polynomial,
+)
 
 
 class _ReferenceParser:
-    """Recursive descent for sums of products of powers, with parentheses."""
+    """Recursive descent for sums of products of powers, with parentheses.
+
+    It refuses a power and a coefficient by the parser's size caps, at the
+    same token: fuzzed digits can spell an exponent such as 12^3012.
+    """
 
     def __init__(self, ctx, tokens):
         self.ctx = ctx
@@ -50,17 +63,29 @@ class _ReferenceParser:
         if kind == "op" and val in "+-":
             self.take()
             negate = val == "-"
+        start = self.peek()
         p = self.term()
         if negate:
             p = -p
+        self.check_size(p, p, start)
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
+                start = self.peek()
                 q = self.term()
                 p = p - q if val == "-" else p + q
+                self.check_size(p, q, start)
             else:
                 return p
+
+    def check_size(self, p, q, tok):
+        """Refuse, at tok, a coefficient of p at a term of q over MAX_POWER_BITS bits."""
+        if self.ctx.field.char == 0:
+            for e in q.terms:
+                c = p.terms.get(e, 0)
+                if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_POWER_BITS:
+                    self.fail(f"a coefficient has more than {MAX_POWER_BITS} bits", tok)
 
     def term(self):
         p = self.factor()
@@ -80,7 +105,20 @@ class _ReferenceParser:
             tok = self.take()
             if tok[0] != "int":
                 self.fail("exponent must be a natural number", tok)
-            return base ** int(tok[1])
+            k, t = int(tok[1]), len(base.terms)
+            if t > 1 and k > 1 and math.comb(t + (k + 1) // 2 - 1, t - 1) ** 2 > MAX_TERM_PRODUCTS:
+                self.fail(
+                    f"the power {k} of a {t}-term sum needs more than "
+                    f"{MAX_TERM_PRODUCTS} term products to expand",
+                    tok,
+                )
+            bits = _power_bits(base.terms.values(), k)
+            if k > 1 and self.ctx.field.char == 0 and bits > MAX_POWER_BITS:
+                self.fail(
+                    f"the power {k} may need {bits} bits per coefficient, more than {MAX_POWER_BITS}",
+                    tok,
+                )
+            return base ** k
         return base
 
     def atom(self):

@@ -279,6 +279,63 @@ def test_cli_refuses_a_power_of_too_many_bits(tmp_path, capsys):
     assert main(["hilbert", "-i", str(path), "--field", "fp:32003"]) == 0
 
 
+def test_parser_refuses_a_coefficient_of_too_many_bits(tmp_path, capsys):
+    from invsys import InputSyntaxError
+    from invsys.cli import main
+    from invsys.ring import MAX_POWER_BITS
+
+    ctx = context_from_names("x,y")
+    assert ctx.parse("2^5000*x + 3^5000*y").terms == {(1, 0): 2**5000, (0, 1): 3**5000}
+    # each power stays in; the folded product of a term, or a sum over a
+    # common denominator, passes the cap, and the term that takes it there
+    # is named
+    for text, col in [
+        ("2^5000*2^5000*2^5000*x*y + y^2", 1),
+        ("x + 2^5000*3^5000", 5),
+        ("1/3^5000*x + 1/2^5000*x", 14),
+        ("(y + 2^5000*(2^5000*x + 1))*y", 6),
+    ]:
+        with pytest.raises(InputSyntaxError) as exc:
+            ctx.parse(text)
+        assert str(exc.value) == f"a coefficient has more than {MAX_POWER_BITS} bits"
+        assert exc.value.col == col, text
+    path = tmp_path / "big.ideal"
+    path.write_text("field Q\nring graded vars x,y\nideal:\nx^2\n  2^5000*2^5000*2^5000*x*y + y^2\n")
+    assert main(["hilbert", "-i", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bad polynomial: a coefficient has more than {MAX_POWER_BITS} bits (line 5, col 3)\n"
+    # over F_p a coefficient is a residue and is never refused
+    assert main(["hilbert", "-i", str(path), "--field", "fp:32003"]) == 0
+
+
+def _square_and_multiply(p, n):
+    """p^n by squaring over p's own coefficients."""
+    result, base = p.ring.one(), p
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool),
+        max_size=4,
+    ),
+    st.integers(0, 9),
+)
+def test_power_over_integer_numerators_keeps_terms_and_order(terms, n):
+    # (D p)^n over integers, divided by D^n, must be p^n term for term, in
+    # the same order: the parser's output order rests on it
+    p = context_from_names("x,y").from_terms(terms)
+    assert list((p**n).terms.items()) == list(_square_and_multiply(p, n).terms.items())
+
+
 def test_context_mismatch(ctx2, ctx4):
     with pytest.raises(ContextMismatchError):
         ctx2.variable(0) + ctx4.variable(0)

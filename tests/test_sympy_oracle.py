@@ -7,6 +7,10 @@ and the local context, three computations must agree with sympy:
 * normal forms of random polynomials modulo that ideal;
 * the Hilbert profile dim (I + m^k) / (I + m^(k+1)), together with the bound.
 
+On seeded random positive-dimensional ideals, the nonzerodivisor test must
+agree with the colon sympy computes: I & (f) by elimination, then divided
+by f.
+
 sympy only ever sees polynomial ideals that contain a power of the maximal
 ideal, where the polynomial and the power-series quotients agree.  Its
 profile is L(k+1) - L(k) with L(k) = dim P/(I + m^k) counted from its
@@ -24,11 +28,13 @@ sympy = pytest.importorskip("sympy")
 from invsys import (  # noqa: E402
     GREVLEX,
     LEX,
+    DegenerateInputError,
     Ideal,
     artinian_bound,
     artinian_form,
     context_from_names,
     hilbert_data,
+    is_regular,
 )
 
 ORDERS = {"grevlex": GREVLEX, "lex": LEX}
@@ -177,3 +183,53 @@ def test_local_bound_beyond_the_hint(order_name):
         str(_monic_from_sympy(ctx, g, _symbols(ctx), order)) for g in G.exprs
     )
     assert list(hilbert_data(I, order).values) == profile
+
+
+def _sympy_regular(ctx, gens, f):
+    """(I : f) = I by sympy: I & (f) eliminating t from t*I + (1 - t)*f in
+    lex, each element divided by f, each quotient tested for membership."""
+    syms = _symbols(ctx)
+    t = sympy.Symbol("t")
+    exprs = [_to_sympy(g, syms) for g in gens]
+    F = _to_sympy(f, syms)
+    G = sympy.groebner([t * g for g in exprs] + [(1 - t) * F], t, *syms, order="lex", domain="QQ")
+    GI = sympy.groebner(exprs, *syms, order="grevlex", domain="QQ")
+    for g in G.exprs:
+        if g.has(t):
+            continue
+        q, r = sympy.div(g, F, *syms, domain="QQ")
+        assert r == 0
+        if not GI.contains(q):
+            return False
+    return True
+
+
+def _regularity_case(seed):
+    """A small ideal in two or three variables, and a variable, a linear
+    form or another polynomial to test; a common factor every third seed."""
+    rng = random.Random(seed)
+    ctx = context_from_names("x,y,z" if seed % 2 else "x,y")
+    gens = [_random_terms(ctx, rng, 1, 2, rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+    if seed % 3 == 0:
+        h = _random_terms(ctx, rng, 1, 1, 2)
+        gens = [g * h for g in gens]
+    gens = [g for g in gens if not g.is_zero()]
+    kind = seed % 4
+    if kind < 2:
+        f = ctx.variable(rng.randrange(ctx.nvars)) * (1 if kind == 0 else rng.choice([2, -3]))
+    elif kind == 2:
+        f = _random_terms(ctx, rng, 1, 1, 2)
+    else:
+        f = _random_terms(ctx, rng, 0, 2, 2)
+    return ctx, gens, f
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_is_regular_matches_the_sympy_colon(seed):
+    ctx, gens, f = _regularity_case(seed)
+    I = Ideal(ctx, gens)
+    if f.is_zero() or I.contains(f):
+        with pytest.raises(DegenerateInputError):
+            is_regular(f, I)
+        return
+    assert is_regular(f, I) == _sympy_regular(ctx, gens, f)
