@@ -16,7 +16,6 @@ from .groebner import (
     ArtinianQuotient,
     Ideal,
     artinian_form,
-    covered,
     ideal_colon,
 )
 from .linalg import Echelon, intersect_spans
@@ -247,56 +246,52 @@ def perp_module(W, order=GREVLEX):
 
     The transpose of perp_ideal, read off one echelon.  The contraction
     closure C of W is echelonized with each row's pivot at its smallest
-    GREVLEX monomial; for a module known to be closed (see DualModule) C is
-    W itself and its basis is echelonized as it is, otherwise the closure
-    inserts every contraction.  Terms above B = degbound are cut afterwards,
-    which leaves the rows reduced because the order is degree-compatible.
-    Each non-pivot monomial u of degree <= B gives the row
-    x^u - sum_v c_v[u] x^v over the rows c_v with pivot v: together these
-    are the reduced GREVLEX echelon form of Ann(C) & P_{<=B}.  Their leads
-    are closed upward below degree B + 1, so a lead u is divisibility-minimal
-    exactly when no u - e_i is a lead; the generators are the rows with
-    minimal leads.  When every term of W has
-    degree <= B (the DualModule contract), Ann(C) contains m^(B+1) and the
-    rows are the quotient matrix of the returned ideal, which takes them
-    over as its GREVLEX kernel.  The order argument does not affect the
-    result.
+    GREVLEX monomial, under a key table the ring keeps for that key; for a
+    module known to be closed (see DualModule) C is W itself and its basis
+    is echelonized as it is, otherwise the closure inserts every
+    contraction.  Terms above B = degbound are cut afterwards, which leaves
+    the rows reduced because the order is degree-compatible.  The pivots v
+    of degree <= B are the standard monomials.  Every other monomial u of
+    degree <= B is a lead, with row x^u - sum_v c_v[u] x^v over the rows
+    c_v with pivot v: together these are the reduced GREVLEX echelon form
+    of Ann(C) & P_{<=B}.  A lead's row has an entry beside u only when u
+    occurs in C, so only those rows are built and the rest stay the
+    quotient's implicit unit rows.  The generators are the rows of the
+    divisibility-minimal leads.  When every term of W has degree <= B (the
+    DualModule contract), Ann(C) contains m^(B+1) and the rows are the
+    quotient matrix of the returned ideal, which takes them over as its
+    GREVLEX kernel.  The order argument does not affect the result.
     """
     ring = W.ring
     if W.is_zero():
         warnings.warn("annihilator of the zero module is the unit ideal")
         return Ideal(ring, [ring.one()])
     B = W.degbound
+    key = ring.sort_key(_smallest_first)
     if W._closed:
-        closure = Echelon(ring.field, _smallest_first).extend(F.terms for F in W.basis)
+        closure = Echelon(ring.field, key).extend(F.terms for F in W.basis)
     else:
-        closure = _closure(ring, W.basis, _smallest_first)
+        closure = _closure(ring, W.basis, key)
     fld = ring.field
-    rows = {u: {u: fld.one} for u in ring.exponents_upto(B)}  # lead -> row
+    std = []
+    rows = {}  # lead -> row, for the leads that occur in C
     for v, row in closure.rows.items():
         if sum(v) <= B:
-            del rows[v]
+            std.append(v)
             for u, c in row.items():
                 if u != v and sum(u) <= B:
-                    rows[u][v] = fld.neg(c)
-    # an uncovered monomial u has every u - e_i outside the leads, so it is
-    # 0 or some v + e_i for a closure pivot v
-    n = ring.nvars
-    pivots = [v for v in closure.rows if sum(v) <= B]
-    near = {v[:i] + (v[i] + 1,) + v[i + 1 :] for v in pivots for i in range(n)}
-    near.add((0,) * n)
-    key = ring.order_key(GREVLEX)
-    kept = sorted((u for u in near if u in rows and not covered(rows, u)), key=key)
-    gens = {u: Polynomial(ring, rows[u]) for u in kept}
-    A = Ideal(ring, list(gens.values()), trunc=B + 1)
+                    urow = rows.get(u)
+                    if urow is None:
+                        urow = rows[u] = {u: fld.one}
+                    urow[v] = fld.neg(c)
+    aq = ArtinianQuotient.from_rows(ring, GREVLEX, B + 1, rows, std)
+    leads = aq.minimal_leads()
+    basis = tuple(Polynomial(ring, rows[u]) if u in rows else ring.monomial(u) for u in leads)
+    # the degree-(B+1) monomials close the basis; the ideal's generators
+    # are the rows below them
+    A = Ideal(ring, [g for g, u in zip(basis, leads) if sum(u) <= B], trunc=B + 1)
     if W.max_degree() <= B:
-        # the kept rows and the degree-(B+1) monomials no row covers, by
-        # lead, are the reduced basis that ArtinianQuotient.reduced_basis
-        # would read off the same rows
-        top = (e for e in near if sum(e) == B + 1 and not covered(rows, e))
-        gens.update((e, ring.monomial(e)) for e in top)
-        basis = tuple(gens[u] for u in sorted(gens, key=key))
-        A.adopt_quotient(ArtinianQuotient.from_rows(ring, GREVLEX, B + 1, rows), basis)
+        A.adopt_quotient(aq, basis)
     return A
 
 

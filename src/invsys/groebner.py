@@ -6,6 +6,9 @@ multiples trunc_{<N}(x^a g) of the generators of J inside P_{<N}.  Its
 pivots are the lead monomials of J + m^N below degree N, for any order; its
 free columns are the standard monomials.  The reduced basis, normal forms,
 the truncation bound, inverse systems and Hilbert profiles are read off it.
+The matrix keeps only the rows with an entry beside the pivot: the others,
+among them every multiple of a monomial generator, are the pivot alone and
+are never built.
 
 Local (power-series) inputs are truncated at an N certified by the Nakayama
 stopping rule m^N <= I + m^(N+1), where polynomial and power-series
@@ -15,7 +18,8 @@ Buchberger's algorithm serves untruncated work: intersection, colon on
 non-Artinian ideals, the regularity test, and graded ideals.  A graded ideal
 is finite only with a pure power of every variable among its lead monomials,
 so a positive-dimensional ideal fails before any enumeration; its bound comes
-from normal forms against the same basis.
+from the lead monomials of the same basis when the generators are
+homogeneous, and from normal forms against it otherwise.
 """
 
 from __future__ import annotations
@@ -310,58 +314,87 @@ class ArtinianQuotient:
     The rows span the truncated multiples trunc_{<N}(x^a g) of the
     generators, which is (J + m^N) & P_{<N}.  Pivots carry coefficient 1 and
     are the lead monomials of J + m^N below degree N; the free columns are
-    the standard monomials.  N is the truncation degree of a truncated ideal,
-    and otherwise the certified bound, so that J + m^N = J.
+    the standard monomials, std.  N is the truncation degree of a truncated
+    ideal, and otherwise the certified bound, so that J + m^N = J.
+
+    rows holds only the rows with an entry beside the pivot.  A pivot whose
+    row is the monomial alone is a unit row, left implicit: below degree N
+    a monomial outside std is a lead (is_lead).  The generators that are
+    monomials below N span the monomial ideal M, whose multiples are all
+    unit rows, so the matrix is built modulo M: those rows are never
+    inserted, a multiplier in M is skipped and M's columns are dropped from
+    every other row.
     """
 
     def __init__(self, ideal, order=GREVLEX):
         ring = ideal.ring
         N = ideal.trunc if ideal.trunc is not None else artinian_bound(ideal, order)
+        gens = [[(e, sum(e), c) for e, c in g.terms.items() if sum(e) < N] for g in ideal.gens]
+        units = set()  # the multiples of M below N
+        monomials = sorted((g[0] for g in gens if len(g) == 1), key=lambda t: t[1])
+        for m, d, _ in monomials:
+            if m not in units:
+                units.update(e_add(m, a) for a in ring.exponents_upto(N - 1 - d))
         ech = Echelon(ring.field, ring.order_key(order))
-        for g in ideal.gens:
-            terms = [(e, sum(e), c) for e, c in g.terms.items() if sum(e) < N]
+        for g in gens:
+            terms = [t for t in g if t[0] not in units]
             if not terms:
                 continue
             low = min(d for _, d, _ in terms)
-            # x^a g is redundant when x^a is already a pivot of the earlier
-            # generators: the syzygy writes it through rows with smaller x^a
+            # x^a g is redundant when x^a is already a lead of the earlier
+            # generators (M's first): the syzygy writes it through rows with
+            # smaller x^a
             earlier = set(ech.rows)
             for a in ring.exponents_upto(N - 1 - low):
-                if a in earlier:
+                if a in earlier or a in units:
                     continue
                 room = N - sum(a)
-                ech.insert({e_add(e, a): c for e, d, c in terms if d < room})
-        self._adopt(ring, order, N, ech.rows)
+                shifted = ((e_add(e, a), c) for e, d, c in terms if d < room)
+                row = {e: c for e, c in shifted if e not in units}
+                if row:
+                    ech.insert(row)
+        rows = {p: row for p, row in ech.rows.items() if len(row) > 1}
+        std = [e for e in ring.exponents_upto(N - 1) if e not in units and e not in ech.rows]
+        self._adopt(ring, order, N, rows, std)
 
     @classmethod
-    def from_rows(cls, ring, order, N, rows):
+    def from_rows(cls, ring, order, N, rows, std=None):
         """The quotient whose matrix is already known, without building it.
 
-        rows maps each pivot to its row: the reduced echelon form, in
-        order.key, of (J + m^N) & P_{<N}.  The caller vouches for it.
+        rows maps pivots to their rows in the reduced echelon form, in
+        order.key, of (J + m^N) & P_{<N}: every row with an entry beside its
+        pivot, and any unit rows the caller has.  std lists the standard
+        monomials; by default they are the monomials below N outside rows,
+        so rows must then hold every unit row too.  The caller vouches for
+        both, and rows is kept as given.
         """
         aq = cls.__new__(cls)
-        aq._adopt(ring, order, N, rows)
+        aq._adopt(ring, order, N, rows, std)
         return aq
 
-    def _adopt(self, ring, order, N, rows):
+    def _adopt(self, ring, order, N, rows, std=None):
+        if std is None:
+            std = [e for e in ring.exponents_upto(N - 1) if e not in rows]
         self.ring = ring
         self.order = order
         self.N = N
-        self.rows = rows  # pivot monomial -> row dict
-        self.std = sorted(
-            (e for e in ring.exponents_upto(N - 1) if e not in rows), key=ring.order_key(order)
-        )
+        self.rows = rows  # pivot monomial -> row dict, for rows beyond the pivot
+        self.std = sorted(std, key=ring.order_key(order))
+        self._std_set = frozenset(std)
 
     @property
     def length(self):
         return len(self.std)
 
+    def is_lead(self, e):
+        """True when x^e is a pivot: a lead monomial of J + m^N below N."""
+        return e in self.rows or (sum(e) < self.N and e not in self._std_set)
+
     def monomial_nf(self, e):
         """Normal-form vector (dict over standard monomials) of x^e: a row lookup."""
         row = self.rows.get(e)
         if row is None:
-            return {e: self.ring.field.one} if sum(e) < self.N else {}
+            return {e: self.ring.field.one} if e in self._std_set else {}
         neg = self.ring.field.neg
         return {u: neg(c) for u, c in row.items() if u != e}
 
@@ -384,31 +417,35 @@ class ArtinianQuotient:
         return next(k for k in range(self.N + 1) if self.vanishes(k))
 
     def _covered(self, e):
-        """True when a pivot properly divides x^e (pivots are closed upward)."""
-        return covered(self.rows, e)
+        """True when some x^(e - e_i) is a lead.
+
+        The leads are closed upward below N, so for |e| <= N that is exactly
+        when a lead properly divides x^e: n lookups in place of a
+        divisibility scan.
+        """
+        is_lead = self.is_lead
+        return any(e[i] and is_lead(e[:i] + (e[i] - 1,) + e[i + 1 :]) for i in range(len(e)))
+
+    def minimal_leads(self):
+        """The leads no other lead divides and the degree-N monomials no lead
+        divides, in the order: the leads of the reduced basis of J + m^N.
+
+        Each u - e_i of such a u is standard, so u is 0 or some v + e_i with
+        v standard.
+        """
+        n, N = self.ring.nvars, self.N
+        near = {v[:i] + (v[i] + 1,) + v[i + 1 :] for v in self.std for i in range(n)}
+        near.add((0,) * n)
+        kept = (u for u in near if (sum(u) == N or self.is_lead(u)) and not self._covered(u))
+        return sorted(kept, key=self.ring.order_key(self.order))
 
     def reduced_basis(self):
-        """Rows of the minimal pivots plus the degree-N monomials no pivot divides."""
-        ring, order = self.ring, self.order
-        gb = [
-            Polynomial(ring, dict(row), _clean=False)
-            for p, row in self.rows.items()
-            if not self._covered(p)
-        ]
-        gb += [ring.monomial(e) for e in ring.exponents_of_degree(self.N) if not self._covered(e)]
-        key = ring.order_key(order)
-        gb.sort(key=lambda g: key(g.lead(order)[0]))
-        return tuple(gb)
-
-
-def covered(leads, e):
-    """True when some x^(e - e_i) is in leads.
-
-    For a set of lead monomials closed upward (within a degree range that
-    holds e), that is exactly when a lead properly divides x^e: n lookups in
-    place of a divisibility scan.
-    """
-    return any(e[i] and e[:i] + (e[i] - 1,) + e[i + 1 :] in leads for i in range(len(e)))
+        """The row, or the monomial alone, of each minimal lead."""
+        ring, rows = self.ring, self.rows
+        return tuple(
+            Polynomial(ring, dict(rows[u]), _clean=False) if u in rows else ring.monomial(u)
+            for u in self.minimal_leads()
+        )
 
 
 def _pure_powers_first(ring, k):
@@ -425,7 +462,13 @@ def _pure_powers_first(ring, k):
 
 
 def _graded_bound(ideal, order, ceiling):
-    """Least N with m^N inside a graded ideal, by normal forms against its basis."""
+    """Least N with m^N inside a graded ideal, read off its basis.
+
+    Homogeneous generators have a homogeneous basis, whose standard
+    monomials of degree N span (P/I)_N: m^N lies in the ideal exactly when
+    every degree-N monomial has a lead divisor, and no normal form is
+    needed.  Other ideals take normal forms against the basis.
+    """
     ring = ideal.ring
     reducers = ideal._reducers(order)
     lms = [lm for lm, _ in reducers]
@@ -434,9 +477,16 @@ def _graded_bound(ideal, order, ceiling):
     for i in range(ring.nvars):
         if not any(lm[i] == sum(lm) for lm in lms):
             raise UnboundedQuotientError("quotient has infinitely many standard monomials")
+    homogeneous = all(len({sum(e) for e in g.terms}) == 1 for g in ideal.gens)
     one = ring.field.one
+
+    def inside(e):
+        if homogeneous:
+            return any(e_divides(lm, e) for lm in lms)
+        return not reduce_terms(ring, order, {e: one}, reducers)
+
     for N in range(1, ceiling + 1):
-        if all(not reduce_terms(ring, order, {e: one}, reducers) for e in _pure_powers_first(ring, N)):
+        if all(inside(e) for e in _pure_powers_first(ring, N)):
             return N
     raise TruncationLimitError(
         f"no power of the maximal ideal below {ceiling} lies in the ideal",
@@ -674,7 +724,9 @@ def is_regular(f, I, order=GREVLEX):
     for the homogeneous ideal K so obtained, in grevlex with v last,
     in(K : v) = in(K) : v (Bayer-Stillman).  So v is regular exactly when no
     lead monomial of K's reduced basis contains v.  The verdict does not
-    depend on order, which serves the membership test only.
+    depend on order, which serves the membership test only.  A truncated I
+    needs no basis: P/(J + m^N) is Artinian local, so f is regular on it
+    exactly when f is a unit there, that is when f(0) != 0.
 
     In local mode this is the polynomial-representative test; components away
     from the origin can cause a false negative, never a false positive on the
@@ -684,6 +736,9 @@ def is_regular(f, I, order=GREVLEX):
     ring.check_same(f.ring)
     if f.is_zero() or I.contains(f, order):
         raise DegenerateInputError("regularity test of an element of the ideal")
+    if I.trunc is not None:
+        # P/(J + m^N) is Artinian local: f is regular exactly when it is a unit
+        return f.constant_coefficient() != ring.field.zero
     basis = I.groebner(GREVLEX)
     names = ring.names
     lm = next(iter(f.terms))

@@ -279,6 +279,18 @@ class RingContext:
             table = tables.setdefault(order.signature(), KeyTable(order.key))
         return table.__getitem__
 
+    def sort_key(self, key):
+        """A sort key on exponents as a lookup in this ring's table for it.
+
+        The table is shared, as order_key's are, by every caller that passes
+        the same key function.
+        """
+        tables = self._key_tables
+        table = tables.get(key)
+        if table is None:
+            table = tables.setdefault(key, KeyTable(key))
+        return table.__getitem__
+
     def __repr__(self):
         return f"RingContext({self.field!r}, {','.join(self.names)}, {self.mode}, z={','.join(self.zvars) or '-'})"
 
