@@ -64,7 +64,6 @@ def _common(p, with_input):
                    help="skip the z-block regularity verification")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("-o", "--output", default=None, help="write main output to a file")
-    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
 
 
 def _build_parser(command=None):

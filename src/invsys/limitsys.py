@@ -21,7 +21,6 @@ from .duality import (
     perp_ideal,
     perp_module,
     socle_basis,
-    verify_closed,
 )
 from .errors import PipelineError, TruncationLimitError, UnboundedQuotientError
 from .groebner import (
@@ -122,7 +121,8 @@ class LimitInverseSystem:
     def module_at(self, m, order=GREVLEX):
         """The module P.H_m, with degree bound |m| + s - d.
 
-        The top stage runs the contraction closure of H_top.  A stage whose
+        The top stage runs the contraction closure of H_top, unless
+        section_lift handed over its tower's top stage.  A stage whose
         H_m is z^(top - m) . H_top, entry by entry, is one contraction of the
         top module, P.H_m = z^(top - m) . P.H_top, with the same canonical
         basis and degree bound as its own closure; any other stage runs its
@@ -202,13 +202,18 @@ class LazyStages(Mapping):
 
 @dataclass
 class DualTower:
-    """The family W_m = (I_m)^perp for m in the grid, plus stage metadata."""
+    """The family W_m = (I_m)^perp for m in the grid, plus stage metadata.
+
+    regular records that the z-block was checked to be a regular sequence
+    modulo I (not taken on trust).
+    """
 
     ring: object
     d: int
     bound: int
     s: int
     modules: Mapping  # m -> DualModule, built on first read
+    regular: bool
 
 
 def artinian_reduction(
@@ -278,8 +283,14 @@ def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False
     stage builds the top stage (B,...,B) from its reduction.  Every other
     stage is the top stage met with a coordinate subspace: I + <z^m>
     contains I + <z^top>, which contains a power of the maximal ideal, so
-    W_m = W_top & span{X^e : e_(z_j) < m_j}, exactly.  Whatever it reads,
-    a caller pays for two reductions and one meet per further stage.
+    W_m = W_top & S_m, S_m = span{X^e : e_(z_j) < m_j}, exactly.  For a
+    diagonal stage (k,...,k) that dominates m, S_m lies in S_k, so
+    W_k & S_m = W_top & S_m: the meet runs on the smallest such stage
+    already built, or on W_top when none is, which is a smaller basis when
+    the diagonal is read from the top down (section_lift does).  Whatever
+    it reads, a caller pays for two reductions and one meet per further
+    stage.  Every stage is closed under contraction by construction (see
+    perp_ideal and _stage_below); none is checked.
 
     Each of the B^d layers of the z-monomial filtration of P^/(I + <z^B>)
     is a quotient of P/(I + <z>), so that ring has at most B^d times the
@@ -293,34 +304,40 @@ def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False
         raise PipelineError(f"tower bound {B} must be at least 1")
     ring = I.ring
     d = len(ring.zindices)
-    if not trust_regular and d > 0:
+    regular = not trust_regular and d > 0
+    if regular:
         check_z_regularity(I, order)
     one = diag(d, 1)
     top = diag(d, B)
     I1 = artinian_reduction(I, one, order, ceiling)
     hd = hilbert_data(I1, order, ceiling)
     s = hd.socle_degree
+    diagonal = {}  # k -> the stage (k,...,k), for those built so far
 
     def stage(m):
-        if m == one:
-            red = I1
-        elif m == top:
-            red = artinian_reduction(
+        if m == one or m == top:
+            red = I1 if m == one else artinian_reduction(
                 I, m, order, ceiling, hint=sum(m) + s - d + 1, certified=one,
                 length=B ** d * hd.length,
             )
+            J, N = artinian_form(red, order, ceiling)
+            W = perp_ideal(J, degbound=N - 1, order=order, ceiling=ceiling)
         else:
-            return _stage_below(modules[top], m)
-        J, N = artinian_form(red, order, ceiling)
-        return perp_ideal(J, degbound=N - 1, order=order, ceiling=ceiling)
+            modules[top]  # builds the top stage on first read; no deeper nesting
+            W = _stage_below(diagonal[min(k for k in diagonal if k >= max(m))], m)
+        if len(set(m)) == 1:
+            diagonal[m[0]] = W
+        return W
 
     modules = LazyStages(d, B, stage)
-    return DualTower(ring, d, B, s, modules)
+    return DualTower(ring, d, B, s, modules, regular)
 
 
 def _stage_below(W, m):
-    """W met with span{X^e : e_(z_j) < m_j}, checked closed.
+    """W met with span{X^e : e_(z_j) < m_j}, closed by construction.
 
+    W is closed, and so is the span of monomials: a contraction of X^e
+    lowers every exponent.  The meet of two closed spaces is closed.
     Its degree bound is its top degree, which is the N - 1 of its own
     reduction: an inverse system reaches the socle degree of its quotient.
     """
@@ -335,7 +352,7 @@ def _stage_below(W, m):
     basis = [Polynomial(ring.dual, row, _clean=False) for row in rows]
     degbound = max((F.degree for F in basis), default=0)
     Wm = DualModule(ring, degbound, basis, W.order, _canonical=True)
-    verify_closed(Wm)
+    Wm._closed = True
     return Wm
 
 
@@ -346,6 +363,21 @@ def section_lift(tower, B=None, order=GREVLEX):
     next diagonal stage solves (z_1...z_d) . F = h inside W with the
     echelon-canonical solution; off-diagonal stages are contractions from the
     smallest dominating diagonal stage, which makes compatibility automatic.
+
+    The diagonal stages are read from the top down, so the tower meets each
+    one out of the stage above it rather than out of W_top (see dual_tower).
+
+    When the tower checked the z-block, the family's module cache starts
+    with W_top = P . H_top, the tower's own top stage, so verify_lis and
+    reconstruct never close H_top again.  By induction on k, H_k spans
+    W_k / m . W_k, so generates W_k (Nakayama): H_1 does, being minimal
+    cogenerators.  With the z-block regular, zprod . W_(k+1) = W_k, and
+    contraction by zprod commutes with m . , so it maps
+    W_(k+1) / m . W_(k+1) onto W_k / m . W_k.  Both have the dimension of
+    the socle of their quotient, the type r, which a regular sequence keeps
+    constant along the diagonal.  So the map is an isomorphism, and H_(k+1),
+    sent onto H_k, spans W_(k+1) / m . W_(k+1).  Under trust_regular
+    nothing is handed over, and the family closes H_top itself.
     """
     ring = tower.ring
     d = tower.d
@@ -365,8 +397,9 @@ def section_lift(tower, B=None, order=GREVLEX):
     zprod = tuple(
         1 if i in set(ring.zindices) else 0 for i in range(ring.nvars)
     )
+    above = {k: tower.modules[diag(d, k)] for k in range(B, 1, -1)}
     for k in range(1, B):
-        Wn = tower.modules[diag(d, k + 1)]
+        Wn = above[k + 1]
         rows = [contract_exp(zprod, F).terms for F in Wn.basis]
         lifts = []
         targets = [h.terms for h in family[diag(d, k)]]
@@ -388,7 +421,11 @@ def section_lift(tower, B=None, order=GREVLEX):
         k = max(m)
         e = _zshift(ring, m, diag(d, k))
         family[m] = tuple(contract_exp(e, F) for F in family[diag(d, k)])
-    return LimitInverseSystem(ring, d, r, s, B, family)
+    H = LimitInverseSystem(ring, d, r, s, B, family)
+    if tower.regular:
+        W = tower.modules[diag(d, B)]
+        H._modules[(diag(d, B), W.order.signature())] = W
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +473,11 @@ def verify_lis(H, order=GREVLEX):
     W_top is free (see _free_rank).  A free W_top makes every W_m free of
     rank e over K[z]/(z_1^(m_1), ..., z_d^(m_d)), so W_m cap V has the
     dimension e * prod(m - e_j) of W_(m - e_j): every (c) check passes, and
-    no module but W_top is built.  When the gate fails or W_top is not free,
-    each (c) check meets W_m with the V-space and tests containment in
-    W_(m - e_j), which builds every stage module.
+    no module but W_top is built.  W_top is read off H.module_at, so a
+    family that section_lift made from a checked tower reuses the tower's
+    top stage and runs no closure at all.  When the gate fails or W_top is
+    not free, each (c) check meets W_m with the V-space and tests
+    containment in W_(m - e_j), which builds every stage module.
     """
     ring = H.ring
     d, r, s, B = H.d, H.r, H.s, H.bound

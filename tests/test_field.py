@@ -7,6 +7,7 @@ sub and mul.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -241,7 +242,7 @@ def _pipeline(ideal_path, bound, order, capsys):
         code = main(argv + ["--order", order])
         captured = capsys.readouterr()
         out.append((argv[0], code, captured.out, captured.err))
-    out.append(("file", open("H.lis", "rb").read()))
+    out.append(("file", Path("H.lis").read_bytes()))
     return out
 
 

@@ -260,7 +260,7 @@ def _bad_lis_json(doc, case):
 
 @pytest.fixture(scope="module")
 def curve_lis3():
-    H = section_lift(dual_tower(parse_ideal_file(open(EXAMPLE).read())[1], 3))
+    H = section_lift(dual_tower(parse_ideal_file((DATA / "example.ideal").read_text())[1], 3))
     return render_lis_file(H), lis_to_json(H)
 
 
@@ -413,6 +413,14 @@ def test_cli_parser_for_one_command_reads_as_the_full_parser(capsys, argv):
         return result, captured.out, captured.err
 
     assert parse(argv[0]) == parse(None)
+
+
+def test_cli_refuses_the_removed_jobs_flag(capsys):
+    # --jobs was accepted and ignored; it is gone, so it is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["limit", "-i", EXAMPLE, "--mmax", "2", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path, capsys):

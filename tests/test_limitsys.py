@@ -7,7 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 import invsys.limitsys as limitsys
 from invsys import Ideal, PipelineError, artinian_form, context_from_names, equal_as_artinian
-from invsys.duality import DualModule, contract_exp, minimal_cogenerators, perp_ideal, perp_module
+from invsys.duality import (
+    DualModule,
+    contract_exp,
+    minimal_cogenerators,
+    perp_ideal,
+    perp_module,
+    verify_closed,
+)
+from invsys.io import parse_ideal_file
 from invsys.limitsys import (
     LimitInverseSystem,
     VSpace,
@@ -23,7 +31,7 @@ from invsys.limitsys import (
 from invsys.linalg import intersect_spans
 from invsys.ring import GREVLEX, LEX, Polynomial, e_unit
 
-from conftest import non_free_family, non_free_family_d2, theorem_class_suite, top_family
+from conftest import DATA, non_free_family, non_free_family_d2, theorem_class_suite, top_family
 
 
 @pytest.fixture
@@ -106,7 +114,7 @@ def test_dual_tower_closed_form(band):
 def test_dual_tower_builds_only_the_read_stages(ci_d2, curve, monkeypatch):
     # section_lift reads the diagonal: stage one comes from the reduction that
     # gave s, the top stage from its own reduction, and every other stage is
-    # the top stage met with a coordinate subspace, built on first read
+    # a meet with a coordinate subspace, built on first read
     calls = {"perp_ideal": 0, "artinian_reduction": 0}
 
     def counted(name, fn):
@@ -123,10 +131,21 @@ def test_dual_tower_builds_only_the_read_stages(ci_d2, curve, monkeypatch):
             monkeypatch.setattr(
                 limitsys, "artinian_reduction", counted("artinian_reduction", artinian_reduction)
             )
+            meets = []
+            stage_below = limitsys._stage_below
+
+            def recorded(W, m):
+                meets.append((W, m))
+                return stage_below(W, m)
+
+            monkeypatch.setattr(limitsys, "_stage_below", recorded)
             calls.update(perp_ideal=0, artinian_reduction=0)
             tower = dual_tower(I, B, order, trust_regular=True)
             section_lift(tower, order=order)
             assert calls == {"perp_ideal": 2, "artinian_reduction": 2}
+            # read from the top down, each diagonal stage is met out of the one above
+            assert [m for _, m in meets] == [diag(d, k) for k in range(B - 1, 1, -1)]
+            assert all(W is tower.modules[diag(d, m[0] + 1)] for W, m in meets)
             assert len(tower.modules) == B ** d and list(tower.modules) == grid(d, B)
             assert (1,) * (d - 1) + (2,) in tower.modules and low not in tower.modules
             monkeypatch.undo()
@@ -166,6 +185,112 @@ def test_local_top_stage_is_certified_by_its_length(curve, monkeypatch):
         assert built == top_kernels
         J, N = artinian_form(artinian_reduction(I, (B,)))
         assert W.basis == perp_ideal(J, degbound=N - 1).basis
+
+
+def _tower_family(name):
+    """(ideal, bound) of each tower family the tests build."""
+    if name == "curve":
+        return parse_ideal_file((DATA / "example.ideal").read_text())[1], 9
+    if name.startswith("ci-d2"):
+        field = "fp:32003" if name.endswith("fp") else "q"
+        ctx = context_from_names("y0,y1,z0,z1", field=field, zvars="z0,z1")
+        gens = ["y0^3 - 2*y1^2*z0 - y1*z0*z1", "y1^2"]
+        return Ideal(ctx, [ctx.parse(g) for g in gens]), 5
+    if name == "band":
+        ctx = context_from_names("y,z", zvars="z")
+        return Ideal(ctx, [ctx.parse("y^2")]), 3
+    ctx = context_from_names("y,z", mode="local", zvars="z")
+    return Ideal(ctx, [ctx.parse("y^2"), ctx.parse("y*z")]), 3
+
+
+TOWER_FAMILIES = ("curve", "ci-d2", "ci-d2 fp", "band", "y2-yz")
+ON_TRUST = ("y2-yz",)  # z is a zero divisor: the tower is built only on trust
+READS = ("diagonal upward", "diagonal downward", "shuffled grid")
+
+
+def _read_order(d, B, how):
+    """Every grid stage once: the diagonal first (either way) then the rest,
+    or the whole grid in a seeded shuffle."""
+    stages = grid(d, B)
+    if how == "shuffled grid":
+        random.Random(B).shuffle(stages)
+        return stages
+    diagonal = [diag(d, k) for k in range(1, B + 1)]
+    if how == "diagonal downward":
+        diagonal.reverse()
+    return diagonal + [m for m in stages if m not in diagonal]
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+@pytest.mark.parametrize("name", TOWER_FAMILIES)
+def test_tower_stages_are_closed_by_construction(name, order):
+    # no stage is checked for closure when it is built: the top stage and
+    # stage one are perp_ideal outputs and every other stage is a meet out of
+    # a diagonal stage; in any read order each must be the perp of its own
+    # reduction, pass the closure oracle and be marked closed
+    I, B = _tower_family(name)
+    d = len(I.ring.zindices)
+    expected = {}
+    for m in grid(d, B):
+        J, N = artinian_form(artinian_reduction(I, m, order), order)
+        W = perp_ideal(J, degbound=N - 1, order=order)
+        expected[m] = (W.basis, W.degbound)
+    for how in READS:
+        tower = dual_tower(I, B, order, trust_regular=name in ON_TRUST)
+        for m in _read_order(d, B, how):
+            W = tower.modules[m]
+            assert (W.basis, W.degbound) == expected[m], (how, m)
+            assert W._closed, (how, m)
+            verify_closed(W)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+@pytest.mark.parametrize("name", [n for n in TOWER_FAMILIES if n not in ON_TRUST])
+def test_section_lift_hands_the_tower_top_to_the_family(name, order):
+    # with the z-block checked regular H_top generates W_top, so the family
+    # starts with the tower's top stage; under trust it closes H_top itself
+    I, B = _tower_family(name)
+    tower = dual_tower(I, B, order)
+    H = section_lift(tower, order=order)
+    top = diag(tower.d, B)
+    W = tower.modules[top]
+    generated = DualModule.generate(H.ring, H.family[top], degbound=sum(top) + H.s - H.d, order=order)
+    assert (W.basis, W.degbound) == (generated.basis, generated.degbound)
+    assert H.module_at(top, order) is W
+    trusted = section_lift(dual_tower(I, B, order, trust_regular=True), order=order)
+    assert trusted.family == H.family and not trusted._modules
+
+
+def test_cli_limit_builds_no_closure_on_a_checked_tower(capsys, monkeypatch):
+    # limit checks the z-block, so verify_lis reads the tower's W_top and no
+    # module is closed or checked for closure; --trust-regular closes H_top
+    # once and prints the same family
+    from invsys.cli import main
+
+    calls = {"generate": 0, "verify_closed": 0}
+    generate = DualModule.generate.__func__
+
+    def counted_generate(cls, *args, **kwargs):
+        calls["generate"] += 1
+        return generate(cls, *args, **kwargs)
+
+    def counted_verify_closed(W):
+        calls["verify_closed"] += 1
+        return verify_closed(W)
+
+    monkeypatch.setattr(DualModule, "generate", classmethod(counted_generate))
+    for module in list(sys.modules.values()):
+        if module and module.__name__.startswith("invsys") and hasattr(module, "verify_closed"):
+            monkeypatch.setattr(module, "verify_closed", counted_verify_closed)
+    golden = Path(__file__).resolve().parent / "golden"
+    for path, B in ((DATA / "example.ideal", 9), (golden / "ci_d2.ideal", 5)):
+        outs = []
+        for flags, closures in (((), 0), (("--trust-regular",), 1)):
+            calls.update(generate=0, verify_closed=0)
+            assert main(["limit", "-i", str(path), "--mmax", str(B), *flags]) == 0
+            outs.append(capsys.readouterr().out)
+            assert calls == {"generate": closures, "verify_closed": 0}, (path.name, flags)
+        assert outs[0] == outs[1]
 
 
 def test_dual_tower_does_no_grid_work_up_front(band):
