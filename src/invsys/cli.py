@@ -59,7 +59,8 @@ def _common(p, with_input):
     p.add_argument("--order", default="grevlex", choices=["grevlex", "lex"])
     p.add_argument("--degcap", type=int, default=None,
                    help="truncation ceiling (rees-check: truncation degree)")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
+    p.add_argument("--seed", type=int, default=0,
+                   help="drives no search; only recorded as inputs.seed under --json")
     p.add_argument("--trust-regular", action="store_true",
                    help="skip the z-block regularity verification")
     p.add_argument("--json", action="store_true", help="machine-readable output")

@@ -15,10 +15,10 @@ from .groebner import (
     DEFAULT_CEILING,
     ArtinianQuotient,
     Ideal,
+    _smallest_first,
     artinian_form,
-    ideal_colon,
 )
-from .linalg import Echelon, intersect_spans
+from .linalg import Echelon, echelon_basis, intersect_spans, nullspace
 from .ring import GREVLEX, Polynomial, e_divides, e_sub
 
 
@@ -67,11 +67,6 @@ def _contract_terms(e, terms):
 def dual_pairing(p, F):
     """<p, F> = constant coefficient of p acting on F."""
     return contract(p, F).constant_coefficient()
-
-
-def _smallest_first(e):
-    """GREVLEX reversed: the smallest GREVLEX monomial has the largest key."""
-    return (-sum(e), tuple(reversed(e)))
 
 
 class DualModule:
@@ -303,18 +298,25 @@ def perp_module(W, order=GREVLEX):
 
 
 def socle_basis(I, order=GREVLEX, ceiling=DEFAULT_CEILING):
-    """K-basis of (I : m)/I, reduced residue representatives."""
-    J, N = artinian_form(I, order, ceiling)
+    """K-basis of (I : m)/I, reduced residue representatives.
+
+    The socle is the kernel of multiplication by the variables on the
+    standard monomials: the condition row of variable x_i and standard
+    monomial u holds, at each standard w, the coefficient of u in the
+    normal form of x^(w + e_i), a row lookup.  Its basis is echelonized in
+    order.
+    """
+    J, _ = artinian_form(I, order, ceiling)
     aq = J.quotient(order)
-    if aq.length == 0:
-        return []
     ring = I.ring
-    mvars = Ideal(ring, [ring.variable(i) for i in range(ring.nvars)])
-    C = ideal_colon(J, mvars, order)
-    ech = Echelon(ring.field, ring.order_key(order))
-    for g in C.gens:
-        ech.insert(aq.nf_vector(g))
-    return [Polynomial(ring, row) for row in ech.basis()]
+    rows = {}  # (variable, standard monomial) -> condition row over std
+    for w in aq.std:
+        for i in range(ring.nvars):
+            for u, c in aq.monomial_nf(w[:i] + (w[i] + 1,) + w[i + 1 :]).items():
+                rows.setdefault((i, u), {})[w] = c
+    key = ring.order_key(order)
+    kernel = nullspace(ring.field, rows.values(), aq.std, key)
+    return [Polynomial(ring, row) for row in echelon_basis(ring.field, key, kernel)]
 
 
 def minimal_cogenerators(W, order=GREVLEX):

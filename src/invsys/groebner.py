@@ -5,8 +5,10 @@ the reduced row echelon form, in the monomial order, of the truncated
 multiples trunc_{<N}(x^a g) of the generators of J inside P_{<N}.  Its
 pivots are the lead monomials of J + m^N below degree N, for any order; its
 free columns are the standard monomials.  The reduced basis, normal forms,
-the truncation bound, inverse systems and Hilbert profiles are read off it.
-The matrix keeps only the rows with an entry beside the pivot: the others,
+the truncation bound, inverse systems, socles and Hilbert profiles are read
+off it: the socle as a kernel of row lookups (duality.socle_basis), the
+Hilbert profile as rank counts of its stored rows (hilbert_data).  The
+matrix keeps only the rows with an entry beside the pivot: the others,
 among them every multiple of a monomial generator, are the pivot alone and
 are never built.
 
@@ -14,12 +16,13 @@ Local (power-series) inputs are truncated at an N certified by the Nakayama
 stopping rule m^N <= I + m^(N+1), where polynomial and power-series
 arithmetic agree exactly.  A truncated ideal object represents <gens> + m^N.
 
-Buchberger's algorithm serves untruncated work: intersection, colon on
-non-Artinian ideals, the regularity test, and graded ideals.  A graded ideal
-is finite only with a pure power of every variable among its lead monomials,
-so a positive-dimensional ideal fails before any enumeration; its bound comes
-from the lead monomials of the same basis when the generators are
-homogeneous, and from normal forms against it otherwise.
+Buchberger's algorithm serves untruncated work: intersection, the colon
+(by elimination on every input, truncated or not), the regularity test,
+and graded ideals.  A graded ideal is finite only with a pure power of
+every variable among its lead monomials, so a positive-dimensional ideal
+fails before any enumeration; its bound comes from the lead monomials of
+the same basis when the generators are homogeneous, and from normal forms
+against it otherwise.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import (
     TruncationLimitError,
     UnboundedQuotientError,
 )
-from .linalg import Echelon, nullspace
+from .linalg import Echelon
 from .ring import (
     GREVLEX,
     MonomialOrder,
@@ -405,9 +408,6 @@ class ArtinianQuotient:
             fld.row_sub(out, fld.neg(c), self.monomial_nf(e).items())
         return out
 
-    def poly_from_vector(self, vec):
-        return Polynomial(self.ring, dict(vec))
-
     def vanishes(self, k):
         """True when every monomial of degree k lies in J + m^N."""
         return all(not self.monomial_nf(e) for e in _pure_powers_first(self.ring, k))
@@ -581,23 +581,32 @@ class HilbertData(tuple):
         return len(self) - 1
 
 
+def _smallest_first(e):
+    """GREVLEX reversed: the smallest GREVLEX monomial has the largest key."""
+    return (-sum(e), tuple(reversed(e)))
+
+
 def hilbert_data(ideal, order=GREVLEX, ceiling=DEFAULT_CEILING):
-    """values[k] = dim of (m^k + I)/(m^(k+1) + I), exact over the field."""
-    J, N = artinian_form(ideal, order, ceiling)
-    if N == 0:
-        return HilbertData(())
+    """values[k] = dim of (m^k + I)/(m^(k+1) + I), exact over the field.
+
+    Rank counts of the quotient matrix.  For k <= N, (J + m^k) & P_{<k} is
+    its row space cut below degree k, whose dimension is the number of
+    pivots below k once the rows are echelonized with each pivot at its
+    lowest-degree term.  The implicit unit rows share no column with the
+    stored rows and keep a pivot each, so only the stored rows are
+    echelonized again: values[k] = #std_k + #rows_k - #pivots_k.
+    """
+    J, _ = artinian_form(ideal, order, ceiling)
     aq = J.quotient(order)
-    ech = Echelon(ideal.ring.field, ideal.ring.order_key(order))
-    ranks = [0]  # ranks[j] = dim of span of degrees >= N - j
-    for k in range(N - 1, -1, -1):
-        for e in ideal.ring.exponents_of_degree(k):
-            ech.insert(aq.monomial_nf(e))
-        ranks.append(ech.rank)
-    dims = []
-    for k in range(N):
-        hi = ranks[N - k - 1]  # degrees >= k + 1
-        lo = ranks[N - k]  # degrees >= k
-        dims.append(lo - hi)
+    ring = ideal.ring
+    low = Echelon(ring.field, ring.sort_key(_smallest_first)).extend(aq.rows.values())
+    dims = [0] * aq.N
+    for e in aq.std:
+        dims[sum(e)] += 1
+    for u in aq.rows:
+        dims[sum(u)] += 1
+    for u in low.rows:
+        dims[sum(u)] -= 1
     while dims and dims[-1] == 0:
         dims.pop()
     return HilbertData(dims)
@@ -660,58 +669,27 @@ def exact_divide(p, f, order=GREVLEX):
     return Polynomial(ring, quot, _clean=False)
 
 
-def _finite_quotient_ready(I, order):
-    """True when I contains a power of m, so the kernel colon is valid for I."""
-    if I.trunc is not None:
-        return True
-    if I.ring.mode != "graded":
-        return False
-    try:
-        artinian_bound(I, order)
-    except UnboundedQuotientError:
-        return False
-    return True
-
-
-def _kernel_colon(I, divisors, order):
-    """(I : <divisors>) on a finite quotient via multiplication kernels."""
-    aq = I.quotient(order)
-    if aq.length == 0:
-        return Ideal(I.ring, [I.ring.one()])
-    rows = {}  # condition rows over standard-monomial columns
-    for fi, f in enumerate(divisors):
-        for w in aq.std:
-            vec = aq.nf_vector(f * aq.poly_from_vector({w: I.ring.field.one}))
-            for u, c in vec.items():
-                rows.setdefault((fi, u), {})[w] = c
-    kernel = nullspace(I.ring.field, rows.values(), aq.std, I.ring.order_key(order))
-    reps = [aq.poly_from_vector(v) for v in kernel]
-    return Ideal(I.ring, list(I.gens) + reps, trunc=I.trunc)
-
-
 def ideal_colon(I, divisor, order=GREVLEX):
-    """(I : f) = {p : p f in I}, or the intersection over an ideal's generators."""
+    """(I : f) = {p : p f in I}, or the intersection over an ideal's generators.
+
+    (I : f) = (I & <f>)/f: each element of the intersection's basis is
+    divided by f exactly.  The result keeps I's truncation: m^N lies in I,
+    hence in (I : f).
+    """
+    I.ring.check_same(divisor.ring)
     if isinstance(divisor, Ideal):
-        I.ring.check_same(divisor.ring)
-        gens = list(divisor.gens)
-        if not gens:
+        if not divisor.gens:
             raise InvalidDivisorError("colon by the zero ideal")
-        if _finite_quotient_ready(I, order):
-            return _kernel_colon(I, gens, order)
         result = None
-        for g in gens:
+        for g in divisor.gens:
             c = ideal_colon(I, g, order)
             result = c if result is None else ideal_intersect(result, c, order)
-        return result
-    f = divisor
-    I.ring.check_same(f.ring)
-    if f.is_zero():
+        return Ideal(I.ring, result.gens, trunc=I.trunc)
+    if divisor.is_zero():
         raise InvalidDivisorError("colon by zero")
-    if _finite_quotient_ready(I, order):
-        return _kernel_colon(I, [f], order)
-    T = ideal_intersect(I, Ideal(I.ring, [f]), order)
-    gens = [exact_divide(g, f, order) for g in T.groebner(order)]
-    return Ideal(I.ring, gens)
+    T = ideal_intersect(I, Ideal(I.ring, [divisor]), order)
+    gens = [exact_divide(g, divisor, order) for g in T.groebner(order)]
+    return Ideal(I.ring, gens, trunc=I.trunc)
 
 
 def is_regular(f, I, order=GREVLEX):

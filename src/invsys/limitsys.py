@@ -27,7 +27,6 @@ from .groebner import (
     DEFAULT_CEILING,
     Ideal,
     artinian_form,
-    hilbert_data,
     is_regular,
 )
 from .linalg import Echelon, coordinate_meet, nested_meet_dims, solve_in_span
@@ -278,8 +277,10 @@ def check_z_regularity(I, order=GREVLEX):
 def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False):
     """W_m = perp of the Artinian reduction at m, for every m in {1..B}^d.
 
-    Only the first reduction, which also gives s, is computed here; each
-    stage is built when it is first read.  The first read of any other
+    Only the first reduction I_1 is computed here, with its bound N_1 and
+    kernel: s = N_1 - 1, as by Nakayama m^k(P/I_1) != 0 exactly for
+    k < N_1, and the kernel's length is that of stage one.  Each stage is
+    built when it is first read.  The first read of any other
     stage builds the top stage (B,...,B) from its reduction.  Every other
     stage is the top stage met with a coordinate subspace: I + <z^m>
     contains I + <z^top>, which contains a power of the maximal ideal, so
@@ -310,15 +311,16 @@ def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False
     one = diag(d, 1)
     top = diag(d, B)
     I1 = artinian_reduction(I, one, order, ceiling)
-    hd = hilbert_data(I1, order, ceiling)
-    s = hd.socle_degree
+    J1, N1 = artinian_form(I1, order, ceiling)
+    s = N1 - 1
+    length = J1.quotient(order).length
     diagonal = {}  # k -> the stage (k,...,k), for those built so far
 
     def stage(m):
         if m == one or m == top:
             red = I1 if m == one else artinian_reduction(
                 I, m, order, ceiling, hint=sum(m) + s - d + 1, certified=one,
-                length=B ** d * hd.length,
+                length=B ** d * length,
             )
             J, N = artinian_form(red, order, ceiling)
             W = perp_ideal(J, degbound=N - 1, order=order, ceiling=ceiling)
@@ -757,6 +759,6 @@ def invariants_of(I, order=GREVLEX, ceiling=DEFAULT_CEILING):
     ring = I.ring
     d = len(ring.zindices)
     I1 = artinian_reduction(I, diag(d, 1), order, ceiling)
-    hd = hilbert_data(I1, order, ceiling)
+    _, N1 = artinian_form(I1, order, ceiling)
     r = len(socle_basis(I1, order, ceiling))
-    return d, r, hd.socle_degree
+    return d, r, N1 - 1

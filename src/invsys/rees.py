@@ -45,21 +45,20 @@ class MonoidIdeal:
     def socle(self):
         """All n outside the ideal with every positive translate inside.
 
-        Socle elements satisfy n_i < c_i for c_i the max generator entry in
-        coordinate i, so the box scan is exhaustive.
+        For a socle element n, n + e_i lies over some generator g that n
+        does not, so g_i = n_i + 1: each n_i is some g_i - 1 with g_i >= 1,
+        and only those candidates are scanned, in sorted order.
         """
         if not self.generators:
             return []
-        box = [max(g[i] for g in self.generators) for i in range(self.t)]
-        out = []
         units = [e_unit(self.t, i) for i in range(self.t)]
-        for n in itertools.product(*[range(c) for c in box]):
-            if self.contains(n):
-                continue
-            if all(self.contains(tuple(a + b for a, b in zip(n, e))) for e in units):
-                out.append(n)
-        out.sort()
-        return out
+        slots = [sorted({g[i] - 1 for g in self.generators if g[i]}) for i in range(self.t)]
+        return [
+            n
+            for n in itertools.product(*slots)
+            if not self.contains(n)
+            and all(self.contains(tuple(a + b for a, b in zip(n, e))) for e in units)
+        ]
 
 
 def diagonal_monoid_ideal(m):

@@ -198,3 +198,29 @@ def monoid_socle_oracle(gens, t):
 
 def monomial_in_monomial_ideal(e, gens):
     return any(all(gi <= ei for gi, ei in zip(g, e)) for g in gens)
+
+
+def hilbert_rank_walk(nf_by_degree, p=None):
+    """Hilbert profile of P/J by a rank walk over the normal forms of monomials.
+
+    nf_by_degree[k] lists the normal-form vectors (dicts over the standard
+    monomials) of every monomial of degree k, for each k below some N with
+    m^N inside J.  values[k] = rank(m^k) - rank(m^(k+1)) in P/J, each rank
+    the dense rank of the normal forms of the monomials of degree k or more;
+    trailing zeros are dropped.
+    """
+    cols = sorted({c for vecs in nf_by_degree for vec in vecs for c in vec})
+    index = {c: i for i, c in enumerate(cols)}
+    ranks = [0] * (len(nf_by_degree) + 1)  # ranks[k] = rank of degrees >= k
+    rows = []
+    for k in range(len(nf_by_degree) - 1, -1, -1):
+        for vec in nf_by_degree[k]:
+            row = [0] * len(cols)
+            for c, v in vec.items():
+                row[index[c]] = v
+            rows.append(row)
+        ranks[k] = len(dense_rref(rows, len(cols), p)[0]) if rows else 0
+    dims = [ranks[k] - ranks[k + 1] for k in range(len(nf_by_degree))]
+    while dims and dims[-1] == 0:
+        dims.pop()
+    return tuple(dims)

@@ -4,8 +4,10 @@ ArtinianQuotient leaves the multiples of the monomial generators out of its
 matrix and stores only the rows with an entry beside the pivot.  Everything
 read off it must still be what the full truncated Macaulay matrix gives:
 dense_rref of every trunc_{<N}(x^a g) over the monomials of P_{<N}, no row
-skipped.  The same module checks the graded bound read off lead monomials
-and the regularity verdict on truncated ideals against their full paths.
+skipped.  The same module checks the graded bound read off lead monomials,
+the regularity verdict on truncated ideals, the Hilbert profile read off
+the stored rows and the socle read off the multiplication kernel against
+their full paths.
 """
 
 import random
@@ -18,17 +20,20 @@ from invsys import (
     DegenerateInputError,
     Ideal,
     artinian_bound,
+    artinian_form,
     context_from_names,
+    hilbert_data,
+    ideal_colon,
     is_regular,
 )
 from invsys import groebner
 from invsys.errors import TruncationLimitError, UnboundedQuotientError
-from invsys.duality import _smallest_first, perp_ideal, perp_module
+from invsys.duality import _smallest_first, perp_ideal, perp_module, socle_basis
 from invsys.groebner import ArtinianQuotient, _pure_powers_first, reduce_terms
 from invsys.linalg import Echelon
 from invsys.ring import e_add, e_divides
 
-from oracles import dense_rref, monomials_upto
+from oracles import dense_rref, hilbert_rank_walk, monomials_upto
 
 P = 32003
 
@@ -262,3 +267,67 @@ def test_perp_module_shares_one_smallest_first_table():
     perp_module(W)
     assert ctx.sort_key(_smallest_first).__self__ is table and len(table) == filled
     assert ctx.dual.sort_key(_smallest_first).__self__ is table
+
+
+def _artinian_cases():
+    """The kernel cases, local ones untruncated, and quotients at N = 1."""
+    out = list(_kernel_cases())
+    rng = random.Random(18)
+    for t in range(8):
+        n = rng.choice([2, 3])
+        ctx = context_from_names(
+            ",".join(f"x{i}" for i in range(n)), field=rng.choice(["Q", f"F{P}"]), mode="local"
+        )
+        gens = [_random_poly(ctx, rng, 3, rng.choice([2, 3])) for _ in range(2)]
+        gens += [ctx.variable(i) ** rng.choice([2, 3]) + _random_poly(ctx, rng, 4, 1) for i in range(n)]
+        out.append((f"local{t}", Ideal(ctx, gens)))
+    for mode, second in (("graded", "y"), ("local", "y - 3*x^2")):
+        ctx = context_from_names("x,y", mode=mode)
+        out.append((f"N=1 {mode}", Ideal(ctx, [ctx.parse("x + y^2"), ctx.parse(second)])))
+    return out
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_hilbert_profile_matches_the_rank_walk(order):
+    bounds = set()
+    for name, ideal in _artinian_cases():
+        J, N = artinian_form(ideal, order)
+        _, nf, _, _ = _dense_quotient(J, order, N)
+        walk = [[nf[e] for e in ideal.ring.exponents_of_degree(k)] for k in range(N)]
+        expected = hilbert_rank_walk(walk, None if ideal.ring.field.name == "Q" else P)
+        assert hilbert_data(ideal, order).values == expected, name
+        assert len(expected) == N, name
+        bounds.add(N)
+    assert {0, 1, 2, 3} < bounds  # the unit ideal and N = 1 among them
+
+
+def test_hilbert_profile_inserts_only_the_stored_rows(monkeypatch):
+    inserted = []
+    insert = Echelon.insert
+    monkeypatch.setattr(Echelon, "insert", lambda self, vec: inserted.append(vec) or insert(self, vec))
+    for name, ideal in _artinian_cases():
+        J, _ = artinian_form(ideal)
+        aq = J.quotient()
+        del inserted[:]
+        hilbert_data(ideal)
+        assert inserted == list(aq.rows.values()), name
+
+
+def _socle_by_colon(ideal, order):
+    """(J : m)/J by the elimination colon, reduced to echelon residues."""
+    J, _ = artinian_form(ideal, order)
+    ring = ideal.ring
+    colon = ideal_colon(J, Ideal(ring, [ring.variable(i) for i in range(ring.nvars)]), order)
+    aq = J.quotient(order)
+    ech = Echelon(ring.field, ring.order_key(order)).extend(aq.nf_vector(g) for g in colon.gens)
+    return [ring.from_terms(row) for row in ech.basis()]
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_socle_matches_the_elimination_colon(order):
+    types = set()
+    for name, ideal in _artinian_cases():
+        socle = socle_basis(ideal, order)
+        assert socle == _socle_by_colon(ideal, order), name
+        types.add(len(socle))
+    assert {0, 1} < types and max(types) > 2

@@ -1,10 +1,13 @@
-"""Byte-for-byte CLI outputs of limit, verify and reconstruct.
+"""Byte-for-byte CLI outputs of limit, verify, reconstruct, socle and hilbert.
 
 Each case runs one command in-process and compares its exit code and stdout
 with a file under tests/golden/.  The inputs are the curve example at
 --mmax 9 (stable) and --mmax 6 (still unstable) and a graded d = 2 complete
 intersection at bound 5, each under grevlex and lex.  verify and reconstruct
-read the text limit file of the same case.  Commands run with the golden
+read the text limit file of the same case.  socle and hilbert run, as text
+and as --json, on Artinian reductions: the curve at --m 1, 2 and 3 and the
+complete intersection at --m 2,3, under both orders, and the complete
+intersection once more over F_32003.  Commands run with the golden
 directory's input copied into a scratch working directory, so the file name
 that --json echoes is the bare input name.
 
@@ -41,6 +44,19 @@ COMMANDS = (
     ("verify.txt", "verify", ()),
     ("reconstruct.txt", "reconstruct", ()),
 )
+# name -> (input file, --m, extra flags, orders) for socle and hilbert
+REDUCTIONS = {
+    "curve_m1": ("example.ideal", "1", (), ORDERS),
+    "curve_m2": ("example.ideal", "2", (), ORDERS),
+    "curve_m3": ("example.ideal", "3", (), ORDERS),
+    "ci_d2_m23": ("ci_d2.ideal", "2,3", (), ORDERS),
+    "ci_d2_m23_fp32003": ("ci_d2.ideal", "2,3", ("--field", "fp:32003"), ("grevlex",)),
+}
+REDUCTION_COMMANDS = tuple(
+    (f"{command}.{kind}", command, flags)
+    for command in ("socle", "hilbert")
+    for kind, flags in (("txt", ()), ("json", ("--json",)))
+)
 
 
 def _run(argv):
@@ -50,11 +66,22 @@ def _run(argv):
     return code, out.getvalue()
 
 
-def _outputs(name, order, workdir):
-    """(suffix, exit code, stdout) of every command of one case, run in workdir."""
-    source, bound = INSTANCES[name]
+def _copy_input(source, workdir):
     src = GOLDEN / source if (GOLDEN / source).exists() else DATA / source
     shutil.copy(src, workdir / source)
+
+
+def _outputs(name, order, workdir):
+    """(suffix, exit code, stdout) of every command of one case, run in workdir."""
+    if name in REDUCTIONS:
+        source, m, extra, _ = REDUCTIONS[name]
+        _copy_input(source, workdir)
+        return [
+            (suffix, *_run([command, "-i", source, "--m", m, *extra, *flags, "--order", order]))
+            for suffix, command, flags in REDUCTION_COMMANDS
+        ]
+    source, bound = INSTANCES[name]
+    _copy_input(source, workdir)
     lis = f"{name}.{order}.lis"
     results = []
     for suffix, command, flags in COMMANDS:
@@ -83,6 +110,13 @@ def test_cli_outputs_match_goldens(name, order, tmp_path, monkeypatch):
         assert (code, out) == _golden(name, order, suffix), f"{name}.{order}.{suffix}"
 
 
+@pytest.mark.parametrize(
+    "name, order", [(name, order) for name, case in REDUCTIONS.items() for order in case[3]]
+)
+def test_reduction_outputs_match_goldens(name, order, tmp_path, monkeypatch):
+    test_cli_outputs_match_goldens(name, order, tmp_path, monkeypatch)
+
+
 def record():
     """Write every golden file from the current program's outputs."""
     import os
@@ -92,8 +126,10 @@ def record():
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for name in INSTANCES:
-                for order in ORDERS:
+            cases = [(name, ORDERS) for name in INSTANCES]
+            cases += [(name, case[3]) for name, case in REDUCTIONS.items()]
+            for name, orders in cases:
+                for order in orders:
                     for suffix, code, out in _outputs(name, order, Path(tmp)):
                         path = GOLDEN / f"{name}.{order}.{suffix}"
                         path.write_text(f"exit {code}\n{out}", encoding="utf-8")

@@ -21,7 +21,7 @@ from invsys import (
     ideal_intersect,
     is_regular,
 )
-from invsys.groebner import ArtinianQuotient, _kernel_colon
+from invsys.groebner import ArtinianQuotient
 
 from oracles import monomial_in_monomial_ideal
 
@@ -119,16 +119,6 @@ def test_colon_curve_regular_element(curve):
     ctx, I = curve
     x = ctx.variable(0)
     assert ideal_colon(I, x).equals(I)
-
-
-def test_colon_kernel_path_matches_elimination(ctx2):
-    x, y = ctx2.variable(0), ctx2.variable(1)
-    I = Ideal(ctx2, [x ** 3, x * y ** 2, y ** 4])
-    f = x + y
-    fast = _kernel_colon(I, [f], GREVLEX)
-    T = ideal_intersect(I, Ideal(ctx2, [f]))
-    slow = Ideal(ctx2, [exact_divide(g, f) for g in T.groebner()])
-    assert equal_as_artinian(fast, slow)
 
 
 def test_normal_form_matches_divisibility_oracle(ctx2):

@@ -558,6 +558,8 @@ def test_cli_reconstruct_from_json_recovers_generators(tmp_path, capsys):
 def test_cli_monoid_socle(capsys):
     assert main(["monoid-socle", "--gens", "2,0;0,2"]) == 0
     assert capsys.readouterr().out.strip() == "1,1"
+    assert main(["monoid-socle", "--gens", "3000,0;0,3000"]) == 0
+    assert capsys.readouterr().out.strip() == "2999,2999"
 
 
 def test_cli_rees_check(capsys):

@@ -293,6 +293,21 @@ def test_cli_limit_builds_no_closure_on_a_checked_tower(capsys, monkeypatch):
         assert outs[0] == outs[1]
 
 
+def test_limit_reads_s_without_a_hilbert_profile(capsys, monkeypatch):
+    # s and the length of stage one come off stage one's bound and kernel
+    from invsys.cli import main
+
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("invsys") and hasattr(module, "hilbert_data"):
+            monkeypatch.setattr(module, "hilbert_data", lambda *args: calls.append(args))
+    golden = Path(__file__).resolve().parent / "golden"
+    for path, B in ((DATA / "example.ideal", 9), (golden / "ci_d2.ideal", 5)):
+        assert main(["limit", "-i", str(path), "--mmax", str(B)]) == 0
+        assert capsys.readouterr().out
+    assert calls == []
+
+
 def test_dual_tower_does_no_grid_work_up_front(band):
     # membership is a range test and iteration is lazy, so a huge bound costs
     # nothing until a stage is read; the top stage then fails on the ceiling

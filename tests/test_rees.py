@@ -81,6 +81,34 @@ def test_monoid_socle_against_flood_oracle():
         assert M.socle() == monoid_socle_oracle(M.generators, t)
 
 
+def test_monoid_socle_matches_the_box_scan():
+    # the candidates g_i - 1 give what the scan of the whole box gives,
+    # also where some coordinate has no positive generator entry
+    rng = random.Random(18)
+    sizes = set()
+    for _ in range(400):
+        t = rng.choice([1, 2, 3])
+        gens = set()
+        while len(gens) < rng.randint(1, 5):
+            g = tuple(rng.choice([0, 0, 1, 2, 3, 5, 6]) for _ in range(t))
+            if any(g):
+                gens.add(g)
+        M = MonoidIdeal(t, tuple(sorted(gens)))
+        socle = M.socle()
+        assert socle == monoid_socle_oracle(M.generators, t), M
+        sizes.add(len(socle))
+    assert {0, 1, 2, 3} <= sizes
+
+
+def test_monoid_socle_scans_only_the_candidates(monkeypatch):
+    # the box of <x^3000, y^3000> has 9 million points; one is a candidate
+    calls = []
+    contains = MonoidIdeal.contains
+    monkeypatch.setattr(MonoidIdeal, "contains", lambda self, n: calls.append(n) or contains(self, n))
+    assert MonoidIdeal(2, ((3000, 0), (0, 3000))).socle() == [(2999, 2999)]
+    assert len(calls) == 3
+
+
 def test_monoid_socle_disjoint_and_bordering():
     rng = random.Random(23)
     for _ in range(20):
@@ -143,6 +171,23 @@ def test_socle_product_examples():
     for m in range(1, 6):
         rep = socle_product_check(Ideal(ctxyz, [yv ** 2]), [zv], MonoidIdeal(1, ((m,),)))
         assert rep.passed and rep.socle_dim == 1
+
+
+def test_socle_product_runs_no_colon(monkeypatch):
+    # both socles are kernels of the one quotient matrix: no colon ideal
+    import sys
+
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("invsys") and hasattr(module, "ideal_colon"):
+            monkeypatch.setattr(module, "ideal_colon", lambda *args: calls.append(args))
+    ctx = context_from_names("y,z0,z1", field="fp:32003")
+    y = ctx.variable(0)
+    seq = [ctx.variable(1), ctx.variable(2)]
+    for M in (diagonal_monoid_ideal((2, 3)), MonoidIdeal(2, ((2, 0), (1, 1), (0, 3)))):
+        rep = socle_product_check(Ideal(ctx, [y**3 - y * seq[0] ** 2]), seq, M)
+        assert rep.passed and rep.socle_dim == rep.monoid_socle_size > 0
+    assert calls == []
 
 
 def test_socle_product_rejects_nonregular(ctx2):
