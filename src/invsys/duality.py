@@ -39,12 +39,8 @@ def contract(p, F):
 
 
 def contract_exp(e, F):
-    """Contraction by the monomial x^e, on term dicts."""
-    out = {}
-    for m, b in F.terms.items():
-        if e_divides(e, m):
-            out[e_sub(m, e)] = b
-    return Polynomial(F.ring, out, _clean=False)
+    """Contraction of F by the monomial x^e."""
+    return Polynomial(F.ring, _contract_terms(e, F.terms) if any(e) else dict(F.terms), _clean=False)
 
 
 def _contract_var(i, terms):

@@ -26,11 +26,12 @@ class UnboundedQuotientError(InvsysError):
 
 
 class TruncationLimitError(UnboundedQuotientError):
-    """No truncation bound was certified within the affordable degrees.
+    """The quotient is finite, but no power of the maximal ideal up to the
+    degree ceiling lies in the ideal.
 
-    limit names what stopped the search: the degree ceiling, or the local
-    kernel's cap on the monomials of one degree.  The quotient may still be
-    Artinian.
+    limit names the ceiling.  Finiteness is decided first, from lead
+    monomials, so a quotient with infinitely many standard monomials raises
+    UnboundedQuotientError itself.
     """
 
     def __init__(self, message, limit):

@@ -12,22 +12,24 @@ matrix keeps only the rows with an entry beside the pivot: the others,
 among them every multiple of a monomial generator, are the pivot alone and
 are never built.
 
-Local (power-series) inputs are truncated at an N certified by the Nakayama
-stopping rule m^N <= I + m^(N+1), where polynomial and power-series
-arithmetic agree exactly.  A truncated ideal object represents <gens> + m^N.
+Local (power-series) inputs are truncated at their bound N, where
+polynomial and power-series arithmetic agree exactly.  A truncated ideal
+object represents <gens> + m^N.
 
 Buchberger's algorithm serves untruncated work: intersection, the colon
 (by elimination on every input, truncated or not), the regularity test,
-and graded ideals.  A graded ideal is finite only with a pure power of
-every variable among its lead monomials, so a positive-dimensional ideal
-fails before any enumeration; its bound comes from the lead monomials of
-the same basis when the generators are homogeneous, and from normal forms
-against it otherwise.
+and the bound.  Both modes read the bound off lead monomials: a graded
+ideal's own basis, a local ideal's standard basis for a local degree order,
+found by Lazard's homogenization.  The quotient is finite only with a pure
+power of every variable among them, so a positive-dimensional ideal fails
+before any enumeration, and N is the least degree whose monomials all have
+a lead divisor (a non-homogeneous graded ideal takes normal forms against
+its basis instead).  A caller that knows a local truncation certifying
+itself passes it as a hint, and that one kernel is built instead.
 """
 
 from __future__ import annotations
 
-import math
 import random
 
 from .errors import (
@@ -52,8 +54,6 @@ from .ring import (
 )
 
 DEFAULT_CEILING = 64
-# the most monomials of one degree the local bound search will truncate at
-LOCAL_DEGREE_CAP = 1200
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,10 @@ def _gm_update(key, lms, monos, pairs, t):
 def buchberger(ring, gens, order=GREVLEX):
     """The unique reduced Groebner basis of <gens>.
 
-    Normal pair selection, Gebauer-Moeller pruning, deterministic queue.
+    Pairs by lcm degree, then the order (the normal strategy in a degree
+    order): on homogeneous input, in any order, each degree of the basis is
+    complete before the next one starts.  Gebauer-Moeller pruning,
+    deterministic queue.
     """
     key = ring.order_key(order)
     seen = set()
@@ -141,6 +144,10 @@ def buchberger(ring, gens, order=GREVLEX):
     monos = []
     reducers = []  # (lm, tail) per basis element, in insertion order
     pairs = set()
+
+    def select(p):
+        L = e_lcm(lms[p[0]], lms[p[1]])
+        return sum(L), key(L), p
 
     def append(poly, pairs):
         lm, tail = _as_reducer(poly, order)
@@ -166,7 +173,7 @@ def buchberger(ring, gens, order=GREVLEX):
             pairs = append(g, pairs)
 
     while pairs:
-        i, j = min(pairs, key=lambda p: (key(e_lcm(lms[p[0]], lms[p[1]])), p))
+        i, j = min(pairs, key=select)
         pairs.remove((i, j))
         s = s_poly_terms(ring, order, *reducers[i], *reducers[j])
         rem = reduce_terms(ring, order, s, reducers)
@@ -458,7 +465,26 @@ def _pure_powers_first(ring, k):
 
 
 # ---------------------------------------------------------------------------
-# the Nakayama-certified truncation bound
+# the truncation bound, read off lead monomials
+
+
+def _lead_bound(ring, lms, inside, ceiling):
+    """Least N <= ceiling with every degree-N monomial inside the ideal.
+
+    lms are the leads of a standard basis for a degree order.  The quotient
+    is finite only with a pure power of every variable among them, so a
+    positive-dimensional ideal fails before any degree is scanned.
+    """
+    if any(not any(lm) for lm in lms):
+        return 0
+    for i in range(ring.nvars):
+        if not any(lm[i] == sum(lm) for lm in lms):
+            raise UnboundedQuotientError("quotient has infinitely many standard monomials")
+    for N in range(1, ceiling + 1):
+        if all(inside(e) for e in _pure_powers_first(ring, N)):
+            return N
+    limit = f"the degree ceiling {ceiling}"
+    raise TruncationLimitError(f"no power of the maximal ideal up to {limit} lies in the ideal", limit)
 
 
 def _graded_bound(ideal, order, ceiling):
@@ -472,11 +498,6 @@ def _graded_bound(ideal, order, ceiling):
     ring = ideal.ring
     reducers = ideal._reducers(order)
     lms = [lm for lm, _ in reducers]
-    if any(not any(lm) for lm in lms):
-        return 0
-    for i in range(ring.nvars):
-        if not any(lm[i] == sum(lm) for lm in lms):
-            raise UnboundedQuotientError("quotient has infinitely many standard monomials")
     homogeneous = all(len({sum(e) for e in g.terms}) == 1 for g in ideal.gens)
     one = ring.field.one
 
@@ -485,36 +506,39 @@ def _graded_bound(ideal, order, ceiling):
             return any(e_divides(lm, e) for lm in lms)
         return not reduce_terms(ring, order, {e: one}, reducers)
 
-    for N in range(1, ceiling + 1):
-        if all(inside(e) for e in _pure_powers_first(ring, N)):
-            return N
-    raise TruncationLimitError(
-        f"no power of the maximal ideal below {ceiling} lies in the ideal",
-        f"the degree ceiling {ceiling}",
-    )
+    return _lead_bound(ring, lms, inside, ceiling)
+
+
+def _homogenize(ring, polys):
+    """The graded ring with a fresh last variable h, and each p as h^deg(p) p(x/h)."""
+    hom = RingContext(ring.field, ring.names + (_fresh_name(ring.names),), "graded", ())
+    return hom, [
+        Polynomial(hom, {e + (d - sum(e),): c for e, c in p.terms.items()}, _clean=False)
+        for p, d in zip(polys, [p.degree for p in polys])
+    ]
 
 
 def _local_form(ideal, order, ceiling, hint, length=None):
     """(I + m^N, N) for the least N with m^N inside I in the power-series ring.
 
-    The truncation G grows by one from the hint until it is certified: by
-    Nakayama, when m^(G-1) <= I + m^G, or, when the caller knows that P^/I
-    has length at most length, when P/(I + m^G) reaches it, as P^/I maps
-    onto P/(I + m^G).  N is then the least k with m^k <= I + m^G, read off
-    the same kernel.  As I + m^N = I + m^G, that kernel serves the result as
-    well.
+    With a hint, one kernel at truncation G = max(2, hint) is tried first,
+    if G <= ceiling + 1.  It is certified by Nakayama when m^(G-1) <= I + m^G, or, when the caller knows
+    that P^/I has length at most length, when P/(I + m^G) reaches it, as
+    P^/I maps onto P/(I + m^G).  N is then the least k with
+    m^k <= I + m^G, read off that kernel, which serves the result as well.
+
+    Otherwise N is read off lead monomials by Lazard's homogenization
+    (Lazard, EUROCAL 1983; Greuel-Pfister, Sec. 1.7).  In the order that
+    compares a fresh h first and then x by grevlex, the lead of a
+    homogeneous polynomial lies in its lowest x-degree part, so the reduced
+    basis of the homogenized generators dehomogenizes to a standard basis
+    of I for the local degree order ds.  Its leads span a monomial ideal
+    with the Hilbert-Samuel function of P^/I, so P^/I is finite exactly when
+    they hold a pure power of every variable, and m^N <= I exactly when
+    every degree-N monomial has a lead divisor.  The one kernel, at N, is
+    built when first asked for.
     """
-    n = ideal.ring.nvars
-    G = 2 if hint is None else max(2, hint)
-    while G <= ceiling + 1:
-        width = math.comb(G + n - 1, n - 1)
-        if width > LOCAL_DEGREE_CAP:
-            raise TruncationLimitError(
-                f"no power of the maximal ideal up to {G - 1} could be certified "
-                "and larger truncations are not affordable; quotient looks non-Artinian",
-                f"the cap of {LOCAL_DEGREE_CAP} monomials per degree "
-                f"(truncation degree {G} has {width})",
-            )
+    if hint is not None and (G := max(2, hint)) <= ceiling + 1:
         aq = ideal.truncated(G).quotient(order)
         if aq.length == length or aq.vanishes(G - 1):
             N = aq.bound()
@@ -522,23 +546,24 @@ def _local_form(ideal, order, ceiling, hint, length=None):
             J.adopt_quotient(aq)
             J._form = (J, N)
             return J, N
-        G += 1
-    raise TruncationLimitError(
-        f"no power of the maximal ideal below {ceiling} could be certified; "
-        "quotient looks non-Artinian",
-        f"the degree ceiling {ceiling}",
-    )
+    ring = ideal.ring
+    n = ring.nvars
+    hom, gens = _homogenize(ring, ideal.gens)
+    h_first = MonomialOrder("block", block=1, perm=[n] + list(range(n)))
+    lms = [g.lead(h_first)[0][:n] for g in buchberger(hom, gens, h_first)]
+    N = _lead_bound(ring, lms, lambda e: any(e_divides(lm, e) for lm in lms), ceiling)
+    J = ideal.truncated(N)
+    J._form = (J, N)
+    return J, N
 
 
 def artinian_bound(ideal, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None, length=None):
-    """Smallest verified N with m^N inside the ideal.
+    """Smallest N with m^N inside the ideal.
 
-    Graded mode tests membership against the reduced basis.  Local mode
-    certifies m^N <= I + m^(N+1) by linear algebra, which suffices by
-    Nakayama in the complete local ring, or reaches a known upper bound on
-    the length of the quotient (see _local_form); hint is the first
-    truncation degree it tries.  A truncated ideal reads N off its own
-    kernel.
+    Both modes read N off lead monomials (see _lead_bound); a local ideal
+    first tries the one kernel at truncation hint, certified by Nakayama or
+    by reaching length (see _local_form).  A truncated ideal reads N off
+    its own kernel.
     """
     if ideal._form is None:
         if ideal.trunc is not None:
@@ -718,28 +743,20 @@ def is_regular(f, I, order=GREVLEX):
         # P/(J + m^N) is Artinian local: f is regular exactly when it is a unit
         return f.constant_coefficient() != ring.field.zero
     basis = I.groebner(GREVLEX)
-    names = ring.names
     lm = next(iter(f.terms))
     if len(f.terms) == 1 and sum(lm) == 1:
         v = lm.index(1)
     else:
-        v = len(names)
-        names += (_fresh_name(names),)
-        ext = RingContext(ring.field, names, "graded", ())
+        v = ring.nvars
+        ring = RingContext(ring.field, ring.names + (_fresh_name(ring.names),), "graded", ())
         gens = [
-            Polynomial(ext, {e + (0,): c for e, c in g.terms.items()}, _clean=False)
+            Polynomial(ring, {e + (0,): c for e, c in g.terms.items()}, _clean=False)
             for g in basis + (-f,)
         ]
-        gens[-1] += ext.variable(v)  # u - f
-        basis = buchberger(ext, gens, GREVLEX)
-    names += (_fresh_name(names),)
-    hom = RingContext(ring.field, names, "graded", ())
-    gens = []
-    for g in basis:
-        d = g.degree
-        terms = {e + (d - sum(e),): c for e, c in g.terms.items()}
-        gens.append(Polynomial(hom, terms, _clean=False))
-    last = MonomialOrder(perm=[i for i in range(len(names)) if i != v] + [v])
+        gens[-1] += ring.variable(v)  # u - f
+        basis = buchberger(ring, gens, GREVLEX)
+    hom, gens = _homogenize(ring, basis)
+    last = MonomialOrder(perm=[i for i in range(hom.nvars) if i != v] + [v])
     return not any(g.lead(last)[0][v] for g in buchberger(hom, gens, last))
 
 

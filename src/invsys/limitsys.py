@@ -215,17 +215,13 @@ class DualTower:
     regular: bool
 
 
-def artinian_reduction(
-    I, m, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None, certified=None, length=None
-):
+def artinian_reduction(I, m, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None, length=None):
     """The ideal I + <z_i^(m_i)>, checked Artinian.
 
     Raises PipelineError when the reduction is not Artinian, which means the
-    z-block does not map to a maximal regular sequence for this input.
-    certified names a stage whose reduction is known to be Artinian; every
-    reduction has the same radical, so a failure can then only be a
-    truncation limit, and the error names the limit and the stage.  hint and
-    length pass to artinian_form.
+    z-block does not map to a maximal regular sequence for this input, and
+    when it is Artinian but its bound exceeds the ceiling; that error names
+    the limit and the stage.  hint and length pass to artinian_form.
     """
     ring = I.ring
     m = tuple(m)
@@ -241,15 +237,14 @@ def artinian_reduction(
     red = I.plus(powers)
     try:
         artinian_form(red, order, ceiling, hint=hint, length=length)
-    except UnboundedQuotientError as exc:
-        if certified is None or not isinstance(exc, TruncationLimitError):
-            raise PipelineError(
-                f"reduction of {I!r} at {m} is not Artinian: "
-                "the z-block must map to a maximal regular sequence"
-            ) from exc
+    except TruncationLimitError as exc:
         raise PipelineError(
-            f"the reduction at {m} is Artinian, as the one at {tuple(certified)} is, "
-            f"but its truncation bound was not certified within {exc.limit}"
+            f"the reduction at {m} is Artinian, but its truncation bound lies beyond {exc.limit}"
+        ) from exc
+    except UnboundedQuotientError as exc:
+        raise PipelineError(
+            f"reduction of {I!r} at {m} is not Artinian: "
+            "the z-block must map to a maximal regular sequence"
         ) from exc
     return red
 
@@ -296,10 +291,11 @@ def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False
     Each of the B^d layers of the z-monomial filtration of P^/(I + <z^B>)
     is a quotient of P/(I + <z>), so that ring has at most B^d times the
     length of stage one, for any I.  A local top truncation whose quotient
-    reaches that length is exact, so the search starts at the degree the top
-    stage needs, N_top = dB + s - d + 1, one below the first degree Nakayama
-    can certify.  Where the z-block is regular the length is reached; where
-    it is not (trust_regular), the search goes on to Nakayama's certificate.
+    reaches that length is exact, so the top stage's one kernel is built at
+    the degree it needs, N_top = dB + s - d + 1, one below the first degree
+    Nakayama can certify.  Where the z-block is regular the length is
+    reached; where it is not (trust_regular), the bound comes from lead
+    monomials instead (see groebner._local_form).
     """
     if B < 1:
         raise PipelineError(f"tower bound {B} must be at least 1")
@@ -319,8 +315,7 @@ def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False
     def stage(m):
         if m == one or m == top:
             red = I1 if m == one else artinian_reduction(
-                I, m, order, ceiling, hint=sum(m) + s - d + 1, certified=one,
-                length=B ** d * length,
+                I, m, order, ceiling, hint=sum(m) + s - d + 1, length=B ** d * length,
             )
             J, N = artinian_form(red, order, ceiling)
             W = perp_ideal(J, degbound=N - 1, order=order, ceiling=ceiling)
@@ -358,7 +353,7 @@ def _stage_below(W, m):
     return Wm
 
 
-def section_lift(tower, B=None, order=GREVLEX):
+def section_lift(tower, order=GREVLEX):
     """Canonical compatible family through the tower, built along the diagonal.
 
     H at the diagonal start is the echelon set of minimal cogenerators; each
@@ -383,9 +378,7 @@ def section_lift(tower, B=None, order=GREVLEX):
     """
     ring = tower.ring
     d = tower.d
-    B = tower.bound if B is None else B
-    if B > tower.bound:
-        raise PipelineError(f"requested bound {B} exceeds the tower bound {tower.bound}")
+    B = tower.bound
     fld = ring.field
     s = tower.s
     family = {}

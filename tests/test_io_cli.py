@@ -441,11 +441,11 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 CI_D2 = "field Q\nring graded vars y0,y1,z0,z1\nzvars z0,z1\nideal:\ny0^3 - 2*y1^2*z0 - y1*z0*z1\ny1^2\n"
 
-# stage one is Artinian, so a later stage can only hit a truncation limit:
-# the degree ceiling, or the local kernel's cap on the monomials of a degree
+# an Artinian stage whose bound lies beyond the degree ceiling names the
+# stage and the ceiling, stage one included
 TRUNCATION_LIMITS = {
     "curve-degcap": (None, ["--mmax", "9", "--degcap", "8"], "(9,)", "degree ceiling 8"),
-    "curve-cap": (None, ["--mmax", "15"], "(15,)", "cap of 1200 monomials per degree"),
+    "curve-stage-one": (None, ["--mmax", "2", "--degcap", "2"], "(1,)", "degree ceiling 2"),
     "ci-d2-ceiling": (CI_D2, ["--mmax", "300"], "(300, 300)", "degree ceiling 64"),
 }
 
@@ -466,11 +466,12 @@ def test_cli_limit_names_the_truncation_limit(tmp_path, capsys, case):
     assert stage in lines[0] and limit in lines[0]
 
 
-def test_cli_curve_at_the_largest_bound_under_the_cap(tmp_path, capsys):
-    # the top stage (14,) is certified by its length at truncation degree 17,
-    # whose 1,140 monomials fit under the cap; Nakayama would need degree 18
-    path = tmp_path / "H14.lis"
-    assert main(["limit", "-i", EXAMPLE, "--mmax", "14", "-o", str(path)]) == 0
+@pytest.mark.parametrize("B", [14, 20])
+def test_cli_curve_round_trip_at_large_bounds(tmp_path, capsys, B):
+    # the top stage (B,) is certified by its length at truncation degree
+    # B + 3, one below the degree Nakayama would need
+    path = tmp_path / f"H{B}.lis"
+    assert main(["limit", "-i", EXAMPLE, "--mmax", str(B), "-o", str(path)]) == 0
     assert main(["verify", "-i", str(path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "verdict PASS"
     assert main(["reconstruct", "-i", str(path)]) == 0
@@ -478,6 +479,14 @@ def test_cli_curve_at_the_largest_bound_under_the_cap(tmp_path, capsys):
     assert lines[-2] == "stable True"
     ctx, ideal = parse_ideal_file((DATA / "example.ideal").read_text())
     assert Ideal(ctx, [ctx.parse(g) for g in lines[:-2]]).equals(ideal)
+
+
+def test_cli_hilbert_refuses_the_curve_itself(capsys):
+    # the curve is one-dimensional: its leads hold no pure power of x
+    assert main(["hilbert", "-i", EXAMPLE]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: quotient has infinitely many standard monomials\n"
 
 
 def test_cli_limit_blames_a_non_artinian_first_stage(tmp_path, capsys):

@@ -7,6 +7,10 @@ and the local context, three computations must agree with sympy:
 * normal forms of random polynomials modulo that ideal;
 * the Hilbert profile dim (I + m^k) / (I + m^(k+1)), together with the bound.
 
+On seeded random local ideals over Q and F_32003, Artinian or not, the
+bound and the length read off lead monomials must agree with sympy, and a
+non-Artinian one must be refused as such before any kernel is built.
+
 On seeded random positive-dimensional ideals, the nonzerodivisor test must
 agree with the colon sympy computes: I & (f) by elimination, then divided
 by f.
@@ -36,6 +40,8 @@ from invsys import (  # noqa: E402
     hilbert_data,
     is_regular,
 )
+from invsys import groebner  # noqa: E402
+from invsys.errors import UnboundedQuotientError  # noqa: E402
 
 ORDERS = {"grevlex": GREVLEX, "lex": LEX}
 
@@ -73,7 +79,8 @@ def _sympy_basis(ctx, gens, N, order_name):
     exprs = [_to_sympy(g, syms) for g in gens]
     if N is not None:
         exprs += [_to_sympy(ctx.monomial(e), syms) for e in ctx.exponents_of_degree(N)]
-    return sympy.groebner(exprs, *syms, order=order_name, domain="QQ")
+    domain = {"domain": "QQ"} if ctx.field.name == "Q" else {"modulus": ctx.field.p}
+    return sympy.groebner(exprs, *syms, order=order_name, **domain)
 
 
 def _colength(ctx, gens, k, order_name):
@@ -165,15 +172,94 @@ def test_reduced_bases_normal_forms_and_profiles(mode, order_name, seed):
             assert nf == expected
 
 
+def _local_case(seed):
+    """A seeded local ideal in two or three variables over Q or F_32003, an
+    order, and whether P^/I is Artinian.
+
+    Artinian: x_i^d_i times a unit or plus higher terms, so the tangent cone
+    holds x_i^d_i, and random extras; every eighth seed adds a unit (N = 0).
+    Not Artinian: combinations of x_i - phi_i(t), t the last variable, all
+    vanishing on the curve x_i = phi_i(t) through the origin.
+    """
+    rng = random.Random(seed)
+    n = rng.choice([2, 3])
+    field = rng.choice(["Q", "F32003"])
+    ctx = context_from_names(",".join(f"x{i}" for i in range(n)), field=field, mode="local")
+    order_name = rng.choice(sorted(ORDERS))
+    if seed % 10 < 3:
+        t = ctx.variable(n - 1)
+        curve = [
+            ctx.variable(i) - sum((t**k * rng.choice([-2, -1, 1, 3]) for k in rng.sample([1, 2, 3], 2)), ctx.zero())
+            for i in range(n - 1)
+        ]
+        gens = []
+        for _ in range(rng.randint(1, n)):
+            g = sum((_random_terms(ctx, rng, 0, 2, rng.randint(1, 2)) * c for c in curve), ctx.zero())
+            gens.append(g if not g.is_zero() else curve[0])
+        return ctx, gens, order_name, False
+    gens = []
+    for i in range(n):
+        d = rng.randint(2, 4 - (n == 3))
+        if rng.random() < 0.5:
+            gens.append(ctx.variable(i) ** d * (ctx.one() + _random_terms(ctx, rng, 1, 2, rng.randint(1, 2))))
+        else:
+            gens.append(ctx.variable(i) ** d + _random_terms(ctx, rng, d + 1, d + 2, rng.randint(1, 3)))
+    if rng.random() < 0.5:
+        gens.append(_random_terms(ctx, rng, 2, 3, 2))
+    if seed % 8 == 7:
+        gens.append(_random_terms(ctx, rng, 0, 2, 2) + 1)
+    return ctx, gens, order_name, True
+
+
+LOCAL_SEEDS = range(60)
+
+
+def test_local_cases_cover_fields_orders_and_verdicts():
+    kinds = set()
+    for seed in LOCAL_SEEDS:
+        ctx, _, order_name, artinian = _local_case(seed)
+        kinds.add((ctx.field.name, order_name, artinian))
+    assert len(kinds) == 8
+
+
+@pytest.mark.parametrize("seed", LOCAL_SEEDS)
+def test_local_bound_and_length_match_sympy(seed, monkeypatch):
+    # the bound and the length come from the leads of a standard basis;
+    # a non-Artinian input is refused by them, before any kernel is built
+    ctx, gens, order_name, artinian = _local_case(seed)
+    order = ORDERS[order_name]
+    built = []
+    init = groebner.ArtinianQuotient.__init__
+    monkeypatch.setattr(groebner.ArtinianQuotient, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    I = Ideal(ctx, gens)
+    if not artinian:
+        with pytest.raises(UnboundedQuotientError) as exc:
+            artinian_form(I, order)
+        assert type(exc.value) is UnboundedQuotientError
+        assert "infinitely many standard monomials" in str(exc.value)
+        assert built == []
+        return
+    bound, profile = _oracle_profile(ctx, gens, order_name)
+    J, N = artinian_form(I, order)
+    assert (N, J.quotient(order).length) == (bound, sum(profile))
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("order_name", sorted(ORDERS))
-def test_local_bound_beyond_the_hint(order_name):
-    # the search starts from a hint far below the true bound and must grow
+def test_local_bound_beyond_the_hint(order_name, monkeypatch):
+    # the one kernel at the hint certifies nothing, so the bound comes from
+    # the leads of a standard basis instead, and one more kernel is built
     ctx = context_from_names("x,y", mode="local")
     x, y = ctx.variable(0), ctx.variable(1)
     gens = [x**4 + y**5 + x**3 * y**2, y**3 + x**5 - x**2 * y**2]
     order = ORDERS[order_name]
     bound, profile = _oracle_profile(ctx, gens, order_name)
     assert bound >= 4
+    truncations = []
+    init = groebner.ArtinianQuotient.__init__
+    monkeypatch.setattr(
+        groebner.ArtinianQuotient, "__init__", lambda self, I, *a: truncations.append(I.trunc) or init(self, I, *a)
+    )
     I = Ideal(ctx, gens)
     assert artinian_bound(I, order, hint=1) == bound
     J, N = artinian_form(I, order)
@@ -182,6 +268,7 @@ def test_local_bound_beyond_the_hint(order_name):
     assert sorted(map(str, J.groebner(order))) == sorted(
         str(_monic_from_sympy(ctx, g, _symbols(ctx), order)) for g in G.exprs
     )
+    assert truncations == [2, bound]
     assert list(hilbert_data(I, order).values) == profile
 
 
