@@ -23,14 +23,18 @@ ideal's own basis, a local ideal's standard basis for a local degree order,
 found by Lazard's homogenization.  The quotient is finite only with a pure
 power of every variable among them, so a positive-dimensional ideal fails
 before any enumeration, and N is the least degree whose monomials all have
-a lead divisor (a non-homogeneous graded ideal takes normal forms against
-its basis instead).  A caller that knows a local truncation certifying
-itself passes it as a hint, and that one kernel is built instead.
+a lead divisor, read off the leads by slicing their monomial ideal one
+variable at a time, with no degree scanned (a non-homogeneous graded ideal
+takes normal forms against its basis instead).  A caller that knows a local
+truncation certifying itself passes it as a hint, and that one kernel is
+built instead.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import chain
 
 from .errors import (
     DegenerateInputError,
@@ -417,33 +421,31 @@ class ArtinianQuotient:
 
     def vanishes(self, k):
         """True when every monomial of degree k lies in J + m^N."""
-        return all(not self.monomial_nf(e) for e in _pure_powers_first(self.ring, k))
+        return k >= self.bound()
 
     def bound(self):
-        """Smallest k with m^k inside J + m^N."""
-        return next(k for k in range(self.N + 1) if self.vanishes(k))
+        """Smallest k with m^k inside J + m^N.
 
-    def _covered(self, e):
-        """True when some x^(e - e_i) is a lead.
-
-        The leads are closed upward below N, so for |e| <= N that is exactly
-        when a lead properly divides x^e: n lookups in place of a
-        divisibility scan.
+        The monomials outside J + m^N are the standard ones and the pivots
+        of the stored rows.  A divisor of such a monomial is one too, so
+        their degrees fill [0, k - 1].
         """
-        is_lead = self.is_lead
-        return any(e[i] and is_lead(e[:i] + (e[i] - 1,) + e[i + 1 :]) for i in range(len(e)))
+        outside = chain(self.std, (e for e, row in self.rows.items() if len(row) > 1))
+        return 1 + max(map(sum, outside), default=-1)
 
     def minimal_leads(self):
         """The leads no other lead divides and the degree-N monomials no lead
         divides, in the order: the leads of the reduced basis of J + m^N.
 
         Each u - e_i of such a u is standard, so u is 0 or some v + e_i with
-        v standard.
+        v standard; below N the leads are closed upward, so u is kept
+        exactly when it is not standard and every u - e_j is: when the
+        standard v with u = v + e_j number as many as the variables dividing x^u.
         """
-        n, N = self.ring.nvars, self.N
-        near = {v[:i] + (v[i] + 1,) + v[i + 1 :] for v in self.std for i in range(n)}
-        near.add((0,) * n)
-        kept = (u for u in near if (sum(u) == N or self.is_lead(u)) and not self._covered(u))
+        n, std = self.ring.nvars, self._std_set
+        hits = Counter(v[:i] + (v[i] + 1,) + v[i + 1 :] for v in self.std for i in range(n))
+        hits[(0,) * n] = 0
+        kept = [u for u, k in hits.items() if k == n - u.count(0) and u not in std]
         return sorted(kept, key=self.ring.order_key(self.order))
 
     def reduced_basis(self):
@@ -468,23 +470,57 @@ def _pure_powers_first(ring, k):
 # the truncation bound, read off lead monomials
 
 
-def _lead_bound(ring, lms, inside, ceiling):
+def _top_degree(lms):
+    """Largest degree of a monomial outside the ideal of lms, or -1 if none.
+
+    The ideal is Artinian, lms are nonempty and of one length n >= 1.  Its
+    slice at x_1^t, the ideal of the u with (t, u) inside, grows with t and
+    changes only at the x_1-exponents of lms, so the top is the largest
+    (next exponent - 1) + the slice's own top over those exponents, read by
+    recursion on the slices until one is the unit ideal.
+    """
+    if not all(map(any, lms)):
+        return -1
+    if len(lms[0]) == 1:
+        return min(lms)[0] - 1
+    by_cut = {}
+    for lm in lms:
+        by_cut.setdefault(lm[0], []).append(lm[1:])
+    cuts = sorted(by_cut)
+    top = -1
+    rest = []  # the slice's leads, grown cut by cut
+    for t, nxt in zip(cuts, cuts[1:]):
+        rest += by_cut[t]
+        below = _top_degree(rest)
+        if below < 0:
+            break
+        top = max(top, nxt - 1 + below)
+    return top
+
+
+def _lead_bound(ring, lms, ceiling, inside=None):
     """Least N <= ceiling with every degree-N monomial inside the ideal.
 
-    lms are the leads of a standard basis for a degree order.  The quotient
-    is finite only with a pure power of every variable among them, so a
-    positive-dimensional ideal fails before any degree is scanned.
+    lms are the leads of a standard basis.  The quotient is finite only with
+    a pure power of every variable among them (the unit lead is one), so a
+    positive-dimensional ideal fails before anything else.  When membership is lead divisibility
+    N is 1 + the top degree of the monomials outside the leads' ideal (see
+    _top_degree), with no degree scanned.  Otherwise inside(e) decides
+    membership, and N is the least degree, from that one on, whose
+    monomials are all inside: a monomial of the ideal is its own lead, so
+    no lower degree qualifies.
     """
-    if any(not any(lm) for lm in lms):
-        return 0
     for i in range(ring.nvars):
         if not any(lm[i] == sum(lm) for lm in lms):
             raise UnboundedQuotientError("quotient has infinitely many standard monomials")
-    for N in range(1, ceiling + 1):
-        if all(inside(e) for e in _pure_powers_first(ring, N)):
-            return N
-    limit = f"the degree ceiling {ceiling}"
-    raise TruncationLimitError(f"no power of the maximal ideal up to {limit} lies in the ideal", limit)
+    N = _top_degree(lms) + 1
+    if inside is not None:
+        scan = (k for k in range(N, ceiling + 1) if all(inside(e) for e in _pure_powers_first(ring, k)))
+        N = next(scan, ceiling + 1)
+    if N > ceiling:
+        limit = f"the degree ceiling {ceiling}"
+        raise TruncationLimitError(f"no power of the maximal ideal up to {limit} lies in the ideal", limit)
+    return N
 
 
 def _graded_bound(ideal, order, ceiling):
@@ -492,21 +528,16 @@ def _graded_bound(ideal, order, ceiling):
 
     Homogeneous generators have a homogeneous basis, whose standard
     monomials of degree N span (P/I)_N: m^N lies in the ideal exactly when
-    every degree-N monomial has a lead divisor, and no normal form is
-    needed.  Other ideals take normal forms against the basis.
+    every degree-N monomial has a lead divisor, so N is read off the leads
+    alone.  Other ideals take normal forms against the basis.
     """
     ring = ideal.ring
     reducers = ideal._reducers(order)
     lms = [lm for lm, _ in reducers]
-    homogeneous = all(len({sum(e) for e in g.terms}) == 1 for g in ideal.gens)
+    if all(len({sum(e) for e in g.terms}) == 1 for g in ideal.gens):
+        return _lead_bound(ring, lms, ceiling)
     one = ring.field.one
-
-    def inside(e):
-        if homogeneous:
-            return any(e_divides(lm, e) for lm in lms)
-        return not reduce_terms(ring, order, {e: one}, reducers)
-
-    return _lead_bound(ring, lms, inside, ceiling)
+    return _lead_bound(ring, lms, ceiling, lambda e: not reduce_terms(ring, order, {e: one}, reducers))
 
 
 def _homogenize(ring, polys):
@@ -535,8 +566,9 @@ def _local_form(ideal, order, ceiling, hint, length=None):
     of I for the local degree order ds.  Its leads span a monomial ideal
     with the Hilbert-Samuel function of P^/I, so P^/I is finite exactly when
     they hold a pure power of every variable, and m^N <= I exactly when
-    every degree-N monomial has a lead divisor.  The one kernel, at N, is
-    built when first asked for.
+    every degree-N monomial has a lead divisor: N is read off the leads by
+    slicing (see _top_degree).  The one kernel, at N, is built when first
+    asked for.
     """
     if hint is not None and (G := max(2, hint)) <= ceiling + 1:
         aq = ideal.truncated(G).quotient(order)
@@ -551,7 +583,7 @@ def _local_form(ideal, order, ceiling, hint, length=None):
     hom, gens = _homogenize(ring, ideal.gens)
     h_first = MonomialOrder("block", block=1, perm=[n] + list(range(n)))
     lms = [g.lead(h_first)[0][:n] for g in buchberger(hom, gens, h_first)]
-    N = _lead_bound(ring, lms, lambda e: any(e_divides(lm, e) for lm in lms), ceiling)
+    N = _lead_bound(ring, lms, ceiling)
     J = ideal.truncated(N)
     J._form = (J, N)
     return J, N

@@ -200,6 +200,28 @@ def monomial_in_monomial_ideal(e, gens):
     return any(all(gi <= ei for gi, ei in zip(g, e)) for g in gens)
 
 
+def lead_bound_scan(lms, nvars, ceiling, inside=None):
+    """The truncation bound by scanning degrees: the least N <= ceiling with
+    every degree-N monomial inside the ideal.
+
+    lms are the leads of a standard basis; inside(e) decides membership,
+    lead divisibility by default.  0 with a unit lead, "unbounded" when
+    some variable has no pure power among lms, "ceiling" when no N up to
+    ceiling works.  Each degree tries the pure powers first.
+    """
+    if any(not any(lm) for lm in lms):
+        return 0
+    if not all(any(lm[i] == sum(lm) for lm in lms) for i in range(nvars)):
+        return "unbounded"
+    if inside is None:
+        inside = lambda e: monomial_in_monomial_ideal(e, lms)
+    for N in range(1, ceiling + 1):
+        powers = [tuple(N if j == i else 0 for j in range(nvars)) for i in range(nvars)]
+        if all(map(inside, powers)) and all(inside(e) for e in monomials_upto(nvars, N) if sum(e) == N):
+            return N
+    return "ceiling"
+
+
 def hilbert_rank_walk(nf_by_degree, p=None):
     """Hilbert profile of P/J by a rank walk over the normal forms of monomials.
 

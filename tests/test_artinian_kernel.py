@@ -4,10 +4,11 @@ ArtinianQuotient leaves the multiples of the monomial generators out of its
 matrix and stores only the rows with an entry beside the pivot.  Everything
 read off it must still be what the full truncated Macaulay matrix gives:
 dense_rref of every trunc_{<N}(x^a g) over the monomials of P_{<N}, no row
-skipped.  The same module checks the graded bound read off lead monomials,
-the regularity verdict on truncated ideals, the Hilbert profile read off
-the stored rows and the socle read off the multiplication kernel against
-their full paths.
+skipped.  bound, vanishes and minimal_leads, read off std and the stored
+pivots, must agree with their scans.  The same module checks the graded
+bound read off lead monomials, the regularity verdict on truncated ideals,
+the Hilbert profile read off the stored rows and the socle read off the
+multiplication kernel against their full paths.
 """
 
 import random
@@ -138,6 +139,39 @@ def test_kernel_matches_the_dense_macaulay_matrix(order):
         assert aq.bound() == bound, name
         # only rows with an entry beside the pivot are stored
         assert all(len(row) > 1 for row in aq.rows.values()), name
+
+
+def _scan_minimal_leads(aq):
+    """The candidates 0 and v + e_i (v standard) that are leads or of
+    degree N, with no lead at any u - e_i: n is_lead calls per candidate."""
+    n, N = aq.ring.nvars, aq.N
+    near = {(0,) * n} | {v[:i] + (v[i] + 1,) + v[i + 1 :] for v in aq.std for i in range(n)}
+
+    def covered(u):
+        return any(u[i] and aq.is_lead(u[:i] + (u[i] - 1,) + u[i + 1 :]) for i in range(n))
+
+    kept = [u for u in near if (sum(u) == N or aq.is_lead(u)) and not covered(u)]
+    return sorted(kept, key=aq.ring.order_key(aq.order))
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_kernel_accessors_match_their_scans(order):
+    # bound, vanishes and minimal_leads read std and the stored pivots; the
+    # scans take a normal form of every monomial of each degree
+    bounds = set()
+    for name, ideal in _kernel_cases():
+        aq = ArtinianQuotient(ideal, order)
+        ring = ideal.ring
+        scan = [all(not aq.monomial_nf(e) for e in ring.exponents_of_degree(k)) for k in range(aq.N + 1)]
+        assert [aq.vanishes(k) for k in range(aq.N + 1)] == scan, name
+        assert aq.bound() == scan.index(True), name
+        assert aq.minimal_leads() == _scan_minimal_leads(aq), name
+        # the same matrix handed over with its unit rows written out
+        units = {e: {e: ring.field.one} for e in monomials_upto(ring.nvars, aq.N - 1) if aq.is_lead(e)}
+        full = ArtinianQuotient.from_rows(ring, order, aq.N, {**units, **aq.rows})
+        assert (full.bound(), full.minimal_leads()) == (aq.bound(), aq.minimal_leads()), name
+        bounds.add((aq.N, aq.bound()))
+    assert {(3, 0), (0, 0)} < bounds and any(b < N for N, b in bounds if b)
 
 
 def test_monomial_ideals_insert_no_row(monkeypatch):

@@ -4,10 +4,12 @@ Each case runs one command in-process and compares its exit code and stdout
 with a file under tests/golden/.  The inputs are the curve example at
 --mmax 9 (stable) and --mmax 6 (still unstable) and a graded d = 2 complete
 intersection at bound 5, each under grevlex and lex.  verify and reconstruct
-read the text limit file of the same case.  socle and hilbert run, as text
-and as --json, on Artinian reductions: the curve at --m 1, 2 and 3 and the
-complete intersection at --m 2,3, under both orders, and the complete
-intersection once more over F_32003.  Commands run with the golden
+read the text limit file of the same case.  The complete intersection at
+bound 15, whose top stage has N_top = 32, runs only limit (text) and
+reconstruct.  socle and hilbert run, as text and as --json, on Artinian
+reductions: the curve at --m 1, 2 and 3 and the complete intersection at
+--m 2,3, under both orders, and the complete intersection once more over
+F_32003.  Commands run with the golden
 directory's input copied into a scratch working directory, so the file name
 that --json echoes is the bare input name.
 
@@ -29,12 +31,6 @@ from invsys.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = GOLDEN.parent.parent / "data"
 
-# name -> (input file, bound)
-INSTANCES = {
-    "curve9": ("example.ideal", 9),
-    "curve6": ("example.ideal", 6),
-    "ci_d2": ("ci_d2.ideal", 5),
-}
 ORDERS = ("grevlex", "lex")
 # (output suffix, command, extra flags); verify and reconstruct read the
 # text limit file written by the first entry
@@ -44,6 +40,14 @@ COMMANDS = (
     ("verify.txt", "verify", ()),
     ("reconstruct.txt", "reconstruct", ()),
 )
+ALL = tuple(suffix for suffix, _, _ in COMMANDS)
+# name -> (input file, bound, output suffixes to run)
+INSTANCES = {
+    "curve9": ("example.ideal", 9, ALL),
+    "curve6": ("example.ideal", 6, ALL),
+    "ci_d2": ("ci_d2.ideal", 5, ALL),
+    "ci_d2_15": ("ci_d2.ideal", 15, ("limit.txt", "reconstruct.txt")),
+}
 # name -> (input file, --m, extra flags, orders) for socle and hilbert
 REDUCTIONS = {
     "curve_m1": ("example.ideal", "1", (), ORDERS),
@@ -80,11 +84,13 @@ def _outputs(name, order, workdir):
             (suffix, *_run([command, "-i", source, "--m", m, *extra, *flags, "--order", order]))
             for suffix, command, flags in REDUCTION_COMMANDS
         ]
-    source, bound = INSTANCES[name]
+    source, bound, suffixes = INSTANCES[name]
     _copy_input(source, workdir)
     lis = f"{name}.{order}.lis"
     results = []
     for suffix, command, flags in COMMANDS:
+        if suffix not in suffixes:
+            continue
         if command == "limit":
             argv = ["limit", "-i", source, "--mmax", str(bound), *flags]
         else:
