@@ -137,25 +137,37 @@ def _gm_update(key, lms, monos, pairs, t):
 def buchberger(ring, gens, order=GREVLEX):
     """The unique reduced Groebner basis of <gens>.
 
-    Pairs by lcm degree, then the order (the normal strategy in a degree
-    order): on homogeneous input, in any order, each degree of the basis is
-    complete before the next one starts.  Gebauer-Moeller pruning,
-    deterministic queue.
+    Pairs by sugar, then the order (the sugar strategy of Giovini et al.):
+    an element's sugar is the degree it would have had if the input were
+    homogenized, a generator's own degree and a pair's lcm degree raised by
+    its members' excess of sugar over their leads.  On homogeneous input
+    sugar is the lcm degree, so in any order each degree of the basis is
+    complete before the next one starts.  On other input, in lex and in
+    elimination orders above all, the lcm degree alone is a poor guide: it
+    puts off the pairs that keep the degrees low, and an ideal of three
+    cubics in three variables can then run for minutes.  Gebauer-Moeller
+    pruning, deterministic queue.
     """
     key = ring.order_key(order)
     seen = set()
     lms = []
     monos = []
     reducers = []  # (lm, tail) per basis element, in insertion order
+    sugars = []
     pairs = set()
 
-    def select(p):
-        L = e_lcm(lms[p[0]], lms[p[1]])
-        return sum(L), key(L), p
+    def sugar(p):
+        i, j = p
+        d = sum(e_lcm(lms[i], lms[j]))
+        return d + max(sugars[i] - sum(lms[i]), sugars[j] - sum(lms[j]))
 
-    def append(poly, pairs):
+    def select(p):
+        return sugar(p), key(e_lcm(lms[p[0]], lms[p[1]])), p
+
+    def append(poly, pairs, degree):
         lm, tail = _as_reducer(poly, order)
         lms.append(lm)
+        sugars.append(degree)
         monos.append(len(poly.terms) == 1)
         reducers.append((lm, tail))
         return _gm_update(key, lms, monos, pairs, len(lms) - 1)
@@ -174,15 +186,15 @@ def buchberger(ring, gens, order=GREVLEX):
         fp = frozenset(g.terms.items())
         if fp not in seen:
             seen.add(fp)
-            pairs = append(g, pairs)
+            pairs = append(g, pairs, g.degree)
 
     while pairs:
-        i, j = min(pairs, key=select)
-        pairs.remove((i, j))
+        i, j = p = min(pairs, key=select)
+        pairs.remove(p)
         s = s_poly_terms(ring, order, *reducers[i], *reducers[j])
         rem = reduce_terms(ring, order, s, reducers)
         if rem:
-            pairs = append(Polynomial(ring, rem, _clean=False).monic(order), pairs)
+            pairs = append(Polynomial(ring, rem, _clean=False).monic(order), pairs, sugar(p))
 
     # minimalize: keep elements whose lead monomial is not divisible by another's
     kept = []

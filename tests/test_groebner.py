@@ -243,6 +243,48 @@ def test_is_regular_matches_the_colon_reference(case):
     assert _verdict(is_regular, f, I, order) == _verdict(_colon_regular, f, I, order)
 
 
+# cases of the strategy above on which Buchberger, pairing by lcm degree
+# alone, ran for minutes: the lex elimination of the colon reference, and
+# is_regular's grevlex basis with u - f adjoined
+_NON_HOMOGENEOUS_CASES = [
+    ("F32003", "graded", LEX, "5*x0*x1^2 + 2*x0",
+     ["2*x1^3 + 5*x0^2*x2 + 5*x2^2", "x0*x1^2 + 5*x1^3 + 32000*x0*x2^2"], True),
+    ("Q", "local", GREVLEX, "5*x1^3 - x0*x1*x2 + x1^2",
+     ["-x0^2*x2 - 3*x1^2*x2 + 5*x0*x2^2", "-x0^2*x1 + x0*x1^2 + 5*x1^2*x2",
+      "x0^2*x2 + x2^3 + x1^2"], False),
+    ("F32003", "local", LEX, "32000*x1^3 + 32000*x0*x1 + 2*x1 + 1",
+     ["2*x0^3 + 32000*x0*x1*x2", "5*x0^2", "x0*x1^2 + 32002*x0 + 32000*x2"], True),
+    ("Q", "local", LEX, "2*x0^2 + 1",
+     ["5*x0*x1*x2 + 2*x2^3 + 5*x2", "2*x1^3 - x1*x2^2 + 5*x2^3",
+      "5*x0^2*x2 + 2*x2^3 - 3*x1"], True),
+]
+
+
+@pytest.mark.parametrize("field, mode, order, f, gens, regular", _NON_HOMOGENEOUS_CASES)
+def test_buchberger_by_sugar_keeps_non_homogeneous_bases_small(
+    field, mode, order, f, gens, regular, monkeypatch
+):
+    # the cost is counted in monomial products (every reduction step makes
+    # one per term of its reducer's tail), not timed: at most 15k here,
+    # and by lcm degree the first case passed 200k within two seconds
+    from invsys import groebner
+
+    cap, count = 100_000, [0]
+    real = groebner.e_add
+
+    def counted(a, b):
+        count[0] += 1
+        assert count[0] <= cap, "Buchberger ran past its monomial budget"
+        return real(a, b)
+
+    monkeypatch.setattr(groebner, "e_add", counted)
+    ctx = context_from_names("x0,x1,x2", field=field, mode=mode)
+    I = Ideal(ctx, [ctx.parse(g) for g in gens])
+    for test in (is_regular, _colon_regular):
+        count[0] = 0
+        assert _verdict(test, ctx.parse(f), I, order) is regular
+
+
 def test_is_regular_builds_one_homogeneous_basis(ctx2, monkeypatch):
     # no colon or intersection: a variable costs one Buchberger run past
     # the ideal's own basis, any other polynomial one more for u - f
