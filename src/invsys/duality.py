@@ -73,8 +73,8 @@ class DualModule:
     A module built from arbitrary elements is only their span; _closed
     records that the span is known to be contraction-closed, and lets
     perp_module skip the closure.  It is set by the constructions that are
-    closed by construction: generate, contract_by of a closed module,
-    perp_ideal, and the tower stages limitsys meets out of a closed module;
+    closed by construction: generate, contract_by of a closed module and
+    perp_ideal, which between them build every stage of a limitsys tower;
     also by a passing verify_closed, the test-side oracle.
     """
 

@@ -30,7 +30,7 @@ from .groebner import (
     is_regular,
 )
 from .linalg import Echelon, coordinate_meet, nested_meet_dims, solve_in_span
-from .ring import GREVLEX, Polynomial, e_unit
+from .ring import GREVLEX, e_unit
 
 
 def _zpower_exp(ring, slot, power):
@@ -201,18 +201,13 @@ class LazyStages(Mapping):
 
 @dataclass
 class DualTower:
-    """The family W_m = (I_m)^perp for m in the grid, plus stage metadata.
-
-    regular records that the z-block was checked to be a regular sequence
-    modulo I (not taken on trust).
-    """
+    """The family W_m = (I_m)^perp for m in the grid, plus stage metadata."""
 
     ring: object
     d: int
     bound: int
     s: int
     modules: Mapping  # m -> DualModule, built on first read
-    regular: bool
 
 
 def artinian_reduction(I, m, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None, length=None):
@@ -274,35 +269,38 @@ def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False
 
     Only the first reduction I_1 is computed here, with its bound N_1 and
     kernel: s = N_1 - 1, as by Nakayama m^k(P/I_1) != 0 exactly for
-    k < N_1, and the kernel's length is that of stage one.  Each stage is
-    built when it is first read.  The first read of any other
-    stage builds the top stage (B,...,B) from its reduction.  Every other
-    stage is the top stage met with a coordinate subspace: I + <z^m>
-    contains I + <z^top>, which contains a power of the maximal ideal, so
-    W_m = W_top & S_m, S_m = span{X^e : e_(z_j) < m_j}, exactly.  For a
-    diagonal stage (k,...,k) that dominates m, S_m lies in S_k, so
-    W_k & S_m = W_top & S_m: the meet runs on the smallest such stage
-    already built, or on W_top when none is, which is a smaller basis when
-    the diagonal is read from the top down (section_lift does).  Whatever
-    it reads, a caller pays for two reductions and one meet per further
-    stage.  Every stage is closed under contraction by construction (see
-    perp_ideal and _stage_below); none is checked.
+    k < N_1, and the kernel's length is that of stage one.  Unless
+    trust_regular is set, check_z_regularity runs first.  Each stage is
+    built when it is first read.
 
-    Each of the B^d layers of the z-monomial filtration of P^/(I + <z^B>)
-    is a quotient of P/(I + <z>), so that ring has at most B^d times the
-    length of stage one, for any I.  A local top truncation whose quotient
-    reaches that length is exact, so the top stage's one kernel is built at
-    the degree it needs, N_top = dB + s - d + 1, one below the first degree
-    Nakayama can certify.  Where the z-block is regular the length is
-    reached; where it is not (trust_regular), the bound comes from lead
-    monomials instead (see groebner._local_form).
+    The first read of any stage builds the top stage (B,...,B) from its own
+    reduction and certifies it.  Each of the B^d layers of the z-monomial
+    filtration of A/(z^B), A = P^/I, is a quotient of A/(z) = P/I_1, and
+    R^length maps onto A/(z^B) for R = K[z]/(z_1^B, ..., z_d^B) (Nakayama).
+    So A/(z^B) is free over R exactly when its length is B^d times stage
+    one's, as it is when the z-block is regular (the Rees isomorphism
+    gr_(z) A = (A/(z))[T_1..T_d]); a top stage short of it is refused.
+    R is Gorenstein, so W_top, the dual of A/(z^B), is free over R too, and
+    W_m, the part of W_top that every z_j^(m_j) kills, is z^(B - m) . W_top.
+    So each diagonal stage W_k = (z_1...z_d) . W_(k+1) is chained down
+    from W_top, and an off-diagonal stage is W_m = z^(k - m) . W_k for
+    k = max(m): two reductions and one perp_ideal, whatever is read.  Every
+    stage is closed by construction (see perp_ideal and
+    DualModule.contract_by); none is checked.  An inverse system reaches
+    the socle degree N - 1 of its quotient, so each contracted stage takes
+    its top degree as its degree bound, that of its own reduction.
+
+    A local top truncation that reaches B^d times the length of stage one
+    is exact, so the top kernel is built at N_top = dB + s - d + 1, one
+    below the first degree Nakayama can certify; where the length is not
+    reached there, the bound comes from lead monomials instead (see
+    groebner._local_form).
     """
     if B < 1:
         raise PipelineError(f"tower bound {B} must be at least 1")
     ring = I.ring
     d = len(ring.zindices)
-    regular = not trust_regular and d > 0
-    if regular:
+    if not trust_regular:
         check_z_regularity(I, order)
     one = diag(d, 1)
     top = diag(d, B)
@@ -310,46 +308,36 @@ def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False
     J1, N1 = artinian_form(I1, order, ceiling)
     s = N1 - 1
     length = J1.quotient(order).length
-    diagonal = {}  # k -> the stage (k,...,k), for those built so far
+    zprod = _zshift(ring, one, diag(d, 2))
+    diagonal = []  # W_(B,...,B) down to W_(1,...,1), built on the first read
 
     def stage(m):
-        if m == one or m == top:
-            red = I1 if m == one else artinian_reduction(
-                I, m, order, ceiling, hint=sum(m) + s - d + 1, length=B ** d * length,
+        if not diagonal:
+            red = I1 if top == one else artinian_reduction(
+                I, top, order, ceiling, hint=sum(top) + s - d + 1, length=B ** d * length,
             )
             J, N = artinian_form(red, order, ceiling)
             W = perp_ideal(J, degbound=N - 1, order=order, ceiling=ceiling)
-        else:
-            modules[top]  # builds the top stage on first read; no deeper nesting
-            W = _stage_below(diagonal[min(k for k in diagonal if k >= max(m))], m)
-        if len(set(m)) == 1:
-            diagonal[m[0]] = W
-        return W
+            if W.dim != B ** d * length:
+                raise PipelineError(
+                    f"the reduction at {top} has length {W.dim}, short of {B}^{d} times "
+                    f"the length {length} at {one}; the z-block is not a regular "
+                    "sequence modulo the ideal"
+                )
+            diagonal.append(W)
+            for _ in range(B - 1 if d else 0):
+                diagonal.append(_contracted(diagonal[-1], zprod))
+        k = max(m, default=B)
+        W = diagonal[B - k]
+        return W if m == diag(d, k) else _contracted(W, _zshift(ring, m, diag(d, k)))
 
-    modules = LazyStages(d, B, stage)
-    return DualTower(ring, d, B, s, modules, regular)
+    return DualTower(ring, d, B, s, LazyStages(d, B, stage))
 
 
-def _stage_below(W, m):
-    """W met with span{X^e : e_(z_j) < m_j}, closed by construction.
-
-    W is closed, and so is the span of monomials: a contraction of X^e
-    lowers every exponent.  The meet of two closed spaces is closed.
-    Its degree bound is its top degree, which is the N - 1 of its own
-    reduction: an inverse system reaches the socle degree of its quotient.
-    """
-    ring = W.ring
-    zi = ring.zindices
-    rows = coordinate_meet(
-        ring.field,
-        ring.order_key(W.order),
-        (F.terms for F in W.basis),
-        lambda e: all(e[i] < k for i, k in zip(zi, m)),
-    )
-    basis = [Polynomial(ring.dual, row, _clean=False) for row in rows]
-    degbound = max((F.degree for F in basis), default=0)
-    Wm = DualModule(ring, degbound, basis, W.order, _canonical=True)
-    Wm._closed = True
+def _contracted(W, e):
+    """W.contract_by(e) with its top degree as its degree bound."""
+    Wm = W.contract_by(e)
+    Wm.degbound = int(Wm.max_degree())
     return Wm
 
 
@@ -361,20 +349,17 @@ def section_lift(tower, order=GREVLEX):
     echelon-canonical solution; off-diagonal stages are contractions from the
     smallest dominating diagonal stage, which makes compatibility automatic.
 
-    The diagonal stages are read from the top down, so the tower meets each
-    one out of the stage above it rather than out of W_top (see dual_tower).
-
-    When the tower checked the z-block, the family's module cache starts
-    with W_top = P . H_top, the tower's own top stage, so verify_lis and
-    reconstruct never close H_top again.  By induction on k, H_k spans
+    The family's module cache starts with W_top = P . H_top, the tower's
+    own top stage, so verify_lis and reconstruct never close H_top again.
+    The tower certified A/(z^B) free over R = K[z]/(z_1^B, ..., z_d^B)
+    (see dual_tower), so each A/(z^k) is free over K[z]/(z^k): a flat local
+    extension of a Gorenstein ring, whose type is then that of its fibre
+    A/(z), the type r, for every k.  By induction on k, H_k spans
     W_k / m . W_k, so generates W_k (Nakayama): H_1 does, being minimal
-    cogenerators.  With the z-block regular, zprod . W_(k+1) = W_k, and
-    contraction by zprod commutes with m . , so it maps
-    W_(k+1) / m . W_(k+1) onto W_k / m . W_k.  Both have the dimension of
-    the socle of their quotient, the type r, which a regular sequence keeps
-    constant along the diagonal.  So the map is an isomorphism, and H_(k+1),
-    sent onto H_k, spans W_(k+1) / m . W_(k+1).  Under trust_regular
-    nothing is handed over, and the family closes H_top itself.
+    cogenerators.  zprod . W_(k+1) = W_k, and contraction by zprod
+    commutes with m . , so it maps W_(k+1) / m . W_(k+1) onto
+    W_k / m . W_k.  Both have dimension r, so the map is an isomorphism,
+    and H_(k+1), sent onto H_k, spans W_(k+1) / m . W_(k+1).
     """
     ring = tower.ring
     d = tower.d
@@ -392,9 +377,8 @@ def section_lift(tower, order=GREVLEX):
     zprod = tuple(
         1 if i in set(ring.zindices) else 0 for i in range(ring.nvars)
     )
-    above = {k: tower.modules[diag(d, k)] for k in range(B, 1, -1)}
     for k in range(1, B):
-        Wn = above[k + 1]
+        Wn = tower.modules[diag(d, k + 1)]
         rows = [contract_exp(zprod, F).terms for F in Wn.basis]
         lifts = []
         targets = [h.terms for h in family[diag(d, k)]]
@@ -417,9 +401,8 @@ def section_lift(tower, order=GREVLEX):
         e = _zshift(ring, m, diag(d, k))
         family[m] = tuple(contract_exp(e, F) for F in family[diag(d, k)])
     H = LimitInverseSystem(ring, d, r, s, B, family)
-    if tower.regular:
-        W = tower.modules[diag(d, B)]
-        H._modules[(diag(d, B), W.order.signature())] = W
+    W = tower.modules[diag(d, B)]
+    H._modules[(diag(d, B), W.order.signature())] = W
     return H
 
 
@@ -469,10 +452,10 @@ def verify_lis(H, order=GREVLEX):
     rank e over K[z]/(z_1^(m_1), ..., z_d^(m_d)), so W_m cap V has the
     dimension e * prod(m - e_j) of W_(m - e_j): every (c) check passes, and
     no module but W_top is built.  W_top is read off H.module_at, so a
-    family that section_lift made from a checked tower reuses the tower's
-    top stage and runs no closure at all.  When the gate fails or W_top is
-    not free, each (c) check meets W_m with the V-space and tests
-    containment in W_(m - e_j), which builds every stage module.
+    family that section_lift made reuses the tower's top stage and runs no
+    closure at all.  When the gate fails or W_top is not free, each (c)
+    check meets W_m with the V-space and tests containment in W_(m - e_j),
+    which builds every stage module.
     """
     ring = H.ring
     d, r, s, B = H.d, H.r, H.s, H.bound

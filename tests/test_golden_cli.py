@@ -3,8 +3,9 @@
 Each case runs one command in-process and compares its exit code and stdout
 with a file under tests/golden/.  The inputs are the curve example at
 --mmax 9 (stable) and --mmax 6 (still unstable) and a graded d = 2 complete
-intersection at bound 5, each under grevlex and lex.  verify and reconstruct
-read the text limit file of the same case.  The complete intersection at
+intersection at bound 5, and a graded d = 3 complete intersection at bound 4
+(data/d3.ideal: 64 stages, echelons with fractions), each under grevlex and
+lex.  verify and reconstruct read the text limit file of the same case.  The complete intersection at
 bound 15, whose top stage has N_top = 32, runs only limit (text) and
 reconstruct.  socle and hilbert run, as text and as --json, on Artinian
 reductions: the curve at --m 1, 2 and 3 and the complete intersection at
@@ -47,6 +48,7 @@ INSTANCES = {
     "curve6": ("example.ideal", 6, ALL),
     "ci_d2": ("ci_d2.ideal", 5, ALL),
     "ci_d2_15": ("ci_d2.ideal", 15, ("limit.txt", "reconstruct.txt")),
+    "d3_4": ("d3.ideal", 4, ALL),
 }
 # name -> (input file, --m, extra flags, orders) for socle and hilbert
 REDUCTIONS = {

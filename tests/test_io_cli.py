@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invsys import Ideal, InputSyntaxError
+from invsys import Ideal, InputSyntaxError, PipelineError, context_from_names
 from invsys.cli import _build_parser, main
 from invsys.io import (
     load_limit_system,
@@ -22,9 +23,15 @@ from invsys.io import (
     render_ideal_file,
     render_lis_file,
 )
-from invsys.limitsys import dual_tower, section_lift
+from invsys.limitsys import (
+    artinian_reduction,
+    check_z_regularity,
+    diag,
+    dual_tower,
+    section_lift,
+)
 
-from conftest import DATA, non_free_family
+from conftest import DATA, non_free_family, random_polynomial
 
 
 def test_parse_example_file(curve):
@@ -164,6 +171,85 @@ def test_cli_limit_refuses_a_z_block_that_is_not_regular(tmp_path, capsys, gens,
     sep = "" if reason.startswith(":") else " "
     assert captured.err == f"error: variable 'z' is not regular modulo the ideal{sep}{reason}\n"
     assert not out.exists()
+
+
+LOCAL_AWAY = "field Q\nring local vars x,z\nzvars z\nideal:\nx^2 - x\nx*z\n"
+LOCAL_AWAY_H3 = (
+    "limit-system\nfield Q\nring local vars x,z\nzvars z\n"
+    "d 1\nr 1\ns 0\nbound 3\nm 1:\n1\nm 2:\nZ\nm 3:\nZ^2\n"
+)
+
+
+def test_cli_limit_on_trust_keeps_a_local_input_with_a_component_away(tmp_path, capsys):
+    # locally <x^2 - x, x*z> is (x), so z is regular at the origin though the
+    # polynomial test refuses it; on trust the tower's length certificate
+    # holds and the family is x's
+    path = tmp_path / "away.ideal"
+    path.write_text(LOCAL_AWAY)
+    assert main(["limit", "-i", str(path), "--mmax", "3", "--trust-regular"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (LOCAL_AWAY_H3, "")
+
+
+@pytest.mark.parametrize("B, short", [(2, 3), (3, 4)])
+def test_cli_limit_on_trust_refuses_a_top_stage_short_of_its_length(tmp_path, capsys, B, short):
+    # z is a zero divisor modulo <y^2, y*z>: stage one has length 2, and the
+    # top reduction falls short of B times that, so the tower is not free
+    path = tmp_path / "zd.ideal"
+    path.write_text("field Q\nring local vars y,z\nzvars z\nideal:\ny^2\ny*z\n")
+    assert main(["limit", "-i", str(path), "--mmax", "1", "--trust-regular"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["m 1:", "Y"]
+    assert main(["limit", "-i", str(path), "--mmax", str(B), "--trust-regular"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the reduction at ({B},) has length {short}, short of {B}^1 times the "
+        "length 2 at (1,); the z-block is not a regular sequence modulo the ideal\n"
+    )
+
+
+def _checked_random_ideals(count, seed):
+    """Small graded and local ideals, d = 1 or 2, whose z-block check passes
+    and whose first reduction is Artinian."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d, ny = rng.choice([1, 2]), rng.choice([1, 2])
+        names = [f"y{i}" for i in range(ny)] + [f"z{i}" for i in range(d)]
+        mode = rng.choice(["graded", "local"])
+        ctx = context_from_names(",".join(names), mode=mode, zvars=",".join(names[ny:]))
+        gens = [
+            ctx.variable(i) ** rng.choice([2, 3])
+            + random_polynomial(ctx, rng, 2, terms=rng.choice([0, 1, 2]))
+            for i in range(ny)
+        ]
+        I = Ideal(ctx, gens)
+        try:
+            check_z_regularity(I)
+            artinian_reduction(I, diag(d, 1), ceiling=12)
+        except PipelineError:
+            continue
+        out.append((ctx, I))
+    return out
+
+
+def test_cli_limit_on_trust_matches_the_checked_run(tmp_path):
+    # a checked z-block is regular, so its tower is free and the trusted run
+    # builds the same tower and prints the same family, or the same refusal
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    path = tmp_path / "r.ideal"
+    codes = []
+    for ctx, I in _checked_random_ideals(20, seed=5):
+        path.write_text(render_ideal_file(ctx, I))
+        checked = run(["limit", "-i", str(path), "--mmax", "3"])
+        assert run(["limit", "-i", str(path), "--mmax", "3", "--trust-regular"]) == checked
+        codes.append(checked[0])
+    assert codes.count(0) >= 10
 
 
 def test_cli_limit_golden_stability(tmp_path):

@@ -112,9 +112,10 @@ def test_dual_tower_closed_form(band):
 
 
 def test_dual_tower_builds_only_the_read_stages(ci_d2, curve, monkeypatch):
-    # section_lift reads the diagonal: stage one comes from the reduction that
-    # gave s, the top stage from its own reduction, and every other stage is
-    # a meet with a coordinate subspace, built on first read
+    # section_lift reads the diagonal: stage one's reduction gives s and the
+    # length, the top stage comes from its own reduction and perp_ideal, and
+    # every other stage is a contraction of it, built on first read; no
+    # stage is met out of another
     calls = {"perp_ideal": 0, "artinian_reduction": 0}
 
     def counted(name, fn):
@@ -122,6 +123,9 @@ def test_dual_tower_builds_only_the_read_stages(ci_d2, curve, monkeypatch):
             calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("coordinate_meet called")
 
     for (ctx, I), B in [(ci_d2, 3), (curve, 5)]:
         d = len(ctx.zindices)
@@ -131,21 +135,11 @@ def test_dual_tower_builds_only_the_read_stages(ci_d2, curve, monkeypatch):
             monkeypatch.setattr(
                 limitsys, "artinian_reduction", counted("artinian_reduction", artinian_reduction)
             )
-            meets = []
-            stage_below = limitsys._stage_below
-
-            def recorded(W, m):
-                meets.append((W, m))
-                return stage_below(W, m)
-
-            monkeypatch.setattr(limitsys, "_stage_below", recorded)
+            monkeypatch.setattr(limitsys, "coordinate_meet", forbidden)
             calls.update(perp_ideal=0, artinian_reduction=0)
             tower = dual_tower(I, B, order, trust_regular=True)
             section_lift(tower, order=order)
-            assert calls == {"perp_ideal": 2, "artinian_reduction": 2}
-            # read from the top down, each diagonal stage is met out of the one above
-            assert [m for _, m in meets] == [diag(d, k) for k in range(B - 1, 1, -1)]
-            assert all(W is tower.modules[diag(d, m[0] + 1)] for W, m in meets)
+            assert calls == {"perp_ideal": 1, "artinian_reduction": 2}
             assert len(tower.modules) == B ** d and list(tower.modules) == grid(d, B)
             assert (1,) * (d - 1) + (2,) in tower.modules and low not in tower.modules
             monkeypatch.undo()
@@ -163,9 +157,9 @@ def test_local_top_stage_is_certified_by_its_length(curve, monkeypatch):
     # the curve's top reduction reaches B times the length of stage one at
     # truncation N_top = B + s, one degree below Nakayama's certificate, and
     # its one kernel is built there; on a z-block that is not regular
-    # (<y^2, y*z>, under trust_regular) the length falls short and Nakayama
-    # certifies, and both tops equal the perp of the Nakayama-certified
-    # reduction
+    # (<y^2, y*z>, taken on trust) the length falls short, Nakayama
+    # certifies the same one kernel, and the tower refuses the top stage
+    # with both lengths before building any other stage
     import invsys.groebner as groebner
 
     built = []
@@ -176,15 +170,22 @@ def test_local_top_stage_is_certified_by_its_length(curve, monkeypatch):
         built.append(self.N)
 
     monkeypatch.setattr(groebner.ArtinianQuotient, "__init__", counted)
+    I, B = curve[1], 9
+    tower = dual_tower(I, B, trust_regular=True)
+    del built[:]
+    W = tower.modules[(B,)]
+    assert built == [12]
+    J, N = artinian_form(artinian_reduction(I, (B,)))
+    assert W.basis == perp_ideal(J, degbound=N - 1).basis
+
     ctx = context_from_names("y,z", mode="local", zvars="z")
     zero_divisor = Ideal(ctx, [ctx.parse("y^2"), ctx.parse("y*z")])
-    for I, B, top_kernels in ((curve[1], 9, [12]), (zero_divisor, 3, [4])):
-        tower = dual_tower(I, B, trust_regular=True)
-        del built[:]
-        W = tower.modules[(B,)]
-        assert built == top_kernels
-        J, N = artinian_form(artinian_reduction(I, (B,)))
-        assert W.basis == perp_ideal(J, degbound=N - 1).basis
+    tower = dual_tower(zero_divisor, 3, trust_regular=True)
+    del built[:]
+    with pytest.raises(PipelineError, match=r"^the reduction at \(3,\) has length 4, short of 3\^1 "
+                       r"times the length 2 at \(1,\); the z-block is not a regular sequence"):
+        tower.modules[(1,)]
+    assert built == [4]
 
 
 def _tower_family(name):
@@ -196,15 +197,21 @@ def _tower_family(name):
         ctx = context_from_names("y0,y1,z0,z1", field=field, zvars="z0,z1")
         gens = ["y0^3 - 2*y1^2*z0 - y1*z0*z1", "y1^2"]
         return Ideal(ctx, [ctx.parse(g) for g in gens]), 5
+    if name.startswith("d3"):
+        field = "fp:32003" if name.endswith("fp") else "q"
+        ctx = context_from_names("y0,y1,z0,z1,z2", field=field, zvars="z0,z1,z2")
+        gens = ["y0^2 + y0*z0 - y1*z1", "y1^2 - y0*z2 + z0*z1"]
+        return Ideal(ctx, [ctx.parse(g) for g in gens]), 3
     if name == "band":
         ctx = context_from_names("y,z", zvars="z")
         return Ideal(ctx, [ctx.parse("y^2")]), 3
+    # z = y^2 in K[[y]]: a free tower whose socle degree grows by two per
+    # stage, so each stage's own bound is not its contraction's shifted one
     ctx = context_from_names("y,z", mode="local", zvars="z")
-    return Ideal(ctx, [ctx.parse("y^2"), ctx.parse("y*z")]), 3
+    return Ideal(ctx, [ctx.parse("y^2 - z")]), 3
 
 
-TOWER_FAMILIES = ("curve", "ci-d2", "ci-d2 fp", "band", "y2-yz")
-ON_TRUST = ("y2-yz",)  # z is a zero divisor: the tower is built only on trust
+TOWER_FAMILIES = ("curve", "ci-d2", "ci-d2 fp", "band", "d3", "d3 fp")
 READS = ("diagonal upward", "diagonal downward", "shuffled grid")
 
 
@@ -222,12 +229,12 @@ def _read_order(d, B, how):
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
-@pytest.mark.parametrize("name", TOWER_FAMILIES)
+@pytest.mark.parametrize("name", TOWER_FAMILIES + ("y2-z",))
 def test_tower_stages_are_closed_by_construction(name, order):
-    # no stage is checked for closure when it is built: the top stage and
-    # stage one are perp_ideal outputs and every other stage is a meet out of
-    # a diagonal stage; in any read order each must be the perp of its own
-    # reduction, pass the closure oracle and be marked closed
+    # no stage is checked for closure when it is built: the top stage is a
+    # perp_ideal output and every other stage is a contraction of it; in any
+    # read order each must be the perp of its own reduction, with its bound,
+    # pass the closure oracle and be marked closed
     I, B = _tower_family(name)
     d = len(I.ring.zindices)
     expected = {}
@@ -236,7 +243,7 @@ def test_tower_stages_are_closed_by_construction(name, order):
         W = perp_ideal(J, degbound=N - 1, order=order)
         expected[m] = (W.basis, W.degbound)
     for how in READS:
-        tower = dual_tower(I, B, order, trust_regular=name in ON_TRUST)
+        tower = dual_tower(I, B, order)
         for m in _read_order(d, B, how):
             W = tower.modules[m]
             assert (W.basis, W.degbound) == expected[m], (how, m)
@@ -245,10 +252,11 @@ def test_tower_stages_are_closed_by_construction(name, order):
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
-@pytest.mark.parametrize("name", [n for n in TOWER_FAMILIES if n not in ON_TRUST])
+@pytest.mark.parametrize("name", TOWER_FAMILIES)
 def test_section_lift_hands_the_tower_top_to_the_family(name, order):
-    # with the z-block checked regular H_top generates W_top, so the family
-    # starts with the tower's top stage; under trust it closes H_top itself
+    # the tower certified W_top free, so H_top generates it and the family
+    # starts with the tower's top stage, whether the z-block was checked or
+    # taken on trust
     I, B = _tower_family(name)
     tower = dual_tower(I, B, order)
     H = section_lift(tower, order=order)
@@ -257,14 +265,16 @@ def test_section_lift_hands_the_tower_top_to_the_family(name, order):
     generated = DualModule.generate(H.ring, H.family[top], degbound=sum(top) + H.s - H.d, order=order)
     assert (W.basis, W.degbound) == (generated.basis, generated.degbound)
     assert H.module_at(top, order) is W
-    trusted = section_lift(dual_tower(I, B, order, trust_regular=True), order=order)
-    assert trusted.family == H.family and not trusted._modules
+    trusted_tower = dual_tower(I, B, order, trust_regular=True)
+    trusted = section_lift(trusted_tower, order=order)
+    assert trusted.family == H.family
+    assert trusted.module_at(top, order) is trusted_tower.modules[top]
 
 
 def test_cli_limit_builds_no_closure_on_a_checked_tower(capsys, monkeypatch):
-    # limit checks the z-block, so verify_lis reads the tower's W_top and no
-    # module is closed or checked for closure; --trust-regular closes H_top
-    # once and prints the same family
+    # verify_lis reads the tower's W_top, so no module is closed or checked
+    # for closure, with the z-block checked or taken on trust, and both
+    # print the same family
     from invsys.cli import main
 
     calls = {"generate": 0, "verify_closed": 0}
@@ -285,11 +295,11 @@ def test_cli_limit_builds_no_closure_on_a_checked_tower(capsys, monkeypatch):
     golden = Path(__file__).resolve().parent / "golden"
     for path, B in ((DATA / "example.ideal", 9), (golden / "ci_d2.ideal", 5)):
         outs = []
-        for flags, closures in (((), 0), (("--trust-regular",), 1)):
+        for flags in ((), ("--trust-regular",)):
             calls.update(generate=0, verify_closed=0)
             assert main(["limit", "-i", str(path), "--mmax", str(B), *flags]) == 0
             outs.append(capsys.readouterr().out)
-            assert calls == {"generate": closures, "verify_closed": 0}, (path.name, flags)
+            assert calls == {"generate": 0, "verify_closed": 0}, (path.name, flags)
         assert outs[0] == outs[1]
 
 
