@@ -38,6 +38,8 @@ _COMMANDS = {
     "reduce": ("print the Artinian reduction I + <z^m>", True, ((("--m",), {"required": True}),)),
     "limit": ("compute the limit inverse system up to a bound", True, (
         (("--mmax",), {"type": int, "default": 3}),
+        (("--trust-regular",), {"action": "store_true",
+                                "help": "skip the z-block regularity verification"}),
     )),
     "reconstruct": ("recover the ideal from a limit system file", True, ()),
     "verify": ("check the limit-system conditions of a file", True, ()),
@@ -61,8 +63,6 @@ def _common(p, with_input):
                    help="truncation ceiling (rees-check: truncation degree)")
     p.add_argument("--seed", type=int, default=0,
                    help="drives no search; only recorded as inputs.seed under --json")
-    p.add_argument("--trust-regular", action="store_true",
-                   help="skip the z-block regularity verification")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("-o", "--output", default=None, help="write main output to a file")
 
@@ -159,7 +159,7 @@ def _run(args):
         with open(args.input, encoding="utf-8") as fh:
             H = load_limit_system(fh.read())
         ctx = H.ring
-        report = verify_lis(H, order)
+        report = verify_lis(H)
         if args.command == "verify":
             lines = []
             for c in report.checks:
@@ -224,7 +224,7 @@ def _run(args):
             raise ValueError(f"--mmax {args.mmax} must be at least 1")
         tower = dual_tower(ideal, args.mmax, order, ceiling, trust_regular=args.trust_regular)
         H = section_lift(tower, order=order)
-        report = verify_lis(H, order)
+        report = verify_lis(H)
         if not report.passed:
             failed = sorted({c.condition for c in report.failures()})
             raise InvsysError(

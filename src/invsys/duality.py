@@ -239,7 +239,7 @@ def verify_closed(W):
     W._closed = True
 
 
-def perp_module(W, order=GREVLEX):
+def perp_module(W):
     """Annihilator ideal of a dual module, with certificate m^(degbound+1).
 
     The transpose of perp_ideal, read off one echelon.  The contraction
@@ -258,7 +258,7 @@ def perp_module(W, order=GREVLEX):
     divisibility-minimal leads.  When every term of W has degree <= B (the
     DualModule contract), Ann(C) contains m^(B+1) and the rows are the
     quotient matrix of the returned ideal, which takes them over as its
-    GREVLEX kernel.  The order argument does not affect the result.
+    GREVLEX kernel.
     """
     ring = W.ring
     if W.is_zero():

@@ -535,21 +535,22 @@ def _lead_bound(ring, lms, ceiling, inside=None):
     return N
 
 
-def _graded_bound(ideal, order, ceiling):
-    """Least N with m^N inside a graded ideal, read off its basis.
+def _graded_bound(ideal, ceiling):
+    """Least N with m^N inside a graded ideal, read off its GREVLEX basis.
 
+    N does not depend on the order, so one basis serves every order.
     Homogeneous generators have a homogeneous basis, whose standard
     monomials of degree N span (P/I)_N: m^N lies in the ideal exactly when
     every degree-N monomial has a lead divisor, so N is read off the leads
     alone.  Other ideals take normal forms against the basis.
     """
     ring = ideal.ring
-    reducers = ideal._reducers(order)
+    reducers = ideal._reducers(GREVLEX)
     lms = [lm for lm, _ in reducers]
     if all(len({sum(e) for e in g.terms}) == 1 for g in ideal.gens):
         return _lead_bound(ring, lms, ceiling)
     one = ring.field.one
-    return _lead_bound(ring, lms, ceiling, lambda e: not reduce_terms(ring, order, {e: one}, reducers))
+    return _lead_bound(ring, lms, ceiling, lambda e: not reduce_terms(ring, GREVLEX, {e: one}, reducers))
 
 
 def _homogenize(ring, polys):
@@ -613,7 +614,7 @@ def artinian_bound(ideal, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None, len
         if ideal.trunc is not None:
             ideal._form = (ideal, ideal.quotient(order).bound())
         elif ideal.ring.mode == "graded":
-            ideal._form = (ideal, _graded_bound(ideal, order, ceiling))
+            ideal._form = (ideal, _graded_bound(ideal, ceiling))
         else:
             ideal._form = _local_form(ideal, order, ceiling, hint, length)
     return ideal._form[1]

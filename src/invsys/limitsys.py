@@ -93,12 +93,12 @@ class VSpace:
             if e[zi] < limit:
                 yield e
 
-    def meet(self, W, order=GREVLEX):
-        """Canonical echelon basis of W cap V, as term dicts."""
+    def meet(self, W):
+        """Canonical echelon basis of W cap V in W's order, as term dicts."""
         ring = W.ring
         rows = (F.terms for F in W.basis)
         return coordinate_meet(
-            ring.field, ring.order_key(order), rows, lambda e: self.contains(ring, e)
+            ring.field, ring.order_key(W.order), rows, lambda e: self.contains(ring, e)
         )
 
 
@@ -117,32 +117,30 @@ class LimitInverseSystem:
     def stages(self):
         return sorted(self.family)
 
-    def module_at(self, m, order=GREVLEX):
+    def module_at(self, m):
         """The module P.H_m, with degree bound |m| + s - d.
 
-        The top stage runs the contraction closure of H_top, unless
-        section_lift handed over its tower's top stage.  A stage whose
-        H_m is z^(top - m) . H_top, entry by entry, is one contraction of the
-        top module, P.H_m = z^(top - m) . P.H_top, with the same canonical
-        basis and degree bound as its own closure; any other stage runs its
-        own closure.
+        The top stage runs the contraction closure of H_top in GREVLEX,
+        unless section_lift handed over its tower's top stage.  A stage
+        whose H_m is z^(top - m) . H_top, entry by entry, is one contraction
+        of the top module, P.H_m = z^(top - m) . P.H_top, with the same
+        canonical basis, in the top module's order, and degree bound as its
+        own closure; any other stage runs its own closure in GREVLEX.
 
-        Built once per stage and order: the family is not mutated after
-        construction, so verify_lis and reconstruct share the modules.
+        Built once per stage: the family is not mutated after construction,
+        so verify_lis and reconstruct share the modules.  Nothing read off a
+        module depends on the order of its echelon basis.
         """
-        sig = order.signature()
         m = tuple(m)
-        W = self._modules.get((m, sig))
+        W = self._modules.get(m)
         if W is None:
             top = diag(self.d, self.bound)
             if m != top and _contracts(self, m, top):
-                W = self.module_at(top, order).contract_by(_zshift(self.ring, m, top))
+                W = self.module_at(top).contract_by(_zshift(self.ring, m, top))
             else:
                 bound = sum(m) + self.s - self.d if self.d else self.s
-                W = DualModule.generate(
-                    self.ring, self.family.get(m, ()), degbound=max(bound, 0), order=order
-                )
-            self._modules[(m, sig)] = W
+                W = DualModule.generate(self.ring, self.family.get(m, ()), degbound=max(bound, 0))
+            self._modules[m] = W
         return W
 
 
@@ -244,14 +242,18 @@ def artinian_reduction(I, m, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None, 
     return red
 
 
-def check_z_regularity(I, order=GREVLEX):
-    """Sequential nonzerodivisor test for the z-block variables modulo I."""
+def check_z_regularity(I):
+    """Sequential nonzerodivisor test for the z-block variables modulo I.
+
+    The verdict does not depend on a monomial order, so every membership
+    test runs in GREVLEX.
+    """
     ring = I.ring
     current = I
     for slot, zi in enumerate(ring.zindices):
         f = ring.variable(zi)
         try:
-            ok = is_regular(f, current, order)
+            ok = is_regular(f, current)
         except Exception as exc:
             raise PipelineError(
                 f"variable {ring.zvars[slot]!r} is not regular modulo the ideal: {exc}"
@@ -301,7 +303,7 @@ def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False
     ring = I.ring
     d = len(ring.zindices)
     if not trust_regular:
-        check_z_regularity(I, order)
+        check_z_regularity(I)
     one = diag(d, 1)
     top = diag(d, B)
     I1 = artinian_reduction(I, one, order, ceiling)
@@ -401,8 +403,7 @@ def section_lift(tower, order=GREVLEX):
         e = _zshift(ring, m, diag(d, k))
         family[m] = tuple(contract_exp(e, F) for F in family[diag(d, k)])
     H = LimitInverseSystem(ring, d, r, s, B, family)
-    W = tower.modules[diag(d, B)]
-    H._modules[(diag(d, B), W.order.signature())] = W
+    H._modules[diag(d, B)] = tower.modules[diag(d, B)]
     return H
 
 
@@ -433,25 +434,27 @@ class LisReport:
         return [c for c in self.checks if not c.ok]
 
 
-def verify_lis(H, order=GREVLEX):
+def verify_lis(H):
     """Check the four limit-inverse-system conditions plus compatibility.
 
     (a) each stage spans an r-dimensional space; (b) the support starts
     exactly at the all-ones stage, i.e. H_1 is nonzero and z_i^(m_i) kills
     H_m; (c) W_m meets the V-space inside W_(m - e_j); (d) the top degree of
-    H_m is |m| + s - d.  Failures carry witnesses.
+    H_m is |m| + s - d.  Failures carry witnesses.  No rank, kill, degree,
+    dimension or containment depends on a monomial order, so the report
+    does not either: H_m is echelonized in GREVLEX, and each module in its
+    own order.
 
     (c) is decided in one of two ways.  When every compat, (b) and (d) check
     passes, H_m = z^(top - m) . H_top, so W_m = z^(top - m) . W_top.  W_m
     lies in degrees <= |m| + s - d, so W_m cap V is the kernel of
     z_j^(m_j - 1) on W_m, which holds W_(m - e_j) = z_j . W_m.  W_top is a
-    module over R = K[z]/(z_1^B, ..., z_d^B); let e be the dimension of its
-    socle, W_top met with span{X^a : a_z = 0}.  R is Gorenstein, so W_top
-    embeds in R^e and dim W_top <= e * B^d, with equality exactly when
-    W_top is free (see _free_rank).  A free W_top makes every W_m free of
-    rank e over K[z]/(z_1^(m_1), ..., z_d^(m_d)), so W_m cap V has the
-    dimension e * prod(m - e_j) of W_(m - e_j): every (c) check passes, and
-    no module but W_top is built.  W_top is read off H.module_at, so a
+    module over R = K[z]/(z_1^B, ..., z_d^B) with some e free summands, and
+    it is free exactly when dim W_top = e * B^d (see _free_rank).  A free
+    W_top makes every W_m free of rank e over
+    K[z]/(z_1^(m_1), ..., z_d^(m_d)), so W_m cap V has the dimension
+    e * prod(m - e_j) of W_(m - e_j): every (c) check passes, and no module
+    but W_top is built.  W_top is read off H.module_at, so a
     family that section_lift made reuses the tower's top stage and runs no
     closure at all.  When the gate fails or W_top is not free, each (c)
     check meets W_m with the V-space and tests containment in W_(m - e_j),
@@ -462,7 +465,7 @@ def verify_lis(H, order=GREVLEX):
     rep = LisReport()
     if d == 0:
         elems = H.family.get((), ())
-        ech = Echelon(ring.field, ring.order_key(order))
+        ech = Echelon(ring.field, ring.order_key(GREVLEX))
         for F in elems:
             ech.insert(F.terms)
         rep.add("a", (), ech.rank == r, f"dim {ech.rank} vs r = {r}")
@@ -474,11 +477,11 @@ def verify_lis(H, order=GREVLEX):
         return rep
 
     stages = grid(d, B)
-    zero_mod = DualModule(ring, 0, [], order)
+    zero_mod = DualModule(ring, 0, [])
 
     for m in stages:
         elems = H.family.get(m, ())
-        ech = Echelon(ring.field, ring.order_key(order))
+        ech = Echelon(ring.field, ring.order_key(GREVLEX))
         for F in elems:
             ech.insert(F.terms)
         rep.add("a", m, ech.rank == r, f"dim span H_m = {ech.rank}, r = {r}")
@@ -527,16 +530,16 @@ def verify_lis(H, order=GREVLEX):
 
     # (c): W_m cap V^(j, s-d)_m inside W_(m - e_j)
     gate = all(c.ok for c in rep.checks if c.condition in ("b", "compat", "d"))
-    rank = _free_rank(H.module_at(diag(d, B), order), B) if gate else None
+    rank = _free_rank(H.module_at(diag(d, B)), B) if gate else None
     for m in stages:
         for slot in range(d):
             prev = _step(m, slot, -1)
             if rank is not None:
                 dim, ok = rank * math.prod(prev), True
             else:
-                inter = VSpace(slot, s - d, m).meet(H.module_at(m, order), order)
+                inter = VSpace(slot, s - d, m).meet(H.module_at(m))
                 dim = len(inter)
-                Wprev = H.module_at(prev, order) if m[slot] > 1 else zero_mod
+                Wprev = H.module_at(prev) if m[slot] > 1 else zero_mod
                 ech = Wprev._echelon()
                 ok = all(ech.contains(v) for v in inter)
             rep.add(
@@ -551,20 +554,15 @@ def verify_lis(H, order=GREVLEX):
 def _free_rank(W, B):
     """The rank of W over R = K[z]/(z_1^B, ..., z_d^B) when W is free, else None.
 
-    W must be killed by every z_i^B.  Its socle over R, the elements every
-    z_i kills, is W & span{X^a : a_z = 0}, read off one coordinate meet.
-    R is Gorenstein, so W embeds in R^rank for rank the socle dimension, and
-    W is free exactly when dim W = rank * B^d.
+    W must be killed by every z_i^B.  sigma = (z_1...z_d)^(B-1) spans the
+    socle of the Gorenstein ring R, so dim sigma . W is the number of free
+    summands of W: a summand N with sigma . N != 0 holds a copy of R, which
+    is injective over itself and so splits off, and sigma kills the rest.
+    W is free exactly when dim W = B^d * dim sigma . W, one contraction.
     """
-    ring = W.ring
-    zi = ring.zindices
-    socle = coordinate_meet(
-        ring.field,
-        ring.order_key(W.order),
-        (F.terms for F in W.basis),
-        lambda e: not any(e[i] for i in zi),
-    )
-    rank = len(socle)
+    zi = W.ring.zindices
+    sigma = tuple(B - 1 if i in zi else 0 for i in range(W.ring.nvars))
+    rank = W.contract_by(sigma).dim
     return rank if W.dim == rank * B ** len(zi) else None
 
 
@@ -594,44 +592,44 @@ def reconstruct(H, order=GREVLEX):
     regular sequence, as the correspondence requires.  No such plateau
     within the bound returns a partial result flagged unstable (caller
     raises the bound).
+
+    order picks the survivors, which are read off reduced bases in it, and
+    the basis of the returned ideal.  Every membership, equality and
+    regularity test runs in GREVLEX, on the kernels perp_module hands over.
     """
     ring = H.ring
     d = H.d
     if d == 0:
         W = H.module_at(())
-        return ReconstructionResult(perp_module(W, order), True, 0, "classical duality, no tower")
+        return ReconstructionResult(perp_module(W), True, 0, "classical duality, no tower")
     B = H.bound
-    anns = {}
-    for k in range(1, B + 1):
-        Wk = H.module_at(diag(d, k), order)
-        anns[k] = perp_module(Wk, order)
+    anns = {k: perp_module(H.module_at(diag(d, k))) for k in range(1, B + 1)}
     # consistency: the annihilators must form a decreasing chain
     for k in range(1, B):
         for g in anns[k + 1].gens:
-            if not anns[k].contains(g, order):
+            if not anns[k].contains(g):
                 raise PipelineError(
                     f"annihilator chain is not decreasing between stages {k} and {k + 1}; "
                     "the family is not a limit inverse system"
                 )
-    # survivors of stage K are its basis elements lying in every later stage;
-    # membership in earlier stages is automatic since the chain decreases,
-    # and the last stage has no later witness, so it contributes none
+    # survivors of stage K are its basis elements lying in every later stage.
+    # The check above puts anns[n + 1]'s generators in anns[n], and the
+    # truncations N_n do not decrease, so anns[B] lies in every anns[n]: one
+    # membership test suffices.  The last stage has no later witness, so it
+    # contributes none
     chain = []
     acc = []
     for K in range(1, B):
-        acc.extend(
-            g
-            for g in anns[K].groebner(order)
-            if all(anns[n].contains(g, order) for n in range(K + 1, B + 1))
-        )
+        acc.extend(g for g in anns[K].groebner(order) if anns[B].contains(g))
         chain.append(Ideal(ring, list(acc)))
 
     for K in range(1, len(chain)):
-        if not chain[K - 1].equals(chain[K], order):
+        if not chain[K - 1].equals(chain[K]):
             continue
-        plateau = Ideal(ring, chain[K - 1].groebner(order))
-        if reproduces(plateau, anns) and _z_regular(plateau, order):
-            return ReconstructionResult(plateau, True, K, f"stabilized at stage {K} of {B}")
+        plateau = Ideal(ring, chain[K - 1].groebner())
+        if reproduces(plateau, anns) and _z_regular(plateau):
+            result = Ideal(ring, chain[K - 1].groebner(order))
+            return ReconstructionResult(result, True, K, f"stabilized at stage {K} of {B}")
     return ReconstructionResult(
         Ideal(ring, chain[-1].groebner(order) if chain else []),
         False,
@@ -640,7 +638,7 @@ def reconstruct(H, order=GREVLEX):
     )
 
 
-def _z_regular(candidate, order):
+def _z_regular(candidate):
     """True when the z-block is a regular sequence modulo candidate.
 
     The correspondence covers only such ideals.  A pass is never a false
@@ -649,7 +647,7 @@ def _z_regular(candidate, order):
     bound.
     """
     try:
-        check_z_regularity(candidate, order)
+        check_z_regularity(candidate)
     except PipelineError:
         return False
     return True

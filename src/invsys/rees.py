@@ -164,7 +164,7 @@ def _sequence_regular(seq, I, order):
     return True, ""
 
 
-def rees_dimension_check(seq, I, level, degcap=3, order=GREVLEX, ceiling=DEFAULT_CEILING):
+def rees_dimension_check(seq, I, level, degcap=3, order=GREVLEX):
     """Compare graded pieces of the sequence-adic filtration with their model.
 
     For each l <= level the dimension of J^l / (J^(l+1) + m^degcap J^l) over

@@ -222,6 +222,27 @@ def lead_bound_scan(lms, nvars, ceiling, inside=None):
     return "ceiling"
 
 
+def free_rank_by_socle(rows, zindices, B, p=None):
+    """The rank of W = span(rows) over K[z]/(z_1^B, ..., z_d^B) when W is
+    free, else None, by the dimension of its socle.
+
+    rows are term dicts of dual elements that every z_i^B kills.  The socle,
+    W & span{X^a : a_z = 0}, is the kernel of W's projection onto the
+    monomials with a z-exponent, so its dimension is dim W minus the rank
+    of that projection.  K[z]/(z^B) is Gorenstein, so W embeds in R^e for e
+    the socle dimension, and W is free exactly when dim W = e * B^d.
+    """
+    cols = sorted({e for row in rows for e in row})
+
+    def rank(columns):
+        dense = [[row.get(e, 0) for e in columns] for row in rows]
+        return len(dense_rref(dense, len(columns), p)[0]) if dense else 0
+
+    dim = rank(cols)
+    socle = dim - rank([e for e in cols if any(e[i] for i in zindices)])
+    return socle if dim == socle * B ** len(zindices) else None
+
+
 def hilbert_rank_walk(nf_by_degree, p=None):
     """Hilbert profile of P/J by a rank walk over the normal forms of monomials.
 

@@ -228,11 +228,13 @@ def test_graded_bound_from_leads_matches_normal_forms(monkeypatch):
             gens.append(ctx.from_terms({rng.choice(exps): rng.choice([1, -1, 2]) for _ in range(3)}))
         if t % 3:
             gens += [ctx.variable(i) ** rng.choice([2, 3, 4]) for i in range(n)]
+        # the bound is read off the GREVLEX basis; the reference scans normal
+        # forms in either order, as N does not depend on it
         order = rng.choice([GREVLEX, LEX])
         I = Ideal(ctx, gens)
-        I.groebner(order)
+        I.groebner()
         del calls[:]
-        got = _outcome(groebner._graded_bound, I, order, 12)
+        got = _outcome(groebner._graded_bound, I, 12)
         assert calls == [], t  # homogeneous: no normal form
         assert got == _outcome(_normal_form_bound, Ideal(ctx, gens), order, 12), t
         bounds.add(got)

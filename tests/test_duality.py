@@ -24,6 +24,7 @@ from invsys.limitsys import dual_tower, grid, section_lift
 from invsys.linalg import nullspace
 from invsys.ring import GREVLEX, LEX, Polynomial, e_divides, e_sub
 
+from conftest import stage_closure
 from oracles import brute_perp
 
 
@@ -370,10 +371,10 @@ def _closed_modules(curve, curve_H9):
     """(name, module) for every way a module is known closed."""
     ctx, I = curve
     H_ci = section_lift(dual_tower(_ci_d2_ideal(), 3))
-    out = []
-    for order in (GREVLEX, LEX):
-        out += [(f"curve{k}-{order.kind}", curve_H9.module_at((k,), order)) for k in (1, 5, 9)]
-        out += [(f"ci{m}-{order.kind}", H_ci.module_at(m, order)) for m in grid(2, 3)]
+    stages = [(f"curve{k}", curve_H9, (k,)) for k in (1, 5, 9)]
+    stages += [(f"ci{m}", H_ci, m) for m in grid(2, 3)]
+    out = [(name, H.module_at(m)) for name, H, m in stages]
+    out += [(f"{name}-lex", stage_closure(H, m, LEX)) for name, H, m in stages]
     dual = ctx.dual
     generated = DualModule.generate(ctx, [dual.parse("Y^3*X^2 + Z^2*W"), dual.parse("Z^3")])
     out.append(("generate", generated))
@@ -455,7 +456,7 @@ def test_contract_by_matches_termwise_contraction(curve_H9):
     # nonzero; its basis must be the canonical echelon basis of the
     # termwise images, for zero, one-slot and many-slot exponents
     H_ci = section_lift(dual_tower(_ci_d2_ideal(), 3))
-    for W in [curve_H9.module_at((5,)), curve_H9.module_at((5,), LEX), H_ci.module_at((3, 3))]:
+    for W in [curve_H9.module_at((5,)), stage_closure(curve_H9, (5,), LEX), H_ci.module_at((3, 3))]:
         ctx = W.ring
         for e in itertools.product(range(3), repeat=ctx.nvars):
             got = W.contract_by(e)

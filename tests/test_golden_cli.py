@@ -125,6 +125,18 @@ def test_reduction_outputs_match_goldens(name, order, tmp_path, monkeypatch):
     test_cli_outputs_match_goldens(name, order, tmp_path, monkeypatch)
 
 
+@pytest.mark.parametrize("limit_order", ORDERS)
+@pytest.mark.parametrize("name", ("curve9", "ci_d2"))
+def test_verify_prints_the_same_under_both_orders(name, limit_order, tmp_path, monkeypatch):
+    # the report holds ranks, kills, degrees and the dimensions and
+    # containments of the meets, none of which depends on the order
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "H.lis").write_text(_golden(name, limit_order, "limit.txt")[1], encoding="utf-8")
+    want = _golden(name, limit_order, "verify.txt")
+    for order in ORDERS:
+        assert _run(["verify", "-i", "H.lis", "--order", order]) == want, order
+
+
 def record():
     """Write every golden file from the current program's outputs."""
     import os

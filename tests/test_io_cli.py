@@ -483,6 +483,7 @@ def test_cli_refuses_an_over_long_json_integer_elsewhere(tmp_path, capsys, curve
         ["verify", "-i"],
         ["limit", "-i", "x", "--mmax", "q"],
         ["limit", "-i", "x", "--order", "foo"],
+        ["reconstruct", "-i", "x", "--trust-regular"],
         ["hilbert", "-i", "x", "--bogus"],
         ["socle", "-i", "x", "stray"],
         ["perp", "--deg", "1"],
@@ -507,6 +508,19 @@ def test_cli_refuses_the_removed_jobs_flag(capsys):
         main(["limit", "-i", EXAMPLE, "--mmax", "2", "--jobs", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_cli_trust_regular_belongs_to_limit(tmp_path, capsys):
+    # only limit reads --trust-regular; any other subcommand refuses it as a
+    # usage error rather than running the z-block test anyway
+    lis = tmp_path / "H.lis"
+    assert main(["limit", "-i", EXAMPLE, "--mmax", "2", "--trust-regular", "-o", str(lis)]) == 0
+    capsys.readouterr()
+    for argv in (["reconstruct", "-i", str(lis)], ["verify", "-i", str(lis)], ["socle", "-i", EXAMPLE]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--trust-regular"])
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments: --trust-regular" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path, capsys):

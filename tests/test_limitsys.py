@@ -31,7 +31,15 @@ from invsys.limitsys import (
 from invsys.linalg import intersect_spans
 from invsys.ring import GREVLEX, LEX, Polynomial, e_unit
 
-from conftest import DATA, non_free_family, non_free_family_d2, theorem_class_suite, top_family
+from conftest import (
+    DATA,
+    non_free_family,
+    non_free_family_d2,
+    stage_closure,
+    theorem_class_suite,
+    top_family,
+)
+from oracles import free_rank_by_socle
 
 
 @pytest.fixture
@@ -264,11 +272,11 @@ def test_section_lift_hands_the_tower_top_to_the_family(name, order):
     W = tower.modules[top]
     generated = DualModule.generate(H.ring, H.family[top], degbound=sum(top) + H.s - H.d, order=order)
     assert (W.basis, W.degbound) == (generated.basis, generated.degbound)
-    assert H.module_at(top, order) is W
+    assert H.module_at(top) is W
     trusted_tower = dual_tower(I, B, order, trust_regular=True)
     trusted = section_lift(trusted_tower, order=order)
     assert trusted.family == H.family
-    assert trusted.module_at(top, order) is trusted_tower.modules[top]
+    assert trusted.module_at(top) is trusted_tower.modules[top]
 
 
 def test_cli_limit_builds_no_closure_on_a_checked_tower(capsys, monkeypatch):
@@ -301,6 +309,33 @@ def test_cli_limit_builds_no_closure_on_a_checked_tower(capsys, monkeypatch):
             outs.append(capsys.readouterr().out)
             assert calls == {"generate": 0, "verify_closed": 0}, (path.name, flags)
         assert outs[0] == outs[1]
+
+
+def test_lex_runs_buchberger_only_for_the_printed_basis(tmp_path, capsys, monkeypatch):
+    # membership, equality, regularity and the truncation bound do not depend
+    # on the order and run in GREVLEX: limit --order lex runs no lex
+    # Buchberger pass, and reconstruct --order lex runs one, for its output,
+    # stable or not (d3 is not yet stable at bound 3)
+    from invsys import groebner
+    from invsys.cli import main
+
+    kinds = []
+    buchberger = groebner.buchberger
+
+    def counted(ring, gens, order=GREVLEX):
+        kinds.append(order.kind)
+        return buchberger(ring, gens, order)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    for source, B, stable in (("ci_d2.ideal", 5, True), ("example.ideal", 9, True), ("d3.ideal", 3, False)):
+        lis = tmp_path / f"{source}.lis"
+        del kinds[:]
+        assert main(["limit", "-i", str(DATA / source), "--mmax", str(B), "--order", "lex", "-o", str(lis)]) == 0
+        assert kinds.count("lex") == 0, (source, kinds)
+        del kinds[:]
+        assert main(["reconstruct", "-i", str(lis), "--order", "lex"]) == (0 if stable else 1)
+        assert kinds.count("lex") == 1, (source, kinds)
+    capsys.readouterr()
 
 
 def test_limit_reads_s_without_a_hilbert_profile(capsys, monkeypatch):
@@ -433,11 +468,12 @@ def test_verify_lis_mutations(band):
 def reference_c_checks(H, order=GREVLEX):
     """Condition (c) by the Zassenhaus intersection with the slice monomials.
 
-    Returns (m, ok, detail) per check and the intersection bases, in the
-    order verify_lis reports them.
+    Every stage module is its own closure in order.  Returns (m, ok, detail)
+    per check and the intersection bases, in the order verify_lis reports
+    them.
     """
     ring, d = H.ring, H.d
-    modules = {m: H.module_at(m, order) for m in grid(d, H.bound)}
+    modules = {m: stage_closure(H, m, order) for m in grid(d, H.bound)}
     checks, meets = [], []
     for m in grid(d, H.bound):
         for slot in range(d):
@@ -509,10 +545,28 @@ def free_top(H):
 def test_condition_c_by_rank_matches_reference_on_random_tops(seed, B, order):
     H = random_top_family(random.Random(seed), B)
     fresh = LimitInverseSystem(H.ring, H.d, H.r, H.s, H.bound, H.family)
-    rep = verify_lis(fresh, order)
+    rep = verify_lis(fresh)
     assert all(c.ok for c in rep.checks if c.condition in ("b", "compat", "d"))
     checks, _ = reference_c_checks(H, order)
     assert [(c.m, c.ok, c.detail) for c in rep.checks if c.condition == "c"] == checks
+
+
+def test_free_rank_by_contraction_matches_the_socle_meet(curve_H9, ci_d2):
+    # dim sigma . W_top for sigma = (z_1...z_d)^(B-1) against the socle
+    # dimension by dense elimination, on random tops at B = 2..4, the
+    # families that are not free, and the curve, ci-d2 and d3 tower tops
+    families = [random_top_family(random.Random(seed), B) for B in (2, 3, 4) for seed in range(40)]
+    families += [non_free_family(4), non_free_family(6), non_free_family_d2(), curve_H9]
+    _, d3 = parse_ideal_file((DATA / "d3.ideal").read_text())
+    families += [section_lift(dual_tower(I, B)) for I, B in ((ci_d2[1], 5), (d3, 2))]
+    free = set()
+    for H in families:
+        W = H.module_at(diag(H.d, H.bound))
+        p = getattr(H.ring.field, "p", None)
+        rank = free_rank_by_socle([F.terms for F in W.basis], H.ring.zindices, H.bound, p)
+        assert limitsys._free_rank(W, H.bound) == rank
+        free.add(rank is not None)
+    assert free == {True, False}
 
 
 def test_random_tops_are_free_and_not_free():
@@ -523,21 +577,25 @@ def test_random_tops_are_free_and_not_free():
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
 def test_stage_modules_by_contraction_match_generation(order, band, curve_H9, ci_d2):
-    # module_at contracts a compatible upper neighbour's module; the result
-    # must be the contraction closure of H_m itself, basis and degree bound
+    # module_at contracts the top module where H_m is a contraction of H_top,
+    # in the top module's order, and closes any other stage in GREVLEX; each
+    # must be the contraction closure of H_m itself, basis and degree bound.
+    # A top closed in order stands for the one section_lift hands over
     families = [curve_H9, section_lift(dual_tower(ci_d2[1], 5))]
     families += [section_lift(dual_tower(I, B)) for _, I, B in theorem_class_suite()]
     families += mutated_families(section_lift(dual_tower(band[1], 3)))
     families += [non_free_family(4), non_free_family_d2()]
     for H in families:
         fresh = LimitInverseSystem(H.ring, H.d, H.r, H.s, H.bound, H.family)
+        top = diag(H.d, H.bound)
+        fresh._modules[top] = stage_closure(H, top, order)
         for m in grid(H.d, H.bound):
-            W = fresh.module_at(m, order)
-            bound = max(sum(m) + H.s - H.d, 0)
-            expected = DualModule.generate(H.ring, H.family[m], degbound=bound, order=order)
+            W = fresh.module_at(m)
+            expected = stage_closure(H, m, order if limitsys._contracts(H, m, top) else GREVLEX)
+            assert W.order is expected.order, m
             assert (W.basis, W.degbound) == (expected.basis, expected.degbound), m
         checks, _ = reference_c_checks(H, order)
-        got = [(c.m, c.ok, c.detail) for c in verify_lis(fresh, order).checks if c.condition == "c"]
+        got = [(c.m, c.ok, c.detail) for c in verify_lis(fresh).checks if c.condition == "c"]
         assert got == checks
 
 
@@ -585,9 +643,10 @@ def test_reconstruct_needs_bound(curve):
 
 def test_verify_and_reconstruct_share_stage_modules(curve_H9, ci_d2, tmp_path, capsys, monkeypatch):
     # a free top module settles every (c) check, so verify builds the top
-    # stage alone; reconstruct then reads its B diagonal stages, each built
-    # once, and only the top stage runs the contraction closure: every other
-    # stage is one contraction of the top module
+    # stage alone, plus the one contraction that reads its free rank;
+    # reconstruct then reads its B diagonal stages, each built once, and only
+    # the top stage runs the contraction closure: every other stage is one
+    # contraction of the top module
     from invsys.cli import main
     from invsys.io import render_lis_file
 
@@ -612,11 +671,11 @@ def test_verify_and_reconstruct_share_stage_modules(curve_H9, ci_d2, tmp_path, c
         calls.update(generate=0, contract_by=0)
         assert main(["verify", "-i", str(path)]) == 0
         assert "verdict PASS" in capsys.readouterr().out
-        assert calls == {"generate": 1, "contract_by": 0}
+        assert calls == {"generate": 1, "contract_by": 1}
         calls.update(generate=0, contract_by=0)
         assert main(["reconstruct", "-i", str(path)]) == 0
         assert "stable True" in capsys.readouterr().out
-        assert calls == {"generate": 1, "contract_by": B - 1}
+        assert calls == {"generate": 1, "contract_by": 1 + B - 1}
 
 
 def test_reconstruct_reuses_annihilator_kernels(curve_H9, monkeypatch):
@@ -701,6 +760,49 @@ def test_reproduction_check_matches_reference(band, curve_H9, ci_d2, monkeypatch
                 assert verdict == reference_reproduces(candidate, anns, order)
                 verdicts.append(verdict)
     assert set(verdicts) == {True, False}
+
+
+def reference_reconstruct(H, anns, order):
+    """reconstruct with survivors tested stage by stage: stage K keeps the
+    elements of its reduced basis in order that lie in every later stage.
+    Returns the survivors per stage, the verdict, the stage and the basis."""
+    B, ring = H.bound, H.ring
+    survivors = [
+        [g for g in anns[K].groebner(order) if all(anns[n].contains(g) for n in range(K + 1, B + 1))]
+        for K in range(1, B)
+    ]
+    chain = [Ideal(ring, [g for kept in survivors[:K] for g in kept]) for K in range(1, B)]
+    for K in range(1, len(chain)):
+        if chain[K - 1].equals(chain[K]):
+            plateau = Ideal(ring, chain[K - 1].groebner())
+            if limitsys.reproduces(plateau, anns) and limitsys._z_regular(plateau):
+                return survivors, True, K, chain[K - 1].groebner(order)
+    return survivors, False, B, chain[-1].groebner(order) if chain else ()
+
+
+@pytest.mark.filterwarnings("ignore:annihilator of the zero module")
+def test_survivors_by_one_membership_test_match_the_per_stage_loop(band, curve_H9, ci_d2):
+    # the chain check puts anns[B] inside every earlier stage, so membership
+    # in anns[B] alone picks the survivors: the same ones, verdicts and bases
+    # as testing every later stage, in both orders
+    families = reproduction_families(band, curve_H9, ci_d2)
+    dropped = verdicts = 0
+    for order in (GREVLEX, LEX):
+        for H in families:
+            try:
+                res = reconstruct(H, order)
+            except PipelineError:
+                continue
+            anns = {k: perp_module(H.module_at(diag(H.d, k))) for k in range(1, H.bound + 1)}
+            survivors, stable, stage, basis = reference_reconstruct(H, anns, order)
+            assert (res.stable, res.stage, res.ideal.gens) == (stable, stage, tuple(basis))
+            for K, kept in enumerate(survivors, start=1):
+                basis_K = anns[K].groebner(order)
+                assert [g for g in basis_K if anns[H.bound].contains(g)] == kept, K
+                dropped += len(kept) < len(basis_K)
+            verdicts |= 1 << stable
+    # some stage drops basis elements, and both verdicts occur
+    assert dropped and verdicts == 3
 
 
 def test_reproduction_check_fails_on_each_branch(curve_H9, monkeypatch):
@@ -855,10 +957,10 @@ def test_plateaus_that_reproduce_but_fail_regularity(curve):
     for order, B in ((GREVLEX, 7), (LEX, 6), (LEX, 7)):
         H = section_lift(dual_tower(I, B, order), order=order)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(limitsys, "_z_regular", lambda candidate, order: True)
+            mp.setattr(limitsys, "_z_regular", lambda candidate: True)
             res = reconstruct(H, order)
         assert res.stable and not res.ideal.equals(I)
-        assert not limitsys._z_regular(res.ideal, order)
+        assert not limitsys._z_regular(res.ideal)
         assert not reconstruct(H, order).stable
 
 
