@@ -19,6 +19,7 @@ from .io import (
 from .limitsys import (
     artinian_reduction,
     dual_tower,
+    grid,
     reconstruct,
     section_lift,
     verify_lis,
@@ -27,40 +28,48 @@ from .rees import MonoidIdeal, rees_dimension_check
 from .ring import order_from_name
 
 
-# name -> (help, reads an input file, its own arguments as (flags, options))
+# the options that several subcommands read; each subcommand takes only those
+# it names
+_SHARED = {
+    "input": (("-i", "--input"), {"required": True, "help": "input file"}),
+    "field": (("--field",), {"default": None, "help": "override field: q or fp:<p>"}),
+    "order": (("--order",), {"default": "grevlex", "choices": ["grevlex", "lex"]}),
+    "degcap": (("--degcap",), {"type": int, "default": None,
+                               "help": "truncation ceiling (rees-check: truncation degree)"}),
+}
+_PIPELINE = ("input", "field", "order", "degcap")
+
+# name -> (help, shared options it reads, its own arguments as (flags, options))
 _COMMANDS = {
-    "perp": ("inverse system of an Artinian (reduced) ideal", True, (
+    "perp": ("inverse system of an Artinian (reduced) ideal", _PIPELINE, (
         (("--m",), {"default": None, "help": "Artinian reduction multi-index, e.g. 2 or 2,2"}),
         (("--degbound",), {"type": int, "default": None}),
     )),
-    "socle": ("socle basis of an Artinian reduction", True, ((("--m",), {"default": None}),)),
-    "hilbert": ("Hilbert profile of an Artinian reduction", True, ((("--m",), {"default": None}),)),
-    "reduce": ("print the Artinian reduction I + <z^m>", True, ((("--m",), {"required": True}),)),
-    "limit": ("compute the limit inverse system up to a bound", True, (
+    "socle": ("socle basis of an Artinian reduction", _PIPELINE, ((("--m",), {"default": None}),)),
+    "hilbert": ("Hilbert profile of an Artinian reduction", _PIPELINE, ((("--m",), {"default": None}),)),
+    "reduce": ("print the Artinian reduction I + <z^m>", _PIPELINE, ((("--m",), {"required": True}),)),
+    "limit": ("compute the limit inverse system up to a bound", _PIPELINE, (
         (("--mmax",), {"type": int, "default": 3}),
         (("--trust-regular",), {"action": "store_true",
                                 "help": "skip the z-block regularity verification"}),
     )),
-    "reconstruct": ("recover the ideal from a limit system file", True, ()),
-    "verify": ("check the limit-system conditions of a file", True, ()),
-    "rees-check": ("graded-dimension check for a filtration sequence", True, (
+    "reconstruct": ("recover the ideal from a limit system file", ("input", "order"), ()),
+    "verify": ("check the limit-system conditions of a file", ("input",), ()),
+    "rees-check": ("graded-dimension check for a filtration sequence", _PIPELINE, (
         (("--seq",), {"required": True, "help": "comma-separated sequence of polynomials"}),
         (("--level",), {"type": int, "default": 4}),
     )),
-    "monoid-socle": ("socle of a monoid ideal in N^t", False, (
+    "monoid-socle": ("socle of a monoid ideal in N^t", (), (
         (("--gens",), {"required": True,
                        "help": "semicolon-separated exponent vectors, e.g. '2,0;0,2'"}),
     )),
 }
 
 
-def _common(p, with_input):
-    if with_input:
-        p.add_argument("-i", "--input", required=True, help="input file")
-    p.add_argument("--field", default=None, help="override field: q or fp:<p>")
-    p.add_argument("--order", default="grevlex", choices=["grevlex", "lex"])
-    p.add_argument("--degcap", type=int, default=None,
-                   help="truncation ceiling (rees-check: truncation degree)")
+def _common(p, shared):
+    for name in shared:
+        flags, options = _SHARED[name]
+        p.add_argument(*flags, **options)
     p.add_argument("--seed", type=int, default=0,
                    help="drives no search; only recorded as inputs.seed under --json")
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -84,9 +93,9 @@ def _build_parser(command=None):
         metavar = "{" + ",".join(_COMMANDS) + "}"
         sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in _COMMANDS if command is None else (command,):
-        help_text, with_input, arguments = _COMMANDS[name]
+        help_text, shared, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        _common(p, with_input)
+        _common(p, shared)
         for flags, options in arguments:
             p.add_argument(*flags, **options)
     return top
@@ -139,11 +148,6 @@ def _maybe_reduce(ideal, m, order, ceiling):
 
 
 def _run(args):
-    order = order_from_name(args.order)
-    if args.degcap is not None and args.degcap < 0:
-        raise ValueError(f"--degcap {args.degcap} must be at least 0")
-    ceiling = args.degcap if args.degcap is not None else DEFAULT_CEILING
-
     if args.command == "monoid-socle":
         rows = [v for v in args.gens.split(";") if v.strip()]
         gens = tuple(tuple(int(k) for k in row.split(",")) for row in rows)
@@ -175,6 +179,7 @@ def _run(args):
         if not report.passed:
             failed = sorted({c.condition for c in report.failures()})
             raise InvsysError(f"limit system rejected: conditions {failed} fail")
+        order = order_from_name(args.order)
         res = reconstruct(H, order)
         results = [g.render(order) for g in res.ideal.gens]
         diag = {"stable": res.stable, "stage": res.stage, "note": res.diagnostics}
@@ -182,6 +187,10 @@ def _run(args):
         _emit(args, _payload(args, ctx, results, diag), lines)
         return 0 if res.stable else 1
 
+    order = order_from_name(args.order)
+    if args.degcap is not None and args.degcap < 0:
+        raise ValueError(f"--degcap {args.degcap} must be at least 0")
+    ceiling = args.degcap if args.degcap is not None else DEFAULT_CEILING
     ctx, ideal = _load_ideal(args)
 
     if args.command == "perp":
@@ -235,7 +244,7 @@ def _run(args):
             doc = lis_to_json(H, order)
             doc_payload = _payload(args, ctx, doc["family"], {
                 "d": H.d, "r": H.r, "s": H.s, "bound": H.bound,
-                "stage_dims": {",".join(map(str, m)): tower.modules[m].dim for m in sorted(tower.modules)},
+                "stage_dims": {",".join(map(str, m)): tower.stage(m).dim for m in grid(H.d, H.bound)},
             })
             doc_payload["limit_system"] = doc
             body = json.dumps(doc_payload, indent=2, sort_keys=True) + "\n"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 
 from .duality import (
@@ -114,9 +113,6 @@ class LimitInverseSystem:
     family: dict  # m in {1..B}^d -> tuple of dual Polynomials
     _modules: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def stages(self):
-        return sorted(self.family)
-
     def module_at(self, m):
         """The module P.H_m, with degree bound |m| + s - d.
 
@@ -163,49 +159,25 @@ def _contracts(H, m, n):
     return got == tuple(H.family.get(m, ()))
 
 
-class LazyStages(Mapping):
-    """Read-only map m -> build(m) over the grid {1..B}^d; each value is built
-    on first read.  Membership is a range test and iteration is lazy, so no
-    work grows with the B^d keys until they are read."""
-
-    def __init__(self, d, B, build):
-        self._d = d
-        self._bound = B
-        self._values = {}
-        self._build = build
-
-    def __getitem__(self, m):
-        if m not in self:
-            raise KeyError(m)
-        value = self._values.get(m)
-        if value is None:
-            value = self._values[m] = self._build(m)
-        return value
-
-    def __contains__(self, m):
-        B = self._bound
-        return (
-            isinstance(m, tuple)
-            and len(m) == self._d
-            and all(isinstance(k, int) and 1 <= k <= B for k in m)
-        )
-
-    def __iter__(self):
-        return iter_grid(self._d, self._bound)
-
-    def __len__(self):
-        return self._bound ** self._d
-
-
 @dataclass
 class DualTower:
-    """The family W_m = (I_m)^perp for m in the grid, plus stage metadata."""
+    """The diagonal stages W_(k,...,k), k = 1..B, of the family W_m = (I_m)^perp
+    over the grid {1..B}^d, plus stage metadata."""
 
     ring: object
     d: int
     bound: int
     s: int
-    modules: Mapping  # m -> DualModule, built on first read
+    modules: dict  # (k,...,k) -> DualModule W_(k,...,k)
+
+    def stage(self, m):
+        """W_m = z^(k - m) . W_k for W_k the diagonal stage at k = max(m):
+        one contraction, not kept."""
+        if len(m) != self.d or min(m, default=1) < 1:
+            raise KeyError(m)
+        k = diag(self.d, max(m, default=self.bound))
+        W = self.modules[k]
+        return W if m == k else _contracted(W, _zshift(self.ring, m, k))
 
 
 def artinian_reduction(I, m, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None, length=None):
@@ -267,30 +239,29 @@ def check_z_regularity(I):
 
 
 def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False):
-    """W_m = perp of the Artinian reduction at m, for every m in {1..B}^d.
+    """The diagonal W_(k,...,k), k = 1..B, of W_m = perp of the Artinian
+    reduction at m; DualTower.stage gives any other m in {1..B}^d.
 
-    Only the first reduction I_1 is computed here, with its bound N_1 and
-    kernel: s = N_1 - 1, as by Nakayama m^k(P/I_1) != 0 exactly for
-    k < N_1, and the kernel's length is that of stage one.  Unless
-    trust_regular is set, check_z_regularity runs first.  Each stage is
-    built when it is first read.
+    The first reduction I_1 gives s = N_1 - 1, as by Nakayama
+    m^k(P/I_1) != 0 exactly for k < N_1, and its kernel's length is that of
+    stage one; no inverse system is built for it.  Unless trust_regular is
+    set, check_z_regularity runs first.
 
-    The first read of any stage builds the top stage (B,...,B) from its own
-    reduction and certifies it.  Each of the B^d layers of the z-monomial
-    filtration of A/(z^B), A = P^/I, is a quotient of A/(z) = P/I_1, and
-    R^length maps onto A/(z^B) for R = K[z]/(z_1^B, ..., z_d^B) (Nakayama).
-    So A/(z^B) is free over R exactly when its length is B^d times stage
-    one's, as it is when the z-block is regular (the Rees isomorphism
+    The top stage (B,...,B) is built from its own reduction and certified.
+    Each of the B^d layers of the z-monomial filtration of A/(z^B),
+    A = P^/I, is a quotient of A/(z) = P/I_1, and R^length maps onto
+    A/(z^B) for R = K[z]/(z_1^B, ..., z_d^B) (Nakayama).  So A/(z^B) is
+    free over R exactly when its length is B^d times stage one's, as it is
+    when the z-block is regular (the Rees isomorphism
     gr_(z) A = (A/(z))[T_1..T_d]); a top stage short of it is refused.
     R is Gorenstein, so W_top, the dual of A/(z^B), is free over R too, and
     W_m, the part of W_top that every z_j^(m_j) kills, is z^(B - m) . W_top.
     So each diagonal stage W_k = (z_1...z_d) . W_(k+1) is chained down
-    from W_top, and an off-diagonal stage is W_m = z^(k - m) . W_k for
-    k = max(m): two reductions and one perp_ideal, whatever is read.  Every
-    stage is closed by construction (see perp_ideal and
-    DualModule.contract_by); none is checked.  An inverse system reaches
-    the socle degree N - 1 of its quotient, so each contracted stage takes
-    its top degree as its degree bound, that of its own reduction.
+    from W_top: two reductions and one perp_ideal per tower.  Every stage
+    is closed by construction (see perp_ideal and DualModule.contract_by);
+    none is checked.  An inverse system reaches the socle degree N - 1 of
+    its quotient, so each contracted stage takes its top degree as its
+    degree bound, that of its own reduction.
 
     A local top truncation that reaches B^d times the length of stage one
     is exact, so the top kernel is built at N_top = dB + s - d + 1, one
@@ -310,30 +281,22 @@ def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False
     J1, N1 = artinian_form(I1, order, ceiling)
     s = N1 - 1
     length = J1.quotient(order).length
+    red = I1 if top == one else artinian_reduction(
+        I, top, order, ceiling, hint=sum(top) + s - d + 1, length=B ** d * length,
+    )
+    J, N = artinian_form(red, order, ceiling)
+    W = perp_ideal(J, degbound=N - 1, order=order, ceiling=ceiling)
+    if W.dim != B ** d * length:
+        raise PipelineError(
+            f"the reduction at {top} has length {W.dim}, short of {B}^{d} times "
+            f"the length {length} at {one}; the z-block is not a regular "
+            "sequence modulo the ideal"
+        )
+    modules = {top: W}
     zprod = _zshift(ring, one, diag(d, 2))
-    diagonal = []  # W_(B,...,B) down to W_(1,...,1), built on the first read
-
-    def stage(m):
-        if not diagonal:
-            red = I1 if top == one else artinian_reduction(
-                I, top, order, ceiling, hint=sum(top) + s - d + 1, length=B ** d * length,
-            )
-            J, N = artinian_form(red, order, ceiling)
-            W = perp_ideal(J, degbound=N - 1, order=order, ceiling=ceiling)
-            if W.dim != B ** d * length:
-                raise PipelineError(
-                    f"the reduction at {top} has length {W.dim}, short of {B}^{d} times "
-                    f"the length {length} at {one}; the z-block is not a regular "
-                    "sequence modulo the ideal"
-                )
-            diagonal.append(W)
-            for _ in range(B - 1 if d else 0):
-                diagonal.append(_contracted(diagonal[-1], zprod))
-        k = max(m, default=B)
-        W = diagonal[B - k]
-        return W if m == diag(d, k) else _contracted(W, _zshift(ring, m, diag(d, k)))
-
-    return DualTower(ring, d, B, s, LazyStages(d, B, stage))
+    for k in range(B - 1 if d else 0, 0, -1):
+        W = modules[diag(d, k)] = _contracted(W, zprod)
+    return DualTower(ring, d, B, s, modules)
 
 
 def _contracted(W, e):
@@ -594,14 +557,19 @@ def reconstruct(H, order=GREVLEX):
     raises the bound).
 
     order picks the survivors, which are read off reduced bases in it, and
-    the basis of the returned ideal.  Every membership, equality and
+    the basis of the returned ideal, at d = 0 too.  Every membership, equality and
     regularity test runs in GREVLEX, on the kernels perp_module hands over.
     """
     ring = H.ring
     d = H.d
     if d == 0:
-        W = H.module_at(())
-        return ReconstructionResult(perp_module(W), True, 0, "classical duality, no tower")
+        # the reduced basis in order; the degree-(s+1) monomials that close
+        # the GREVLEX basis stay implicit in the truncation, as perp_module's
+        # generators leave them
+        A = perp_module(H.module_at(()))
+        closing = set(A.groebner()) - set(A.gens)
+        gens = [g for g in A.groebner(order) if g not in closing]
+        return ReconstructionResult(Ideal(ring, gens, A.trunc), True, 0, "classical duality, no tower")
     B = H.bound
     anns = {k: perp_module(H.module_at(diag(d, k))) for k in range(1, B + 1)}
     # consistency: the annihilators must form a decreasing chain

@@ -126,7 +126,7 @@ def test_criterion_4_roundtrip_bijection(curve):
         # reverse composite: the recovered ideal induces the same tower
         tower2 = dual_tower(res.ideal, B)
         for m in grid(tower.d, B):
-            assert tower2.modules[m].equals(tower.modules[m]), (
+            assert tower2.stage(m).equals(tower.stage(m)), (
                 f"{name}: W at {m} differs after the roundtrip"
             )
     elapsed = time.time() - t0

@@ -381,7 +381,7 @@ def _closed_modules(curve, curve_H9):
     out.append(("contract_by", generated.contract_by((1, 0, 0, 0))))
     out.append(("perp_ideal", perp_ideal(I.plus([ctx.variable(0) ** 3]))))
     tower = dual_tower(_ci_d2_ideal(), 3)
-    out += [(f"tower{m}", tower.modules[m]) for m in ((1, 1), (3, 3), (2, 3), (1, 2))]
+    out += [(f"tower{m}", tower.stage(m)) for m in ((1, 1), (3, 3), (2, 3), (1, 2))]
     return out
 
 

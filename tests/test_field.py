@@ -239,7 +239,8 @@ def _pipeline(ideal_path, bound, order, capsys):
         ["reconstruct", "-i", "H.lis"],
         ["reconstruct", "-i", "H.lis", "--json"],
     ):
-        code = main(argv + ["--order", order])
+        # verify reads no order
+        code = main(argv + ([] if argv[0] == "verify" else ["--order", order]))
         captured = capsys.readouterr()
         out.append((argv[0], code, captured.out, captured.err))
     out.append(("file", Path("H.lis").read_bytes()))

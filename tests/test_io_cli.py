@@ -293,7 +293,6 @@ def test_cli_verify_flags_non_free_stage(tmp_path, capsys, B, dim):
         # ceiling is a mathematical rejection
         (["hilbert", "--m", "1", "--degcap", "-1"], 2),
         (["limit", "--mmax", "2", "--degcap", "-1"], 2),
-        (["verify", "--degcap", "-1"], 2),
         (["hilbert", "--m", "1", "--degcap", "0"], 1),
     ],
 )
@@ -303,7 +302,7 @@ def test_cli_out_of_range_numbers_exit_cleanly(capsys, argv, code):
     assert captured.err.startswith("error: ")
     assert captured.out == ""
     if argv[-2:] == ["--degcap", "-1"]:
-        # rejected before the input is read (verify's input is no .lis file)
+        # rejected before the input is read
         assert "--degcap -1 must be at least 0" in captured.err
 
 
@@ -521,6 +520,39 @@ def test_cli_trust_regular_belongs_to_limit(tmp_path, capsys):
             main([*argv, "--trust-regular"])
         assert exc.value.code == 2, argv
         assert "unrecognized arguments: --trust-regular" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def curve_lis2(tmp_path_factory):
+    lis = tmp_path_factory.mktemp("lis") / "H.lis"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["limit", "-i", EXAMPLE, "--mmax", "2", "-o", str(lis)]) == 0
+    return lis
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (command, flag, {"--field": "fp:7", "--degcap": "0", "--order": "lex"}[flag])
+        for command, flags in (
+            ("verify", ("--field", "--degcap", "--order")),
+            ("reconstruct", ("--field", "--degcap")),
+            ("monoid-socle", ("--field", "--order", "--degcap")),
+        )
+        for flag in flags
+    ],
+)
+def test_cli_refuses_options_a_subcommand_does_not_read(command, flag, value, curve_lis2, capsys):
+    # verify checks a limit file over its own field and in no order,
+    # reconstruct reads its field from the file, and monoid-socle reads no
+    # ideal; none applies a ceiling, so each refuses what it would ignore
+    argv = [command, "--gens", "2,0;0,2"] if command == "monoid-socle" else [command, "-i", str(curve_lis2)]
+    assert main(argv) != 2  # parsed and run; reconstruct at bound 2 is unstable and exits 1
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path, capsys):

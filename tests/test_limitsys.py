@@ -119,11 +119,12 @@ def test_dual_tower_closed_form(band):
         assert tower.modules[(m,)].equals(expected)
 
 
-def test_dual_tower_builds_only_the_read_stages(ci_d2, curve, monkeypatch):
-    # section_lift reads the diagonal: stage one's reduction gives s and the
-    # length, the top stage comes from its own reduction and perp_ideal, and
-    # every other stage is a contraction of it, built on first read; no
-    # stage is met out of another
+def test_dual_tower_builds_the_diagonal_before_it_returns(ci_d2, curve, monkeypatch):
+    # dual_tower itself runs stage one's reduction, which gives s and the
+    # length, and the top stage's reduction and perp_ideal, and holds the B
+    # diagonal stages, each a contraction of the top one; section_lift reads
+    # them and builds none, no stage is met out of another, and every
+    # off-diagonal stage is one contraction of its diagonal stage
     calls = {"perp_ideal": 0, "artinian_reduction": 0}
 
     def counted(name, fn):
@@ -146,28 +147,27 @@ def test_dual_tower_builds_only_the_read_stages(ci_d2, curve, monkeypatch):
             monkeypatch.setattr(limitsys, "coordinate_meet", forbidden)
             calls.update(perp_ideal=0, artinian_reduction=0)
             tower = dual_tower(I, B, order, trust_regular=True)
+            assert calls == {"perp_ideal": 1, "artinian_reduction": 2}
+            assert sorted(tower.modules) == [diag(d, k) for k in range(1, B + 1)]
             section_lift(tower, order=order)
             assert calls == {"perp_ideal": 1, "artinian_reduction": 2}
-            assert len(tower.modules) == B ** d and list(tower.modules) == grid(d, B)
-            assert (1,) * (d - 1) + (2,) in tower.modules and low not in tower.modules
             monkeypatch.undo()
-            stages = dict(tower.modules.items())
-            assert list(stages) == grid(d, B)
-            for m, W in stages.items():
+            for m in grid(d, B):
+                W = tower.stage(m)
                 J, N = artinian_form(artinian_reduction(I, m, order), order)
                 expected = perp_ideal(J, degbound=N - 1, order=order)
                 assert (W.basis, W.degbound) == (expected.basis, expected.degbound), (m, order)
             with pytest.raises(KeyError):
-                tower.modules[low]
+                tower.stage(low)
 
 
 def test_local_top_stage_is_certified_by_its_length(curve, monkeypatch):
     # the curve's top reduction reaches B times the length of stage one at
     # truncation N_top = B + s, one degree below Nakayama's certificate, and
-    # its one kernel is built there; on a z-block that is not regular
-    # (<y^2, y*z>, taken on trust) the length falls short, Nakayama
-    # certifies the same one kernel, and the tower refuses the top stage
-    # with both lengths before building any other stage
+    # its one kernel is built there, after stage one's; on a z-block that is
+    # not regular (<y^2, y*z>, taken on trust) the length falls short,
+    # Nakayama certifies the same one kernel, and dual_tower refuses the top
+    # stage with both lengths before building any other stage
     import invsys.groebner as groebner
 
     built = []
@@ -180,20 +180,17 @@ def test_local_top_stage_is_certified_by_its_length(curve, monkeypatch):
     monkeypatch.setattr(groebner.ArtinianQuotient, "__init__", counted)
     I, B = curve[1], 9
     tower = dual_tower(I, B, trust_regular=True)
-    del built[:]
-    W = tower.modules[(B,)]
-    assert built == [12]
+    assert built == [4, 12]
     J, N = artinian_form(artinian_reduction(I, (B,)))
-    assert W.basis == perp_ideal(J, degbound=N - 1).basis
+    assert tower.modules[(B,)].basis == perp_ideal(J, degbound=N - 1).basis
 
     ctx = context_from_names("y,z", mode="local", zvars="z")
     zero_divisor = Ideal(ctx, [ctx.parse("y^2"), ctx.parse("y*z")])
-    tower = dual_tower(zero_divisor, 3, trust_regular=True)
     del built[:]
     with pytest.raises(PipelineError, match=r"^the reduction at \(3,\) has length 4, short of 3\^1 "
                        r"times the length 2 at \(1,\); the z-block is not a regular sequence"):
-        tower.modules[(1,)]
-    assert built == [4]
+        dual_tower(zero_divisor, 3, trust_regular=True)
+    assert built == [2, 4]
 
 
 def _tower_family(name):
@@ -220,43 +217,25 @@ def _tower_family(name):
 
 
 TOWER_FAMILIES = ("curve", "ci-d2", "ci-d2 fp", "band", "d3", "d3 fp")
-READS = ("diagonal upward", "diagonal downward", "shuffled grid")
-
-
-def _read_order(d, B, how):
-    """Every grid stage once: the diagonal first (either way) then the rest,
-    or the whole grid in a seeded shuffle."""
-    stages = grid(d, B)
-    if how == "shuffled grid":
-        random.Random(B).shuffle(stages)
-        return stages
-    diagonal = [diag(d, k) for k in range(1, B + 1)]
-    if how == "diagonal downward":
-        diagonal.reverse()
-    return diagonal + [m for m in stages if m not in diagonal]
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
 @pytest.mark.parametrize("name", TOWER_FAMILIES + ("y2-z",))
 def test_tower_stages_are_closed_by_construction(name, order):
     # no stage is checked for closure when it is built: the top stage is a
-    # perp_ideal output and every other stage is a contraction of it; in any
-    # read order each must be the perp of its own reduction, with its bound,
-    # pass the closure oracle and be marked closed
+    # perp_ideal output and every other stage is a contraction of it; each
+    # must be the perp of its own reduction, with its bound, pass the
+    # closure oracle and be marked closed
     I, B = _tower_family(name)
     d = len(I.ring.zindices)
-    expected = {}
+    tower = dual_tower(I, B, order)
     for m in grid(d, B):
         J, N = artinian_form(artinian_reduction(I, m, order), order)
-        W = perp_ideal(J, degbound=N - 1, order=order)
-        expected[m] = (W.basis, W.degbound)
-    for how in READS:
-        tower = dual_tower(I, B, order)
-        for m in _read_order(d, B, how):
-            W = tower.modules[m]
-            assert (W.basis, W.degbound) == expected[m], (how, m)
-            assert W._closed, (how, m)
-            verify_closed(W)
+        expected = perp_ideal(J, degbound=N - 1, order=order)
+        W = tower.stage(m)
+        assert (W.basis, W.degbound) == (expected.basis, expected.degbound), m
+        assert W._closed, m
+        verify_closed(W)
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
@@ -354,24 +333,20 @@ def test_limit_reads_s_without_a_hilbert_profile(capsys, monkeypatch):
 
 
 def test_dual_tower_does_no_grid_work_up_front(band):
-    # membership is a range test and iteration is lazy, so a huge bound costs
-    # nothing until a stage is read; the top stage then fails on the ceiling
+    # the tower holds only its diagonal and builds the top stage first, so a
+    # huge bound fails on the ceiling inside dual_tower before any work grows
+    # with the bound
     import tracemalloc
 
     ctx, I = band
-    B = 10**8
     tracemalloc.start()
     try:
-        tower = dual_tower(I, B)
-        assert len(tower.modules) == B
-        assert (B,) in tower.modules and (B + 1,) not in tower.modules
-        assert next(iter(tower.modules)) == (1,)
+        with pytest.raises(PipelineError, match=r"at \(100000000,\) is Artinian.*degree ceiling 64"):
+            dual_tower(I, 10**8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    with pytest.raises(PipelineError, match=r"at \(100000000,\) is Artinian.*degree ceiling 64"):
-        section_lift(tower)
 
 
 def test_dual_tower_rejects_artinian_input():
@@ -420,6 +395,28 @@ def test_section_lift_d0_classical():
     res = reconstruct(H)
     assert res.stable
     assert equal_as_artinian(res.ideal, I)
+
+
+def test_reconstruct_d0_prints_the_basis_in_its_order(tmp_path, capsys):
+    # with no z-block, reconstruct prints the reduced basis in --order, as at
+    # d >= 1; the degree-(s+1) monomials that close the grevlex basis stay
+    # implicit in the truncation m^(s+1), and the grevlex output is as before
+    from invsys.cli import main
+
+    source = tmp_path / "d0.ideal"
+    source.write_text("field Q\nring graded vars x,y\nideal:\nx^2 - y^3\nx*y\n", encoding="utf-8")
+    lis = tmp_path / "d0.lis"
+    assert main(["limit", "-i", str(source), "--mmax", "1", "-o", str(lis)]) == 0
+    capsys.readouterr()
+    for order, basis in (("lex", "y^4\nx*y\nx^2 - y^3\n"), ("grevlex", "x*y\ny^3 - x^2\nx^3\n")):
+        assert main(["reconstruct", "-i", str(lis), "--order", order]) == 0
+        assert capsys.readouterr().out == basis + "stable True\nstage 0\n", order
+    ctx = context_from_names("x,y")
+    for gens in (["x^2 - y^3", "x*y"], ["x^2 - y^2", "x*y"], ["x", "y"]):
+        I = Ideal(ctx, [ctx.parse(g) for g in gens])
+        H = section_lift(dual_tower(I, 1))
+        for order in (GREVLEX, LEX):
+            assert equal_as_artinian(reconstruct(H, order).ideal, I), (gens, order.kind)
 
 
 def test_diagonal_choice_independence():
