@@ -4,7 +4,9 @@ emit deterministic text or JSON, and run the built-in verifications."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 from .errors import InputSyntaxError, InvsysError
@@ -76,12 +78,14 @@ def _common(p, shared):
     p.add_argument("-o", "--output", default=None, help="write main output to a file")
 
 
+@functools.cache
 def _build_parser(command=None):
     """The argument parser; given a command, only that subcommand's arguments.
 
     The other subcommands are left out, and the command list is spelled out
     as the metavar, so usage lines and errors read as the full parser's do
-    for any command line that names this command first.
+    for any command line that names this command first.  Each parser is
+    built once per process: parse_args keeps no state between calls.
     """
     top = argparse.ArgumentParser(
         prog="invsys",
@@ -242,9 +246,11 @@ def _run(args):
             )
         if args.json:
             doc = lis_to_json(H, order)
+            # W_top is certified free over K[z]/(z^B): dim W_m = dim W_1 * prod(m)
+            length = tower.modules[(1,) * H.d].dim
             doc_payload = _payload(args, ctx, doc["family"], {
                 "d": H.d, "r": H.r, "s": H.s, "bound": H.bound,
-                "stage_dims": {",".join(map(str, m)): tower.stage(m).dim for m in grid(H.d, H.bound)},
+                "stage_dims": {",".join(map(str, m)): length * math.prod(m) for m in grid(H.d, H.bound)},
             })
             doc_payload["limit_system"] = doc
             body = json.dumps(doc_payload, indent=2, sort_keys=True) + "\n"

@@ -236,22 +236,20 @@ class RingContext:
 
     # -- monomial enumeration ---------------------------------------------
 
-    @cached_property
-    def _degree_tables(self):
-        return {}  # degree -> tuple of all exponents of that degree
-
     def exponents_of_degree(self, d, indices=None):
         """All exponents of total degree d supported on the given indices.
 
         Without indices the answer is an immutable tuple, built once per
-        ring and degree; with indices the exponents are enumerated afresh.
+        process, number of variables and degree; with indices the exponents
+        are enumerated afresh.
         """
         if indices is not None:
             return _exponents_of_degree(self.nvars, d, tuple(indices))
-        table = self._degree_tables
-        if d not in table:
-            table[d] = tuple(_exponents_of_degree(self.nvars, d, range(self.nvars)))
-        return table[d]
+        exps = _DEGREE_TABLES.get((self.nvars, d))
+        if exps is None:
+            exps = tuple(_exponents_of_degree(self.nvars, d, range(self.nvars)))
+            exps = _DEGREE_TABLES.setdefault((self.nvars, d), exps)
+        return exps
 
     def exponents_upto(self, d):
         for k in range(d + 1):
@@ -259,40 +257,39 @@ class RingContext:
 
     # -- order keys -----------------------------------------------------------
 
-    @cached_property
-    def _key_tables(self):
-        # order signature -> KeyTable of order.key; a key depends only on
-        # the exponent and the order, so a ring and its dual share them
-        if self._dual_of is not None:
-            return self._dual_of._key_tables
-        return {}
-
     def order_key(self, order):
-        """order.key as a lookup in this ring's table for the order.
+        """order.key as a lookup in the process-wide table for the order.
 
-        Each exponent's key is computed once for the life of the context,
-        and shared by every echelon, division and sort over it.
+        A key depends only on the exponent and the order, so every context,
+        its dual included, shares one table per order signature: each
+        exponent's key is computed once per process.
         """
-        tables = self._key_tables
-        table = tables.get(order.signature())
-        if table is None:
-            table = tables.setdefault(order.signature(), KeyTable(order.key))
-        return table.__getitem__
+        return _key_table(order.signature(), order.key)
 
     def sort_key(self, key):
-        """A sort key on exponents as a lookup in this ring's table for it.
+        """A sort key on exponents as a lookup in the process-wide table for it.
 
-        The table is shared, as order_key's are, by every caller that passes
-        the same key function.
+        key must be a module-level function: the table is kept per key
+        function for the life of the process, shared, as order_key's are,
+        by every caller that passes it.
         """
-        tables = self._key_tables
-        table = tables.get(key)
-        if table is None:
-            table = tables.setdefault(key, KeyTable(key))
-        return table.__getitem__
+        return _key_table(key, key)
 
     def __repr__(self):
         return f"RingContext({self.field!r}, {','.join(self.names)}, {self.mode}, z={','.join(self.zvars) or '-'})"
+
+
+# (number of variables, degree) -> tuple of all exponents of that degree
+_DEGREE_TABLES = {}
+# order signature, or a sort key function -> KeyTable of that key
+_KEY_TABLES = {}
+
+
+def _key_table(name, key):
+    table = _KEY_TABLES.get(name)
+    if table is None:
+        table = _KEY_TABLES.setdefault(name, KeyTable(key))
+    return table.__getitem__
 
 
 def _exponents_of_degree(n, d, idx):

@@ -12,8 +12,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invsys import Ideal, InputSyntaxError, PipelineError, context_from_names
-from invsys.cli import _build_parser, main
+from invsys import Ideal, InputSyntaxError, PipelineError, cli, context_from_names
+from invsys.cli import _COMMANDS, _build_parser, main
 from invsys.io import (
     load_limit_system,
     lis_from_json,
@@ -28,8 +28,10 @@ from invsys.limitsys import (
     check_z_regularity,
     diag,
     dual_tower,
+    grid,
     section_lift,
 )
+from invsys.ring import order_from_name
 
 from conftest import DATA, non_free_family, random_polynomial
 
@@ -499,6 +501,68 @@ def test_cli_parser_for_one_command_reads_as_the_full_parser(capsys, argv):
         return result, captured.out, captured.err
 
     assert parse(argv[0]) == parse(None)
+
+
+def test_cli_reuses_one_parser_per_command_with_the_output_of_fresh_ones(tmp_path, capsys, monkeypatch):
+    # main keeps one parser per command for the life of the process; a run
+    # of good, failing and help command lines through those parsers, some
+    # commands again with other options, prints and exits as the same lines
+    # do on a freshly built parser each
+    lis = str(tmp_path / "H.lis")
+    ci = str(DATA / "ci_d2.ideal")
+    lines = [
+        ["limit", "-i", EXAMPLE, "--mmax", "3", "-o", lis],
+        ["verify", "-i", lis],
+        ["limit", "-i", EXAMPLE, "--mmax", "q"],
+        ["reconstruct", "-i", lis, "--order", "lex"],
+        ["hilbert", "-i", ci, "--m", "2,3", "--seed", "4", "--json"],
+        ["verify"],
+        ["perp", "-h"],
+        ["socle", "-i", EXAMPLE, "--m", "2", "--order", "lex"],
+        ["frobnicate", "-i", EXAMPLE],
+        ["reduce", "-i", EXAMPLE, "--m", "2", "--bogus"],
+        ["rees-check", "-i", EXAMPLE, "--seq", "x", "--level", "2", "--degcap", "3"],
+        ["--help"],
+        ["monoid-socle", "--gens", "2,0;0,2"],
+        [],
+        ["perp", "-i", ci, "--m", "1,1", "--json"],
+        ["hilbert", "-i", ci, "--m", "1,2", "--order", "lex", "--json"],
+        ["limit", "-i", ci, "--mmax", "2", "--json"],
+    ]
+
+    def run_all():
+        results = []
+        for argv in lines:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            results.append((argv, code, captured.out, captured.err))
+        return results
+
+    memoized = run_all()
+    assert {r[1] for r in memoized} == {0, 1, ("exit", 0), ("exit", 2)}
+    for command in (None, *_COMMANDS):
+        assert _build_parser(command) is _build_parser(command)
+    monkeypatch.setattr(cli, "_build_parser", _build_parser.__wrapped__)
+    assert run_all() == memoized
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("name", ["curve", "ci_d2", "d0"])
+def test_cli_limit_json_stage_dims_match_the_tower_stages(tmp_path, capsys, name, order):
+    # --json reads every stage dimension off the certified free top stage;
+    # each must be that of the stage the tower contracts for it
+    path = tmp_path / "d0.ideal"
+    path.write_text("field Q\nring graded vars x,y\nideal:\nx^2\nx*y\ny^2\n")
+    path, B = {"curve": (DATA / "example.ideal", 9), "ci_d2": (DATA / "ci_d2.ideal", 5), "d0": (path, 3)}[name]
+    assert main(["limit", "-i", str(path), "--mmax", str(B), "--order", order, "--json"]) == 0
+    dims = json.loads(capsys.readouterr().out)["diagnostics"]["stage_dims"]
+    _, ideal = parse_ideal_file(path.read_text())
+    tower = dual_tower(ideal, B, order_from_name(order))
+    expected = {",".join(map(str, m)): tower.stage(m).dim for m in grid(tower.d, B)}
+    assert dims == expected and len(dims) == B ** tower.d
 
 
 def test_cli_refuses_the_removed_jobs_flag(capsys):

@@ -361,43 +361,67 @@ def test_monomial_order_permutation():
     assert lex_zyx.compare((0, 0, 1), (5, 5, 0)) == 1
 
 
-def test_key_tables_hang_off_the_ring_context():
+def test_key_tables_are_shared_by_every_context():
     # the order itself keeps nothing per monomial
     assert MonomialOrder.__slots__ == ("kind", "block", "base", "perm")
     assert not hasattr(GREVLEX, "__dict__")
 
-    def live_tables():
-        gc.collect()
-        return sum(1 for o in gc.get_objects() if type(o) is KeyTable)
-
-    before = live_tables()
     ctx = context_from_names("x,y,z")
-    key = ctx.order_key(GREVLEX)
-    table = key.__self__
-    for e in ctx.exponents_upto(3):
-        assert key(e) == GREVLEX.key(e)
-        assert ctx.order_key(LEX)(e) == LEX.key(e)
-    # one table per order, shared with the dual, not with an equal context
-    assert ctx.order_key(GREVLEX).__self__ is table
-    assert ctx.dual.order_key(GREVLEX).__self__ is table
-    assert ctx.order_key(LEX).__self__ is not table
-    assert context_from_names("x,y,z").order_key(GREVLEX).__self__ is not table
+    table = ctx.order_key(GREVLEX).__self__
+    lex = ctx.order_key(LEX).__self__
+    assert type(table) is KeyTable and type(lex) is KeyTable and lex is not table
+    # one table per order signature: equal contexts, other variables, other
+    # fields, local mode and the dual all read it
+    others = (
+        context_from_names("x,y,z"),
+        context_from_names("a,b", mode="local", zvars="b"),
+        context_from_names("x,y,z,w", field=PrimeField(7)),
+        ctx.dual,
+    )
+    for other in others:
+        assert other.order_key(GREVLEX).__self__ is table
+        assert other.order_key(MonomialOrder("grevlex")).__self__ is table
+        assert other.order_key(LEX).__self__ is lex
+    block = ctx.order_key(elimination_order(1)).__self__
+    assert block is not table and block is not lex
     x, y, z = (ctx.variable(i) for i in range(3))
     W = perp_ideal(Ideal(ctx, [x**2 - y * z, y**3, z**3, x * y]))
     assert W.dim > 0 and len(table) > 20
-    assert live_tables() > before
-    del ctx, key, table, x, y, z, W
-    assert live_tables() == before
+    exps = list(ctx.exponents_upto(3))
+    for e in exps:
+        assert ctx.order_key(LEX)(e) == LEX.key(e)
+    assert all(k == GREVLEX.key(e) for e, k in table.items())
+    assert all(k == LEX.key(e) for e, k in lex.items())
+    # a table is not freed with the contexts that filled it
+    del ctx, others, x, y, z, W
+    gc.collect()
+    assert context_from_names("u,v,w").order_key(LEX).__self__ is lex
+    assert all(e in lex for e in exps)
 
 
-def test_threads_sharing_a_context_see_one_key_per_exponent():
-    ctx = context_from_names("x,y,z,w")
-    exps = list(ctx.exponents_upto(6))
+def test_exponent_tables_are_shared_by_contexts_with_as_many_variables():
+    a = context_from_names("x,y,z")
+    b = context_from_names("p,q,r", field=PrimeField(7), mode="local", zvars="r")
+    for d in range(5):
+        assert a.exponents_of_degree(d) is b.exponents_of_degree(d)
+        assert a.dual.exponents_of_degree(d) is a.exponents_of_degree(d)
+    assert context_from_names("x,y").exponents_of_degree(2) == ((2, 0), (1, 1), (0, 2))
+
+
+def test_threads_sharing_a_key_table_see_one_key_per_exponent():
+    # an order no other test keys, so the threads race to fill its table,
+    # each through a context of its own or that context's dual
+    order = MonomialOrder("grevlex", perm=(3, 1, 0, 2))
+    exps = list(context_from_names("x,y,z,w").exponents_upto(6))
     seen = []
+    tuples = []
 
     def work(shift):
-        key = ctx.order_key(GREVLEX)
-        seen.append(all(key(e) == GREVLEX.key(e) for e in exps[shift:] + exps[:shift]))
+        own = context_from_names("x,y,z,w")
+        ring = own if shift % 2 else own.dual
+        key = ring.order_key(order)
+        seen.append(all(key(e) == order.key(e) for e in exps[shift:] + exps[:shift]))
+        tuples.append((shift % 5, ring.exponents_of_degree(shift % 5)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -411,6 +435,8 @@ def test_threads_sharing_a_context_see_one_key_per_exponent():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert seen == [True] * 8
-    table = ctx.order_key(GREVLEX).__self__
-    assert len(ctx._key_tables) == 1 and len(table) == len(exps)
-    assert all(table[e] == GREVLEX.key(e) for e in exps)
+    ctx = context_from_names("x,y,z,w")
+    assert all(t is ctx.exponents_of_degree(d) for d, t in tuples)
+    table = ctx.order_key(order).__self__
+    assert len(table) == len(exps)
+    assert all(k == order.key(e) for e, k in table.items())
