@@ -247,7 +247,7 @@ def _run(args):
         if args.json:
             doc = lis_to_json(H, order)
             # W_top is certified free over K[z]/(z^B): dim W_m = dim W_1 * prod(m)
-            length = tower.modules[(1,) * H.d].dim
+            length = len(tower.modules[(1,) * H.d])
             doc_payload = _payload(args, ctx, doc["family"], {
                 "d": H.d, "r": H.r, "s": H.s, "bound": H.bound,
                 "stage_dims": {",".join(map(str, m)): length * math.prod(m) for m in grid(H.d, H.bound)},

@@ -73,8 +73,8 @@ class DualModule:
     A module built from arbitrary elements is only their span; _closed
     records that the span is known to be contraction-closed, and lets
     perp_module skip the closure.  It is set by the constructions that are
-    closed by construction: generate, contract_by of a closed module and
-    perp_ideal, which between them build every stage of a limitsys tower;
+    closed by construction: generate, contract_by of a closed module,
+    perp_ideal and limitsys.DualTower.stage, a contraction of a perp;
     also by a passing verify_closed, the test-side oracle.
     """
 
@@ -206,19 +206,22 @@ def perp_ideal(I, degbound=None, order=GREVLEX, ceiling=DEFAULT_CEILING):
         degbound = max(N - 1, 0)
     if degbound < N - 1:
         raise ValueError(f"degbound {degbound} below the required {N - 1}")
-    aq = J.quotient(order)
-    ring = I.ring
-    dual = ring.dual
-    fld = ring.field
+    dual = I.ring.dual
+    basis = [Polynomial(dual, vec) for vec in _perp_rows(J.quotient(order))]
+    W = DualModule(I.ring, degbound, basis, order)
+    W._closed = True
+    return W
+
+
+def _perp_rows(aq):
+    """Term dicts spanning J^perp, read off the quotient matrix aq of J."""
+    fld = aq.ring.field
     columns = {v: {v: fld.one} for v in aq.std}  # standard monomial -> dual terms
     for u, row in aq.rows.items():
         for v, c in row.items():
             if v != u:
                 columns[v][u] = fld.neg(c)
-    basis = [Polynomial(dual, vec) for vec in columns.values()]
-    W = DualModule(ring, degbound, basis, order)
-    W._closed = True
-    return W
+    return list(columns.values())
 
 
 def verify_closed(W):

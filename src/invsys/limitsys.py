@@ -15,6 +15,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .duality import (
     DualModule,
+    _contract_terms,
+    _perp_rows,
     contract_exp,
     minimal_cogenerators,
     perp_ideal,
@@ -28,8 +30,8 @@ from .groebner import (
     artinian_form,
     is_regular,
 )
-from .linalg import Echelon, coordinate_meet, nested_meet_dims, solve_in_span
-from .ring import GREVLEX, e_unit
+from .linalg import Echelon, coordinate_meet, nested_meet_dims
+from .ring import GREVLEX, Polynomial, e_add, e_sub, e_unit
 
 
 def _zpower_exp(ring, slot, power):
@@ -112,12 +114,14 @@ class LimitInverseSystem:
     bound: int
     family: dict  # m in {1..B}^d -> tuple of dual Polynomials
     _modules: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
+    _tower: object = dc_field(default=None, init=False, compare=False, repr=False)
 
     def module_at(self, m):
         """The module P.H_m, with degree bound |m| + s - d.
 
         The top stage runs the contraction closure of H_top in GREVLEX,
-        unless section_lift handed over its tower's top stage.  A stage
+        unless section_lift handed over its tower: then it is the tower's
+        W_top (DualTower.stage), which H_top generates.  A stage
         whose H_m is z^(top - m) . H_top, entry by entry, is one contraction
         of the top module, P.H_m = z^(top - m) . P.H_top, with the same
         canonical basis, in the top module's order, and degree bound as its
@@ -131,7 +135,9 @@ class LimitInverseSystem:
         W = self._modules.get(m)
         if W is None:
             top = diag(self.d, self.bound)
-            if m != top and _contracts(self, m, top):
+            if m == top and self._tower is not None:
+                W = self._tower.stage(m)
+            elif m != top and _contracts(self, m, top):
                 W = self.module_at(top).contract_by(_zshift(self.ring, m, top))
             else:
                 bound = sum(m) + self.s - self.d if self.d else self.s
@@ -162,22 +168,35 @@ def _contracts(H, m, n):
 @dataclass
 class DualTower:
     """The diagonal stages W_(k,...,k), k = 1..B, of the family W_m = (I_m)^perp
-    over the grid {1..B}^d, plus stage metadata."""
+    over the grid {1..B}^d, each held as its chain: its reduced echelon under
+    the z-first key of dual_tower, pivot -> term dict.  stage builds modules.
+    """
 
     ring: object
     d: int
     bound: int
     s: int
-    modules: dict  # (k,...,k) -> DualModule W_(k,...,k)
+    order: object
+    modules: dict  # (k,...,k) -> chain of W_(k,...,k), pivot -> term dict
 
     def stage(self, m):
-        """W_m = z^(k - m) . W_k for W_k the diagonal stage at k = max(m):
-        one contraction, not kept."""
+        """W_m = z^(k - m) . W_k, k = max(m), as the canonical module in the
+        tower's order, with its top degree as its degree bound: one echelon
+        of W_k's contracted chain rows, built when asked for and not kept."""
         if len(m) != self.d or min(m, default=1) < 1:
             raise KeyError(m)
         k = diag(self.d, max(m, default=self.bound))
-        W = self.modules[k]
-        return W if m == k else _contracted(W, _zshift(self.ring, m, k))
+        e = _zshift(self.ring, m, k)
+        rows = [Polynomial(self.ring.dual, _contract_terms(e, row), _clean=False) for row in self.modules[k].values()]
+        W = DualModule(self.ring, 0, rows, self.order)
+        W.degbound, W._closed = max(W.max_degree(), 0), True
+        return W
+
+    def free_rank(self):
+        """_free_rank of W_top by a count: sigma . W_top is W_1, whose chain
+        rows are the top rows with pivot min z-exponent >= B - 1, shifted."""
+        rank = len(self.modules[diag(self.d, 1)])
+        return rank if len(self.modules[diag(self.d, self.bound)]) == rank * self.bound ** self.d else None
 
 
 def artinian_reduction(I, m, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None, length=None):
@@ -240,7 +259,7 @@ def check_z_regularity(I):
 
 def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False):
     """The diagonal W_(k,...,k), k = 1..B, of W_m = perp of the Artinian
-    reduction at m; DualTower.stage gives any other m in {1..B}^d.
+    reduction at m; DualTower.stage gives any m in {1..B}^d.
 
     The first reduction I_1 gives s = N_1 - 1, as by Nakayama
     m^k(P/I_1) != 0 exactly for k < N_1, and its kernel's length is that of
@@ -256,12 +275,15 @@ def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False
     gr_(z) A = (A/(z))[T_1..T_d]); a top stage short of it is refused.
     R is Gorenstein, so W_top, the dual of A/(z^B), is free over R too, and
     W_m, the part of W_top that every z_j^(m_j) kills, is z^(B - m) . W_top.
-    So each diagonal stage W_k = (z_1...z_d) . W_(k+1) is chained down
-    from W_top: two reductions and one perp_ideal per tower.  Every stage
-    is closed by construction (see perp_ideal and DualModule.contract_by);
-    none is checked.  An inverse system reaches the socle degree N - 1 of
-    its quotient, so each contracted stage takes its top degree as its
-    degree bound, that of its own reduction.
+    So each diagonal stage is W_k = zprod . W_(k+1), zprod = z_1...z_d.
+
+    W_top is echelonized once, under K_z(e) = (min_j e[z_j], order key of
+    e), and each lower chain is the one above shifted by zprod.  A row whose
+    pivot has min z-exponent 0 vanishes, as all its terms do; these rows
+    span ker(zprod .) & W_(k+1).  Any other row shifts with its pivot, as
+    min_z drops by one on each surviving term and the order is
+    shift-invariant: the reduced echelon of W_k under K_z.  Every stage is
+    closed: J^perp is, as J.P lies in J, and so is its contraction.
 
     A local top truncation that reaches B^d times the length of stage one
     is exact, so the top kernel is built at N_top = dB + s - d + 1, one
@@ -284,38 +306,44 @@ def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False
     red = I1 if top == one else artinian_reduction(
         I, top, order, ceiling, hint=sum(top) + s - d + 1, length=B ** d * length,
     )
-    J, N = artinian_form(red, order, ceiling)
-    W = perp_ideal(J, degbound=N - 1, order=order, ceiling=ceiling)
-    if W.dim != B ** d * length:
+    J, _ = artinian_form(red, order, ceiling)
+    zi, okey = ring.zindices, ring.order_key(order)
+
+    def zmin(e):
+        return min((e[i] for i in zi), default=0)
+
+    chain = Echelon(ring.field, lambda e: (zmin(e), okey(e))).extend(_perp_rows(J.quotient(order)))
+    if chain.rank != B ** d * length:
         raise PipelineError(
-            f"the reduction at {top} has length {W.dim}, short of {B}^{d} times "
+            f"the reduction at {top} has length {chain.rank}, short of {B}^{d} times "
             f"the length {length} at {one}; the z-block is not a regular "
             "sequence modulo the ideal"
         )
-    modules = {top: W}
+    rows = chain.rows
+    modules = {top: rows}
     zprod = _zshift(ring, one, diag(d, 2))
     for k in range(B - 1 if d else 0, 0, -1):
-        W = modules[diag(d, k)] = _contracted(W, zprod)
-    return DualTower(ring, d, B, s, modules)
-
-
-def _contracted(W, e):
-    """W.contract_by(e) with its top degree as its degree bound."""
-    Wm = W.contract_by(e)
-    Wm.degbound = int(Wm.max_degree())
-    return Wm
+        rows = modules[diag(d, k)] = {
+            e_sub(p, zprod): _contract_terms(zprod, row) for p, row in rows.items() if zmin(p)
+        }
+    return DualTower(ring, d, B, s, order, modules)
 
 
 def section_lift(tower, order=GREVLEX):
     """Canonical compatible family through the tower, built along the diagonal.
 
-    H at the diagonal start is the echelon set of minimal cogenerators; each
-    next diagonal stage solves (z_1...z_d) . F = h inside W with the
-    echelon-canonical solution; off-diagonal stages are contractions from the
-    smallest dominating diagonal stage, which makes compatibility automatic.
+    H at the diagonal start is the echelon set of minimal cogenerators.
+    Each h in H_k lifts to the F in W_(k+1) with zprod . F = h whose
+    coefficients at the leads, in the tower's order, of
+    K = ker(zprod .) & W_(k+1) are zero (free coefficients zero).  W_k's
+    chain holds h[q] at each pivot q, so F = sum of h[q] times W_(k+1)'s
+    chain row at q + zprod is a lift; K's chain rows, of min z-exponent 0,
+    are its reduced echelon in the order, and the other rows hold none of
+    their pivots, so F is that one.  Off-diagonal stages are contractions from the
+    smallest dominating diagonal stage: compatibility is automatic.
 
-    The family's module cache starts with W_top = P . H_top, the tower's
-    own top stage, so verify_lis and reconstruct never close H_top again.
+    The family holds the tower, so verify_lis and reconstruct never close
+    H_top (see LimitInverseSystem.module_at and DualTower.free_rank).
     The tower certified A/(z^B) free over R = K[z]/(z_1^B, ..., z_d^B)
     (see dual_tower), so each A/(z^k) is free over K[z]/(z^k): a flat local
     extension of a Gorenstein ring, whose type is then that of its fibre
@@ -332,32 +360,23 @@ def section_lift(tower, order=GREVLEX):
     fld = ring.field
     s = tower.s
     family = {}
-    H1 = minimal_cogenerators(tower.modules[diag(d, 1)], order)
+    H1 = minimal_cogenerators(tower.stage(diag(d, 1)), order)
     r = len(H1)
     if r == 0:
         raise PipelineError("zero socle at the first stage; the quotient is trivial")
     family[diag(d, 1)] = tuple(H1)
     if d == 0:
         return LimitInverseSystem(ring, 0, r, s, B, family)
-    zprod = tuple(
-        1 if i in set(ring.zindices) else 0 for i in range(ring.nvars)
-    )
+    zprod = _zshift(ring, diag(d, 1), diag(d, 2))
     for k in range(1, B):
-        Wn = tower.modules[diag(d, k + 1)]
-        rows = [contract_exp(zprod, F).terms for F in Wn.basis]
+        below, rows = tower.modules[diag(d, k)], tower.modules[diag(d, k + 1)]
         lifts = []
-        targets = [h.terms for h in family[diag(d, k)]]
-        for sol in solve_in_span(fld, ring.order_key(order), rows, targets):
-            if sol is None:
-                raise PipelineError(
-                    f"no lift of a stage-{k} cogenerator into stage {k + 1}; "
-                    "the canonical surjection failed, input is outside the class"
-                )
-            F = ring.dual.zero()
-            for c, base in zip(sol, Wn.basis):
-                if c != fld.zero:
-                    F = F + base * c
-            lifts.append(F)
+        for h in family[diag(d, k)]:
+            F = {}
+            for q, c in h.terms.items():
+                if q in below:
+                    fld.row_sub(F, fld.neg(c), rows[e_add(q, zprod)].items())
+            lifts.append(Polynomial(ring.dual, F, _clean=False))
         family[diag(d, k + 1)] = tuple(lifts)
     for m in grid(d, B):
         if m in family:
@@ -366,7 +385,7 @@ def section_lift(tower, order=GREVLEX):
         e = _zshift(ring, m, diag(d, k))
         family[m] = tuple(contract_exp(e, F) for F in family[diag(d, k)])
     H = LimitInverseSystem(ring, d, r, s, B, family)
-    H._modules[diag(d, B)] = tower.modules[diag(d, B)]
+    H._tower = tower
     return H
 
 
@@ -417,9 +436,10 @@ def verify_lis(H):
     W_top makes every W_m free of rank e over
     K[z]/(z_1^(m_1), ..., z_d^(m_d)), so W_m cap V has the dimension
     e * prod(m - e_j) of W_(m - e_j): every (c) check passes, and no module
-    but W_top is built.  W_top is read off H.module_at, so a
-    family that section_lift made reuses the tower's top stage and runs no
-    closure at all.  When the gate fails or W_top is not free, each (c)
+    but W_top is built.  A family that section_lift made holds its tower,
+    whose chains give the rank by a count (DualTower.free_rank), so it
+    builds no module at all; any other family reads W_top off
+    H.module_at.  When the gate fails or W_top is not free, each (c)
     check meets W_m with the V-space and tests containment in W_(m - e_j),
     which builds every stage module.
     """
@@ -493,7 +513,9 @@ def verify_lis(H):
 
     # (c): W_m cap V^(j, s-d)_m inside W_(m - e_j)
     gate = all(c.ok for c in rep.checks if c.condition in ("b", "compat", "d"))
-    rank = _free_rank(H.module_at(diag(d, B)), B) if gate else None
+    rank = None
+    if gate:
+        rank = H._tower.free_rank() if H._tower is not None else _free_rank(H.module_at(diag(d, B)), B)
     for m in stages:
         for slot in range(d):
             prev = _step(m, slot, -1)
@@ -522,6 +544,7 @@ def _free_rank(W, B):
     summands of W: a summand N with sigma . N != 0 holds a copy of R, which
     is injective over itself and so splits off, and sigma kills the rest.
     W is free exactly when dim W = B^d * dim sigma . W, one contraction.
+    DualTower.free_rank counts the same rank off the tower's chains.
     """
     zi = W.ring.zindices
     sigma = tuple(B - 1 if i in zi else 0 for i in range(W.ring.nvars))
@@ -563,12 +586,15 @@ def reconstruct(H, order=GREVLEX):
     ring = H.ring
     d = H.d
     if d == 0:
-        # the reduced basis in order; the degree-(s+1) monomials that close
-        # the GREVLEX basis stay implicit in the truncation, as perp_module's
-        # generators leave them
+        # the reduced basis in order, less each degree-(s+1) monomial closing
+        # the GREVLEX basis that the other printed generators generate
         A = perp_module(H.module_at(()))
         closing = set(A.groebner()) - set(A.gens)
-        gens = [g for g in A.groebner(order) if g not in closing]
+        gens = list(A.groebner(order))
+        for g in [g for g in gens if g in closing]:
+            others = [f for f in gens if f != g]
+            if Ideal(ring, others).contains(g):
+                gens = others
         return ReconstructionResult(Ideal(ring, gens, A.trunc), True, 0, "classical duality, no tower")
     B = H.bound
     anns = {k: perp_module(H.module_at(diag(d, k))) for k in range(1, B + 1)}

@@ -267,3 +267,31 @@ def hilbert_rank_walk(nf_by_degree, p=None):
     while dims and dims[-1] == 0:
         dims.pop()
     return tuple(dims)
+
+
+def lift_by_solve(W, targets, order):
+    """The lifts of the targets into W along z_1...z_d, as the section lift
+    took them before it read them off the tower's chains.
+
+    zprod = z_1...z_d contracts W's reduced basis, and linalg.solve_in_span
+    writes each target h in those images with its free coefficients zero;
+    the lift is that combination of the basis, None where h has no
+    preimage.  It shares solve_in_span with the library, not the chains.
+    """
+    from invsys.duality import contract_exp
+    from invsys.linalg import solve_in_span
+
+    ring = W.ring
+    fld = ring.field
+    zprod = tuple(1 if i in ring.zindices else 0 for i in range(ring.nvars))
+    rows = [contract_exp(zprod, F).terms for F in W.basis]
+    lifts = []
+    for sol in solve_in_span(fld, ring.order_key(order), rows, [h.terms for h in targets]):
+        F = None
+        if sol is not None:
+            F = ring.dual.zero()
+            for c, base in zip(sol, W.basis):
+                if c != fld.zero:
+                    F = F + base * c
+        lifts.append(F)
+    return lifts

@@ -10,16 +10,21 @@ bound 15, whose top stage has N_top = 32, runs only limit (text) and
 reconstruct.  socle and hilbert run, as text and as --json, on Artinian
 reductions: the curve at --m 1, 2 and 3 and the complete intersection at
 --m 2,3, under both orders, and the complete intersection once more over
-F_32003.  Commands run with the golden
+F_32003.  limit's text output at d = 3, bound 5 (125 stages, over Q and
+F_32003) and at the curve's bound 20 is pinned by its SHA-256 digest
+alone.  Commands run with the golden
 directory's input copied into a scratch working directory, so the file name
 that --json echoes is the bare input name.
 
 To record the goldens again, when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+which also prints the digests of LIMIT_DIGESTS, to be pasted in.
 """
 
 import contextlib
+import hashlib
 import io
 import shutil
 import sys
@@ -58,6 +63,17 @@ REDUCTIONS = {
     "curve_m3": ("example.ideal", "3", (), ORDERS),
     "ci_d2_m23": ("ci_d2.ideal", "2,3", (), ORDERS),
     "ci_d2_m23_fp32003": ("ci_d2.ideal", "2,3", ("--field", "fp:32003"), ("grevlex",)),
+}
+# (input file, bound, extra flags, order) -> SHA-256 of limit's stdout
+LIMIT_DIGESTS = {
+    ("d3.ideal", 5, (), "grevlex"): "3d66add363da03ece3a8cc97602e7761090f3de160304721372af49f31a264e7",
+    ("d3.ideal", 5, (), "lex"): "137350709a949fde10f163f53aaebb104915b07422135b48a4c0d1d5f8b79535",
+    ("d3.ideal", 5, ("--field", "fp:32003"), "grevlex"):
+        "cc607ae5a8d0c94b2e7de4cdb0ebcdd352b16296b59b6a7012fe758444cb13f2",
+    ("d3.ideal", 5, ("--field", "fp:32003"), "lex"):
+        "abb077de759fecbfbd927797438905a7ba91704950ca71bb6240f941f3f31508",
+    ("example.ideal", 20, (), "grevlex"): "6e41a6ae0ad838c21b916ee3f8dfc26763d6c0fbbed54fb1ab516aca9d5b255c",
+    ("example.ideal", 20, (), "lex"): "489a50101e591c19f139c940eff693ab169d91d2b8456acf74887cbd86d72c93",
 }
 REDUCTION_COMMANDS = tuple(
     (f"{command}.{kind}", command, flags)
@@ -105,6 +121,14 @@ def _outputs(name, order, workdir):
     return results
 
 
+def _limit_digest(case, workdir):
+    """(exit code, SHA-256 of stdout) of the limit run of one LIMIT_DIGESTS case."""
+    source, bound, extra, order = case
+    _copy_input(source, workdir)
+    code, out = _run(["limit", "-i", source, "--mmax", str(bound), *extra, "--order", order])
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
 def _golden(name, order, suffix):
     path = GOLDEN / f"{name}.{order}.{suffix}"
     code, _, body = path.read_text(encoding="utf-8").partition("\n")
@@ -124,6 +148,12 @@ def test_cli_outputs_match_goldens(name, order, tmp_path, monkeypatch):
 )
 def test_reduction_outputs_match_goldens(name, order, tmp_path, monkeypatch):
     test_cli_outputs_match_goldens(name, order, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("case", sorted(LIMIT_DIGESTS), ids=lambda case: "-".join(map(str, case)))
+def test_limit_outputs_match_digests(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _limit_digest(case, tmp_path) == (0, LIMIT_DIGESTS[case])
 
 
 @pytest.mark.parametrize("name", ("curve9", "ci_d2"))
@@ -157,6 +187,8 @@ def record():
                     for suffix, code, out in _outputs(name, order, Path(tmp)):
                         path = GOLDEN / f"{name}.{order}.{suffix}"
                         path.write_text(f"exit {code}\n{out}", encoding="utf-8")
+            for case in LIMIT_DIGESTS:
+                print(case, *_limit_digest(case, Path(tmp)))
         finally:
             os.chdir(here)
 

@@ -35,11 +35,12 @@ from conftest import (
     DATA,
     non_free_family,
     non_free_family_d2,
+    random_polynomial,
     stage_closure,
     theorem_class_suite,
     top_family,
 )
-from oracles import free_rank_by_socle
+from oracles import free_rank_by_socle, lift_by_solve
 
 
 @pytest.fixture
@@ -116,16 +117,17 @@ def test_dual_tower_closed_form(band):
     for m in range(1, 4):
         s = "Y" if m == 1 else f"Y*Z^{m - 1}"
         expected = DualModule.generate(ctx, [dual.parse(s)])
-        assert tower.modules[(m,)].equals(expected)
+        assert tower.stage((m,)).equals(expected)
 
 
 def test_dual_tower_builds_the_diagonal_before_it_returns(ci_d2, curve, monkeypatch):
     # dual_tower itself runs stage one's reduction, which gives s and the
-    # length, and the top stage's reduction and perp_ideal, and holds the B
-    # diagonal stages, each a contraction of the top one; section_lift reads
-    # them and builds none, no stage is met out of another, and every
-    # off-diagonal stage is one contraction of its diagonal stage
-    calls = {"perp_ideal": 0, "artinian_reduction": 0}
+    # length, and the top stage's reduction, reads the top stage's perp rows
+    # once, with no perp_ideal module, and holds the B diagonal chains, each
+    # a shift of the top one; section_lift reads them and builds no stage
+    # from a reduction, no stage is met out of another, and every stage is
+    # the perp of its own reduction
+    calls = {"perp_ideal": 0, "_perp_rows": 0, "artinian_reduction": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -141,16 +143,17 @@ def test_dual_tower_builds_the_diagonal_before_it_returns(ci_d2, curve, monkeypa
         low = (0,) + (1,) * (d - 1)
         for order in (GREVLEX, LEX):
             monkeypatch.setattr(limitsys, "perp_ideal", counted("perp_ideal", perp_ideal))
+            monkeypatch.setattr(limitsys, "_perp_rows", counted("_perp_rows", limitsys._perp_rows))
             monkeypatch.setattr(
                 limitsys, "artinian_reduction", counted("artinian_reduction", artinian_reduction)
             )
             monkeypatch.setattr(limitsys, "coordinate_meet", forbidden)
-            calls.update(perp_ideal=0, artinian_reduction=0)
+            calls.update(perp_ideal=0, _perp_rows=0, artinian_reduction=0)
             tower = dual_tower(I, B, order, trust_regular=True)
-            assert calls == {"perp_ideal": 1, "artinian_reduction": 2}
+            assert calls == {"perp_ideal": 0, "_perp_rows": 1, "artinian_reduction": 2}
             assert sorted(tower.modules) == [diag(d, k) for k in range(1, B + 1)]
             section_lift(tower, order=order)
-            assert calls == {"perp_ideal": 1, "artinian_reduction": 2}
+            assert calls == {"perp_ideal": 0, "_perp_rows": 1, "artinian_reduction": 2}
             monkeypatch.undo()
             for m in grid(d, B):
                 W = tower.stage(m)
@@ -182,7 +185,7 @@ def test_local_top_stage_is_certified_by_its_length(curve, monkeypatch):
     tower = dual_tower(I, B, trust_regular=True)
     assert built == [4, 12]
     J, N = artinian_form(artinian_reduction(I, (B,)))
-    assert tower.modules[(B,)].basis == perp_ideal(J, degbound=N - 1).basis
+    assert tower.stage((B,)).basis == perp_ideal(J, degbound=N - 1).basis
 
     ctx = context_from_names("y,z", mode="local", zvars="z")
     zero_divisor = Ideal(ctx, [ctx.parse("y^2"), ctx.parse("y*z")])
@@ -241,30 +244,54 @@ def test_tower_stages_are_closed_by_construction(name, order):
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
 @pytest.mark.parametrize("name", TOWER_FAMILIES)
 def test_section_lift_hands_the_tower_top_to_the_family(name, order):
-    # the tower certified W_top free, so H_top generates it and the family
-    # starts with the tower's top stage, whether the z-block was checked or
-    # taken on trust
+    # the tower certified W_top free, so H_top generates it, and the family
+    # holds the tower's chains, whether the z-block was checked or taken on
+    # trust: its top module is the tower's top stage, built from the chain
     I, B = _tower_family(name)
     tower = dual_tower(I, B, order)
     H = section_lift(tower, order=order)
     top = diag(tower.d, B)
-    W = tower.modules[top]
+    W = H.module_at(top)
     generated = DualModule.generate(H.ring, H.family[top], degbound=sum(top) + H.s - H.d, order=order)
     assert (W.basis, W.degbound) == (generated.basis, generated.degbound)
-    assert H.module_at(top) is W
+    assert H._tower is tower and H.module_at(top) is W
     trusted_tower = dual_tower(I, B, order, trust_regular=True)
     trusted = section_lift(trusted_tower, order=order)
     assert trusted.family == H.family
-    assert trusted.module_at(top) is trusted_tower.modules[top]
+    assert trusted._tower is trusted_tower
+    assert trusted.module_at(top).basis == W.basis
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+@pytest.mark.parametrize("name", TOWER_FAMILIES + ("y2-z",))
+def test_section_lift_matches_the_solve_in_span_lift(name, order):
+    # each lift, the normal form of one chain lift modulo the kernel of
+    # z_1...z_d, is the one solve_in_span picks on the stage's reduced
+    # basis, and contracts onto its target; the tower's counted free rank
+    # is the socle dimension of its top stage
+    I, B = _tower_family(name)
+    tower = dual_tower(I, B, order)
+    H = section_lift(tower, order=order)
+    d = tower.d
+    ring = I.ring
+    zprod = tuple(1 if i in ring.zindices else 0 for i in range(ring.nvars))
+    for k in range(1, B):
+        targets, lifts = H.family[diag(d, k)], H.family[diag(d, k + 1)]
+        assert list(lifts) == lift_by_solve(tower.stage(diag(d, k + 1)), targets, order), k
+        assert [contract_exp(zprod, F) for F in lifts] == list(targets), k
+    top = tower.stage(diag(d, B))
+    p = getattr(ring.field, "p", None)
+    rank = free_rank_by_socle([F.terms for F in top.basis], ring.zindices, B, p)
+    assert tower.free_rank() == rank == len(tower.modules[diag(d, 1)])
 
 
 def test_cli_limit_builds_no_closure_on_a_checked_tower(capsys, monkeypatch):
-    # verify_lis reads the tower's W_top, so no module is closed or checked
-    # for closure, with the z-block checked or taken on trust, and both
-    # print the same family
+    # verify_lis counts W_top's free rank off the tower's chains, so no
+    # module is closed, checked for closure or contracted for the rank, with
+    # the z-block checked or taken on trust, and both print the same family
     from invsys.cli import main
 
-    calls = {"generate": 0, "verify_closed": 0}
+    calls = {"generate": 0, "verify_closed": 0, "_free_rank": 0}
     generate = DualModule.generate.__func__
 
     def counted_generate(cls, *args, **kwargs):
@@ -275,7 +302,14 @@ def test_cli_limit_builds_no_closure_on_a_checked_tower(capsys, monkeypatch):
         calls["verify_closed"] += 1
         return verify_closed(W)
 
+    free_rank = limitsys._free_rank
+
+    def counted_free_rank(*args):
+        calls["_free_rank"] += 1
+        return free_rank(*args)
+
     monkeypatch.setattr(DualModule, "generate", classmethod(counted_generate))
+    monkeypatch.setattr(limitsys, "_free_rank", counted_free_rank)
     for module in list(sys.modules.values()):
         if module and module.__name__.startswith("invsys") and hasattr(module, "verify_closed"):
             monkeypatch.setattr(module, "verify_closed", counted_verify_closed)
@@ -283,10 +317,10 @@ def test_cli_limit_builds_no_closure_on_a_checked_tower(capsys, monkeypatch):
     for path, B in ((DATA / "example.ideal", 9), (golden / "ci_d2.ideal", 5)):
         outs = []
         for flags in ((), ("--trust-regular",)):
-            calls.update(generate=0, verify_closed=0)
+            calls.update(generate=0, verify_closed=0, _free_rank=0)
             assert main(["limit", "-i", str(path), "--mmax", str(B), *flags]) == 0
             outs.append(capsys.readouterr().out)
-            assert calls == {"generate": 0, "verify_closed": 0}, (path.name, flags)
+            assert calls == {"generate": 0, "verify_closed": 0, "_free_rank": 0}, (path.name, flags)
         assert outs[0] == outs[1]
 
 
@@ -349,6 +383,17 @@ def test_dual_tower_does_no_grid_work_up_front(band):
     assert peak < 2**20
 
 
+def test_unit_ideal_tower_is_refused_with_a_message():
+    # every stage of the unit ideal is zero; taken on trust, the tower holds
+    # B empty chains and the section lift refuses it, where a stage degree
+    # bound read off an empty module once raised OverflowError
+    ctx = context_from_names("y,z", zvars="z")
+    tower = dual_tower(Ideal(ctx, [ctx.one()]), 2, trust_regular=True)
+    assert tower.stage((2,)).is_zero()
+    with pytest.raises(PipelineError, match="zero socle"):
+        section_lift(tower)
+
+
 def test_dual_tower_rejects_artinian_input():
     ctx = context_from_names("y,z", zvars="z")
     I = Ideal(ctx, [ctx.variable(0), ctx.variable(1)])  # the maximal ideal
@@ -367,14 +412,14 @@ def test_dual_tower_surjectivity(band, curve):
                         sum((m[s] - n[s]) if i == ctx.zindices[s] else 0 for s in range(d))
                         for i in range(ctx.nvars)
                     )
-                    img = tower.modules[m].contract_by(e)
-                    assert img.basis == tower.modules[n].basis
+                    img = tower.stage(m).contract_by(e)
+                    assert img.basis == tower.stage(n).basis
 
 
 def test_dual_tower_socle_stability(curve):
     ctx, I = curve
     tower = dual_tower(I, 4)
-    counts = {m: len(minimal_cogenerators(W)) for m, W in tower.modules.items()}
+    counts = {m: len(minimal_cogenerators(tower.stage(m))) for m in tower.modules}
     assert set(counts.values()) == {2}
 
 
@@ -417,6 +462,60 @@ def test_reconstruct_d0_prints_the_basis_in_its_order(tmp_path, capsys):
         H = section_lift(dual_tower(I, 1))
         for order in (GREVLEX, LEX):
             assert equal_as_artinian(reconstruct(H, order).ideal, I), (gens, order.kind)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize(
+    "gens, printed",
+    [
+        (["x", "y"], ["y", "x"]),
+        (["x^2", "y"], ["y", "x^2"]),
+        (["x^2", "x*y", "y^2"], ["y^2", "x*y", "x^2"]),
+    ],
+    ids=["m", "x2-y", "m2"],
+)
+def test_reconstruct_d0_prints_the_closing_monomials_it_needs(gens, printed, order, tmp_path, capsys):
+    # a degree-(s+1) monomial that closes the grevlex basis is printed when
+    # the other printed generators do not generate it: each list below
+    # generates its ideal, as text and as --json
+    import json
+
+    from invsys.cli import main
+
+    source = tmp_path / "d0.ideal"
+    source.write_text("field Q\nring graded vars x,y\nideal:\n" + "\n".join(gens) + "\n", encoding="utf-8")
+    lis = tmp_path / "d0.lis"
+    assert main(["limit", "-i", str(source), "--mmax", "1", "-o", str(lis)]) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", "-i", str(lis), "--order", order]) == 0
+    assert capsys.readouterr().out == "".join(g + "\n" for g in printed) + "stable True\nstage 0\n"
+    assert main(["reconstruct", "-i", str(lis), "--order", order, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == printed
+
+
+def test_reconstruct_d0_printed_generators_generate_the_ideal():
+    # seeded random Artinian ideals with no z-block, graded and local: the
+    # printed generators, parsed back with no truncation, give the input
+    # ideal in both orders; some closing monomials are printed and some,
+    # generated by the rest, are not
+    kept = dropped = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.choice([2, 3])
+        ctx = context_from_names(",".join("xyz"[:n]), mode=rng.choice(["graded", "local"]))
+        powers = [ctx.monomial(e_unit(n, i, rng.randint(1, 4))) for i in range(n)]
+        I = Ideal(ctx, powers + [random_polynomial(ctx, rng, 3) for _ in range(rng.randint(1, 3))])
+        H = section_lift(dual_tower(I, 1))
+        A = perp_module(H.module_at(()))
+        closing = set(A.groebner()) - set(A.gens)
+        for order in (GREVLEX, LEX):
+            res = reconstruct(H, order)
+            back = Ideal(ctx, [ctx.parse(g.render(order)) for g in res.ideal.gens])
+            assert back.equals(I), (seed, order.kind)
+            shown = sum(g in closing for g in res.ideal.gens)
+            kept += shown
+            dropped += sum(g in closing for g in A.groebner(order)) - shown
+    assert kept and dropped
 
 
 def test_diagonal_choice_independence():
