@@ -75,7 +75,9 @@ class DualModule:
     perp_module skip the closure.  It is set by the constructions that are
     closed by construction: generate, contract_by of a closed module,
     perp_ideal and limitsys.DualTower.stage, a contraction of a perp;
-    also by a passing verify_closed, the test-side oracle.
+    also by a passing verify_closed, the test-side oracle.  reconstruct's
+    stages below the top are contractions of closed stages too, but are
+    held as echelons only, never as modules (limitsys._stage_annihilators).
     """
 
     __slots__ = ("ring", "degbound", "basis", "order", "_closed")
@@ -245,34 +247,44 @@ def verify_closed(W):
 def perp_module(W):
     """Annihilator ideal of a dual module, with certificate m^(degbound+1).
 
-    The transpose of perp_ideal, read off one echelon.  The contraction
-    closure C of W is echelonized with each row's pivot at its smallest
-    GREVLEX monomial, under a key table the ring keeps for that key; for a
-    module known to be closed (see DualModule) C is W itself and its basis
-    is echelonized as it is, otherwise the closure inserts every
-    contraction.  Terms above B = degbound are cut afterwards, which leaves
-    the rows reduced because the order is degree-compatible.  The pivots v
-    of degree <= B are the standard monomials.  Every other monomial u of
+    The transpose of perp_ideal, read off one echelon (see _annihilator).
+    The contraction closure C of W is echelonized with each row's pivot at
+    its smallest GREVLEX monomial, under a key table the ring keeps for that
+    key; for a module known to be closed (see DualModule) C is W itself and
+    its basis is echelonized as it is, otherwise the closure inserts every
+    contraction.
+    """
+    return _annihilator(W.ring, _perp_echelon(W), W.degbound, W.max_degree())
+
+
+def _perp_echelon(W):
+    """The reduced echelon of W's contraction closure under the smallest-first key."""
+    key = W.ring.sort_key(_smallest_first)
+    if W._closed:
+        return Echelon(W.ring.field, key).extend(F.terms for F in W.basis)
+    return _closure(W.ring, W.basis, key)
+
+
+def _annihilator(ring, closure, B, top):
+    """Ann(C), truncated at B + 1, for C a closed dual module of top degree top.
+
+    closure is C's reduced echelon under the smallest-first key
+    (groebner._smallest_first), which is unique, so any spanning set of C
+    gives the same ideal.  Terms above B are cut, which leaves the rows
+    reduced because the order is degree-compatible.  The pivots v of
+    degree <= B are the standard monomials.  Every other monomial u of
     degree <= B is a lead, with row x^u - sum_v c_v[u] x^v over the rows
     c_v with pivot v: together these are the reduced GREVLEX echelon form
     of Ann(C) & P_{<=B}.  A lead's row has an entry beside u only when u
     occurs in C, so only those rows are built and the rest stay the
     quotient's implicit unit rows.  The generators are the rows of the
-    divisibility-minimal leads.  When every term of W has degree <= B (the
-    DualModule contract), Ann(C) contains m^(B+1) and the rows are the
-    quotient matrix of the returned ideal, which takes them over as its
-    GREVLEX kernel.
+    divisibility-minimal leads.  When top <= B (the DualModule contract),
+    Ann(C) contains m^(B+1) and the rows are the quotient matrix of the
+    returned ideal, which takes them over as its GREVLEX kernel.
     """
-    ring = W.ring
-    if W.is_zero():
+    if not closure.rows:
         warnings.warn("annihilator of the zero module is the unit ideal")
         return Ideal(ring, [ring.one()])
-    B = W.degbound
-    key = ring.sort_key(_smallest_first)
-    if W._closed:
-        closure = Echelon(ring.field, key).extend(F.terms for F in W.basis)
-    else:
-        closure = _closure(ring, W.basis, key)
     fld = ring.field
     std = []
     rows = {}  # lead -> row, for the leads that occur in C
@@ -291,7 +303,7 @@ def perp_module(W):
     # the degree-(B+1) monomials close the basis; the ideal's generators
     # are the rows below them
     A = Ideal(ring, [g for g, u in zip(basis, leads) if sum(u) <= B], trunc=B + 1)
-    if W.max_degree() <= B:
+    if top <= B:
         A.adopt_quotient(aq, basis)
     return A
 

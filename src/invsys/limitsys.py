@@ -15,7 +15,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .duality import (
     DualModule,
+    _annihilator,
     _contract_terms,
+    _perp_echelon,
     _perp_rows,
     contract_exp,
     minimal_cogenerators,
@@ -128,8 +130,9 @@ class LimitInverseSystem:
         own closure; any other stage runs its own closure in GREVLEX.
 
         Built once per stage: the family is not mutated after construction,
-        so verify_lis and reconstruct share the modules.  Nothing read off a
-        module depends on the order of its echelon basis.
+        so verify_lis and reconstruct share the top module, the only one
+        reconstruct asks for when each H_k is z_1...z_d . H_(k+1).  Nothing
+        read off a module depends on the order of its echelon basis.
         """
         m = tuple(m)
         W = self._modules.get(m)
@@ -568,10 +571,13 @@ def reconstruct(H, order=GREVLEX):
     """Recover the defining ideal from a limit inverse system.
 
     Each diagonal stage contributes the annihilator of the generated
-    submodule.  The survivors of a stage are its reduced-basis elements that
-    lie in the full finite intersection, i.e. in every computed stage; junk
-    congruent to a high z-power modulo the true ideal falls out of some
-    visible stage.  Survivors accumulate over stage prefixes, and the result
+    submodule, read stage by stage down from the top: a stage that is a
+    contraction of the one above is echelonized from that stage's echelon,
+    and no module below the top is built (see _stage_annihilators).  The
+    survivors of a stage are its reduced-basis elements that lie in the
+    full finite intersection, i.e. in every computed stage; junk congruent
+    to a high z-power modulo the true ideal falls out of some visible
+    stage.  Survivors accumulate over stage prefixes, and the result
     is the first plateau of the accumulated ideals that reproduces every
     visible stage (one kernel for the plateau, then a containment and a
     length test per stage; see reproduces) and on which the z-block is a
@@ -581,7 +587,7 @@ def reconstruct(H, order=GREVLEX):
 
     order picks the survivors, which are read off reduced bases in it, and
     the basis of the returned ideal, at d = 0 too.  Every membership, equality and
-    regularity test runs in GREVLEX, on the kernels perp_module hands over.
+    regularity test runs in GREVLEX, on the kernels the annihilators carry.
     """
     ring = H.ring
     d = H.d
@@ -597,7 +603,7 @@ def reconstruct(H, order=GREVLEX):
                 gens = others
         return ReconstructionResult(Ideal(ring, gens, A.trunc), True, 0, "classical duality, no tower")
     B = H.bound
-    anns = {k: perp_module(H.module_at(diag(d, k))) for k in range(1, B + 1)}
+    anns = _stage_annihilators(H)
     # consistency: the annihilators must form a decreasing chain
     for k in range(1, B):
         for g in anns[k + 1].gens:
@@ -630,6 +636,37 @@ def reconstruct(H, order=GREVLEX):
         B,
         "no reproducing plateau within the bound; raise the bound",
     )
+
+
+def _stage_annihilators(H):
+    """k -> perp_module(H.module_at((k,...,k))) for k = 1..B, as one chain.
+
+    Each stage is echelonized once, top down, under perp_module's
+    smallest-first key.  The top stage is echelonized from its module's
+    basis.  Where H_k = zprod . H_(k+1), zprod = z_1...z_d, entry by entry,
+    P.H_k = zprod . P.H_(k+1), spanned by the contracted rows of stage
+    k + 1's echelon (dim W_(k+1) rows, not dim W_top), with degree bound
+    stage k + 1's minus d, clamped at 0, as DualModule.contract_by gives it,
+    and top degree read off the rows.  That echelon is unique, so the
+    annihilator is the one perp_module reads off module_at; any other stage
+    is read off its module.
+    """
+    ring, d = H.ring, H.d
+    zprod = _zshift(ring, diag(d, 1), diag(d, 2))
+    anns = {}
+    ech = None
+    for k in range(H.bound, 0, -1):
+        m = diag(d, k)
+        if ech is not None and _contracts(H, m, diag(d, k + 1)):
+            rows = (_contract_terms(zprod, row) for row in ech.rows.values())
+            ech = Echelon(ring.field, ech.sortkey).extend(filter(None, rows))
+            bound = max(bound - d, 0)
+            top = max(map(sum, itertools.chain.from_iterable(ech.rows.values())), default=float("-inf"))
+        else:
+            W = H.module_at(m)
+            ech, bound, top = _perp_echelon(W), W.degbound, W.max_degree()
+        anns[k] = _annihilator(ring, ech, bound, top)
+    return anns
 
 
 def _z_regular(candidate):

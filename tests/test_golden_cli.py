@@ -12,15 +12,16 @@ reductions: the curve at --m 1, 2 and 3 and the complete intersection at
 --m 2,3, under both orders, and the complete intersection once more over
 F_32003.  limit's text output at d = 3, bound 5 (125 stages, over Q and
 F_32003) and at the curve's bound 20 is pinned by its SHA-256 digest
-alone.  Commands run with the golden
-directory's input copied into a scratch working directory, so the file name
-that --json echoes is the bare input name.
+alone, and so is reconstruct's on each of those limit files.  Commands run
+with the golden directory's input copied into a scratch working directory,
+so the file name that --json echoes is the bare input name.
 
 To record the goldens again, when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-which also prints the digests of LIMIT_DIGESTS, to be pasted in.
+which also prints the digests of LIMIT_DIGESTS and RECONSTRUCT_DIGESTS,
+to be pasted in.
 """
 
 import contextlib
@@ -75,6 +76,17 @@ LIMIT_DIGESTS = {
     ("example.ideal", 20, (), "grevlex"): "6e41a6ae0ad838c21b916ee3f8dfc26763d6c0fbbed54fb1ab516aca9d5b255c",
     ("example.ideal", 20, (), "lex"): "489a50101e591c19f139c940eff693ab169d91d2b8456acf74887cbd86d72c93",
 }
+# the same cases -> SHA-256 of reconstruct's stdout on limit's text output
+RECONSTRUCT_DIGESTS = {
+    ("d3.ideal", 5, (), "grevlex"): "2811fe1be39c370e60372f999dc0eec83b706266e61e934eb441575d3fbd77e5",
+    ("d3.ideal", 5, (), "lex"): "67442a2682b96e6b0c392c312518eb5f7c434b95f24eab01267a84c18772ab16",
+    ("d3.ideal", 5, ("--field", "fp:32003"), "grevlex"):
+        "6adbe05140a1c7c2229ceafefbcf094de11465216373b4c96e293ea3b245762b",
+    ("d3.ideal", 5, ("--field", "fp:32003"), "lex"):
+        "7c8055942f5591bf4b55b35e36f2ee9c2fe0bd8d76eb293145929bf4bb275856",
+    ("example.ideal", 20, (), "grevlex"): "9b9bfa3a5c0e4c902283f2478f93961f172378689c27513fcaa91dfea623b241",
+    ("example.ideal", 20, (), "lex"): "51760c152164420fe2ecb468076d9d43f7aa3d155404bac39faa931b0eaf632e",
+}
 REDUCTION_COMMANDS = tuple(
     (f"{command}.{kind}", command, flags)
     for command in ("socle", "hilbert")
@@ -121,11 +133,21 @@ def _outputs(name, order, workdir):
     return results
 
 
-def _limit_digest(case, workdir):
-    """(exit code, SHA-256 of stdout) of the limit run of one LIMIT_DIGESTS case."""
+def _limit_run(case, workdir):
+    """(exit code, stdout) of the limit run of one LIMIT_DIGESTS case."""
     source, bound, extra, order = case
     _copy_input(source, workdir)
-    code, out = _run(["limit", "-i", source, "--mmax", str(bound), *extra, "--order", order])
+    return _run(["limit", "-i", source, "--mmax", str(bound), *extra, "--order", order])
+
+
+def _reconstruct_run(case, workdir):
+    """(exit code, stdout) of reconstruct on the limit file of one case."""
+    _, out = _limit_run(case, workdir)
+    (workdir / "H.lis").write_text(out, encoding="utf-8")
+    return _run(["reconstruct", "-i", "H.lis", "--order", case[3]])
+
+
+def _digest(code, out):
     return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
@@ -153,7 +175,13 @@ def test_reduction_outputs_match_goldens(name, order, tmp_path, monkeypatch):
 @pytest.mark.parametrize("case", sorted(LIMIT_DIGESTS), ids=lambda case: "-".join(map(str, case)))
 def test_limit_outputs_match_digests(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert _limit_digest(case, tmp_path) == (0, LIMIT_DIGESTS[case])
+    assert _digest(*_limit_run(case, tmp_path)) == (0, LIMIT_DIGESTS[case])
+
+
+@pytest.mark.parametrize("case", sorted(RECONSTRUCT_DIGESTS), ids=lambda case: "-".join(map(str, case)))
+def test_reconstruct_outputs_match_digests(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _digest(*_reconstruct_run(case, tmp_path)) == (0, RECONSTRUCT_DIGESTS[case])
 
 
 @pytest.mark.parametrize("name", ("curve9", "ci_d2"))
@@ -188,7 +216,9 @@ def record():
                         path = GOLDEN / f"{name}.{order}.{suffix}"
                         path.write_text(f"exit {code}\n{out}", encoding="utf-8")
             for case in LIMIT_DIGESTS:
-                print(case, *_limit_digest(case, Path(tmp)))
+                print(case, *_digest(*_limit_run(case, Path(tmp))))
+            for case in RECONSTRUCT_DIGESTS:
+                print(case, *_digest(*_reconstruct_run(case, Path(tmp))))
         finally:
             os.chdir(here)
 
