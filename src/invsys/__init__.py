@@ -18,7 +18,6 @@ from .groebner import (
     artinian_bound,
     artinian_form,
     buchberger,
-    equal_as_artinian,
     exact_divide,
     find_linear_regular_sequence,
     hilbert_data,

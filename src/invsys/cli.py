@@ -145,10 +145,10 @@ def _payload(args, ctx, results, diagnostics):
     }
 
 
-def _maybe_reduce(ideal, m, order, ceiling):
+def _maybe_reduce(ideal, m, ceiling):
     if m is None:
         return ideal
-    return artinian_reduction(ideal, m, order, ceiling)
+    return artinian_reduction(ideal, m, ceiling)
 
 
 def _run(args):
@@ -198,7 +198,7 @@ def _run(args):
     ctx, ideal = _load_ideal(args)
 
     if args.command == "perp":
-        red = _maybe_reduce(ideal, _parse_multiindex(args.m), order, ceiling)
+        red = _maybe_reduce(ideal, _parse_multiindex(args.m), ceiling)
         W = perp_ideal(red, degbound=args.degbound, order=order, ceiling=ceiling)
         results = [F.render(order) for F in W.basis]
         diag = {"dim": W.dim, "degbound": W.degbound}
@@ -206,14 +206,14 @@ def _run(args):
         return 0
 
     if args.command == "socle":
-        red = _maybe_reduce(ideal, _parse_multiindex(args.m), order, ceiling)
+        red = _maybe_reduce(ideal, _parse_multiindex(args.m), ceiling)
         reps = socle_basis(red, order, ceiling)
         results = [p.render(order) for p in reps]
         _emit(args, _payload(args, ctx, results, {"type": len(reps)}), results)
         return 0
 
     if args.command == "hilbert":
-        red = _maybe_reduce(ideal, _parse_multiindex(args.m), order, ceiling)
+        red = _maybe_reduce(ideal, _parse_multiindex(args.m), ceiling)
         hd = hilbert_data(red, order, ceiling)
         results = list(hd.values)
         lines = [
@@ -226,8 +226,8 @@ def _run(args):
         return 0
 
     if args.command == "reduce":
-        red = artinian_reduction(ideal, _parse_multiindex(args.m), order, ceiling)
-        _, bound = artinian_form(red, order, ceiling)
+        red = artinian_reduction(ideal, _parse_multiindex(args.m), ceiling)
+        _, bound = artinian_form(red, ceiling)
         results = [g.render(order) for g in red.gens]
         _emit(args, _payload(args, ctx, results, {"artinian_bound": bound}), results)
         return 0
@@ -236,7 +236,7 @@ def _run(args):
         if args.mmax < 1:
             raise ValueError(f"--mmax {args.mmax} must be at least 1")
         tower = dual_tower(ideal, args.mmax, order, ceiling, trust_regular=args.trust_regular)
-        H = section_lift(tower, order=order)
+        H = section_lift(tower)
         report = verify_lis(H)
         if not report.passed:
             failed = sorted({c.condition for c in report.failures()})

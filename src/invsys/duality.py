@@ -201,15 +201,16 @@ def perp_ideal(I, degbound=None, order=GREVLEX, ceiling=DEFAULT_CEILING):
     it is closed under contraction by construction, with no check: J.P lies
     in J, and <p, x^a . F> = <x^a p, F> puts x^a . F in J^perp for F in
     J^perp; m^N lies in J, so J^perp lies in degrees below N and the bound
-    degbound >= N - 1 cuts nothing.
+    degbound >= N - 1 cuts nothing.  J^perp does not depend on the order, so
+    its rows come off the GREVLEX matrix; W is echelonized in order.
     """
-    J, N = artinian_form(I, order, ceiling)
+    J, N = artinian_form(I, ceiling)
     if degbound is None:
         degbound = max(N - 1, 0)
     if degbound < N - 1:
         raise ValueError(f"degbound {degbound} below the required {N - 1}")
     dual = I.ring.dual
-    basis = [Polynomial(dual, vec) for vec in _perp_rows(J.quotient(order))]
+    basis = [Polynomial(dual, vec) for vec in _perp_rows(J.quotient())]
     W = DualModule(I.ring, degbound, basis, order)
     W._closed = True
     return W
@@ -317,7 +318,7 @@ def socle_basis(I, order=GREVLEX, ceiling=DEFAULT_CEILING):
     normal form of x^(w + e_i), a row lookup.  Its basis is echelonized in
     order.
     """
-    J, _ = artinian_form(I, order, ceiling)
+    J, _ = artinian_form(I, ceiling)
     aq = J.quotient(order)
     ring = I.ring
     rows = {}  # (variable, standard monomial) -> condition row over std

@@ -28,6 +28,10 @@ variable at a time, with no degree scanned (a non-homogeneous graded ideal
 takes normal forms against its basis instead).  A caller that knows a local
 truncation certifying itself passes it as a hint, and that one kernel is
 built instead.
+
+The bound and the length do not depend on the order, so artinian_bound and
+artinian_form take none and build GREVLEX kernels; an order only picks the
+printed representatives: reduced bases, normal forms, socles.
 """
 
 from __future__ import annotations
@@ -354,7 +358,7 @@ class ArtinianQuotient:
 
     def __init__(self, ideal, order=GREVLEX):
         ring = ideal.ring
-        N = ideal.trunc if ideal.trunc is not None else artinian_bound(ideal, order)
+        N = ideal.trunc if ideal.trunc is not None else artinian_bound(ideal)
         gens = [[(e, sum(e), c) for e, c in g.terms.items() if sum(e) < N] for g in ideal.gens]
         units = set()  # the multiples of M below N
         monomials = sorted((g[0] for g in gens if len(g) == 1), key=lambda t: t[1])
@@ -562,13 +566,14 @@ def _homogenize(ring, polys):
     ]
 
 
-def _local_form(ideal, order, ceiling, hint, length=None):
+def _local_form(ideal, ceiling, hint, length=None):
     """(I + m^N, N) for the least N with m^N inside I in the power-series ring.
 
-    With a hint, one kernel at truncation G = max(2, hint) is tried first,
-    if G <= ceiling + 1.  It is certified by Nakayama when m^(G-1) <= I + m^G, or, when the caller knows
-    that P^/I has length at most length, when P/(I + m^G) reaches it, as
-    P^/I maps onto P/(I + m^G).  N is then the least k with
+    With a hint, one GREVLEX kernel at truncation G = max(2, hint) is tried
+    first, if G <= ceiling + 1.  It is certified by Nakayama when
+    m^(G-1) <= I + m^G, or, when the caller knows that P^/I has length at
+    most length, when P/(I + m^G) reaches it, as P^/I maps onto
+    P/(I + m^G).  N is then the least k with
     m^k <= I + m^G, read off that kernel, which serves the result as well.
 
     Otherwise N is read off lead monomials by Lazard's homogenization
@@ -584,7 +589,7 @@ def _local_form(ideal, order, ceiling, hint, length=None):
     asked for.
     """
     if hint is not None and (G := max(2, hint)) <= ceiling + 1:
-        aq = ideal.truncated(G).quotient(order)
+        aq = ideal.truncated(G).quotient()
         if aq.length == length or aq.vanishes(G - 1):
             N = aq.bound()
             J = ideal.truncated(N)
@@ -602,27 +607,28 @@ def _local_form(ideal, order, ceiling, hint, length=None):
     return J, N
 
 
-def artinian_bound(ideal, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None, length=None):
+def artinian_bound(ideal, ceiling=DEFAULT_CEILING, hint=None, length=None):
     """Smallest N with m^N inside the ideal.
 
     Both modes read N off lead monomials (see _lead_bound); a local ideal
     first tries the one kernel at truncation hint, certified by Nakayama or
     by reaching length (see _local_form).  A truncated ideal reads N off
-    its own kernel.
+    its own kernel.  N does not depend on the order, so every kernel built
+    here is GREVLEX, the one ideal.quotient() caches.
     """
     if ideal._form is None:
         if ideal.trunc is not None:
-            ideal._form = (ideal, ideal.quotient(order).bound())
+            ideal._form = (ideal, ideal.quotient().bound())
         elif ideal.ring.mode == "graded":
             ideal._form = (ideal, _graded_bound(ideal, ceiling))
         else:
-            ideal._form = _local_form(ideal, order, ceiling, hint, length)
+            ideal._form = _local_form(ideal, ceiling, hint, length)
     return ideal._form[1]
 
 
-def artinian_form(ideal, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None, length=None):
-    """(truncation-exact ideal, bound N): local ideals get trunc = N."""
-    artinian_bound(ideal, order, ceiling, hint, length)
+def artinian_form(ideal, ceiling=DEFAULT_CEILING, hint=None, length=None):
+    """(truncation-exact ideal, bound N), neither depending on an order: local ideals get trunc = N."""
+    artinian_bound(ideal, ceiling, hint, length)
     return ideal._form
 
 
@@ -666,7 +672,7 @@ def hilbert_data(ideal, order=GREVLEX, ceiling=DEFAULT_CEILING):
     stored rows and keep a pivot each, so only the stored rows are
     echelonized again: values[k] = #std_k + #rows_k - #pivots_k.
     """
-    J, _ = artinian_form(ideal, order, ceiling)
+    J, _ = artinian_form(ideal, ceiling)
     aq = J.quotient(order)
     ring = ideal.ring
     low = Echelon(ring.field, ring.sort_key(_smallest_first)).extend(aq.rows.values())
@@ -852,13 +858,3 @@ def find_linear_regular_sequence(I, d, trials=300, seed=0, order=GREVLEX):
             f"no regular sequence of length {d} found in {trials} trials (not a proof of nonexistence)"
         )
     return found
-
-
-def equal_as_artinian(A, B, order=GREVLEX, ceiling=DEFAULT_CEILING):
-    """Equality of the Artinian quotients defined by two ideals."""
-    if not A.ring.same_as(B.ring):
-        return False
-    JA, NA = artinian_form(A, order, ceiling)
-    JB, NB = artinian_form(B, order, ceiling)
-    N = max(NA, NB, JA.trunc or 0, JB.trunc or 0)
-    return JA.truncated(N).equals(JB.truncated(N), order)

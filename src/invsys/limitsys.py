@@ -23,7 +23,6 @@ from .duality import (
     minimal_cogenerators,
     perp_ideal,
     perp_module,
-    socle_basis,
 )
 from .errors import PipelineError, TruncationLimitError, UnboundedQuotientError
 from .groebner import (
@@ -202,7 +201,7 @@ class DualTower:
         return rank if len(self.modules[diag(self.d, self.bound)]) == rank * self.bound ** self.d else None
 
 
-def artinian_reduction(I, m, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None, length=None):
+def artinian_reduction(I, m, ceiling=DEFAULT_CEILING, hint=None, length=None):
     """The ideal I + <z_i^(m_i)>, checked Artinian.
 
     Raises PipelineError when the reduction is not Artinian, which means the
@@ -223,7 +222,7 @@ def artinian_reduction(I, m, order=GREVLEX, ceiling=DEFAULT_CEILING, hint=None, 
     ]
     red = I.plus(powers)
     try:
-        artinian_form(red, order, ceiling, hint=hint, length=length)
+        artinian_form(red, ceiling, hint=hint, length=length)
     except TruncationLimitError as exc:
         raise PipelineError(
             f"the reduction at {m} is Artinian, but its truncation bound lies beyond {exc.limit}"
@@ -280,13 +279,16 @@ def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False
     W_m, the part of W_top that every z_j^(m_j) kills, is z^(B - m) . W_top.
     So each diagonal stage is W_k = zprod . W_(k+1), zprod = z_1...z_d.
 
-    W_top is echelonized once, under K_z(e) = (min_j e[z_j], order key of
-    e), and each lower chain is the one above shifted by zprod.  A row whose
-    pivot has min z-exponent 0 vanishes, as all its terms do; these rows
-    span ker(zprod .) & W_(k+1).  Any other row shifts with its pivot, as
-    min_z drops by one on each surviving term and the order is
-    shift-invariant: the reduced echelon of W_k under K_z.  Every stage is
-    closed: J^perp is, as J.P lies in J, and so is its contraction.
+    Both kernels are GREVLEX, as lengths and spans do not depend on the
+    order.  W_top is echelonized once, under K_z(e) = (min_j e[z_j], order
+    key of e), whose reduced echelon is unique, so order enters the tower
+    only there and through DualTower.order.  Each lower chain is the one
+    above shifted by zprod.  A row whose pivot has min z-exponent 0
+    vanishes, as all its terms do; these rows span ker(zprod .) & W_(k+1).
+    Any other row shifts with its pivot, as min_z drops by one on each
+    surviving term and the order is shift-invariant: the reduced echelon of
+    W_k under K_z.  Every stage is closed: J^perp is, as J.P lies in J, and
+    so is its contraction.
 
     A local top truncation that reaches B^d times the length of stage one
     is exact, so the top kernel is built at N_top = dB + s - d + 1, one
@@ -302,20 +304,20 @@ def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False
         check_z_regularity(I)
     one = diag(d, 1)
     top = diag(d, B)
-    I1 = artinian_reduction(I, one, order, ceiling)
-    J1, N1 = artinian_form(I1, order, ceiling)
+    I1 = artinian_reduction(I, one, ceiling)
+    J1, N1 = artinian_form(I1, ceiling)
     s = N1 - 1
-    length = J1.quotient(order).length
+    length = J1.quotient().length
     red = I1 if top == one else artinian_reduction(
-        I, top, order, ceiling, hint=sum(top) + s - d + 1, length=B ** d * length,
+        I, top, ceiling, hint=sum(top) + s - d + 1, length=B ** d * length,
     )
-    J, _ = artinian_form(red, order, ceiling)
+    J, _ = artinian_form(red, ceiling)
     zi, okey = ring.zindices, ring.order_key(order)
 
     def zmin(e):
         return min((e[i] for i in zi), default=0)
 
-    chain = Echelon(ring.field, lambda e: (zmin(e), okey(e))).extend(_perp_rows(J.quotient(order)))
+    chain = Echelon(ring.field, lambda e: (zmin(e), okey(e))).extend(_perp_rows(J.quotient()))
     if chain.rank != B ** d * length:
         raise PipelineError(
             f"the reduction at {top} has length {chain.rank}, short of {B}^{d} times "
@@ -332,12 +334,12 @@ def dual_tower(I, B, order=GREVLEX, ceiling=DEFAULT_CEILING, trust_regular=False
     return DualTower(ring, d, B, s, order, modules)
 
 
-def section_lift(tower, order=GREVLEX):
+def section_lift(tower):
     """Canonical compatible family through the tower, built along the diagonal.
 
     H at the diagonal start is the echelon set of minimal cogenerators.
     Each h in H_k lifts to the F in W_(k+1) with zprod . F = h whose
-    coefficients at the leads, in the tower's order, of
+    coefficients at the leads, in tower.order, of
     K = ker(zprod .) & W_(k+1) are zero (free coefficients zero).  W_k's
     chain holds h[q] at each pivot q, so F = sum of h[q] times W_(k+1)'s
     chain row at q + zprod is a lift; K's chain rows, of min z-exponent 0,
@@ -363,7 +365,7 @@ def section_lift(tower, order=GREVLEX):
     fld = ring.field
     s = tower.s
     family = {}
-    H1 = minimal_cogenerators(tower.stage(diag(d, 1)), order)
+    H1 = minimal_cogenerators(tower.stage(diag(d, 1)), tower.order)
     r = len(H1)
     if r == 0:
         raise PipelineError("zero socle at the first stage; the quotient is trivial")
@@ -749,7 +751,6 @@ def _filtration_bound_holds(candidate, anns):
     try:
         J, _ = artinian_form(
             candidate.plus(ring.variable(i) for i in ring.zindices),
-            GREVLEX,
             ceiling=low,
             hint=low + 1,
         )
@@ -757,13 +758,3 @@ def _filtration_bound_holds(candidate, anns):
         return False
     e = J.quotient().length
     return all(A.quotient().length == k ** d * e for k, A in anns.items())
-
-
-def invariants_of(I, order=GREVLEX, ceiling=DEFAULT_CEILING):
-    """(d, r, s): z-block size, type, socle degree of the first reduction."""
-    ring = I.ring
-    d = len(ring.zindices)
-    I1 = artinian_reduction(I, diag(d, 1), order, ceiling)
-    _, N1 = artinian_form(I1, order, ceiling)
-    r = len(socle_basis(I1, order, ceiling))
-    return d, r, N1 - 1

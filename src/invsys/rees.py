@@ -249,8 +249,8 @@ def socle_product_check(I, seq, M, order=GREVLEX, ceiling=DEFAULT_CEILING):
         _product(ring, [f for f, k in zip(seq, row) for _ in range(k)])
         for row in M.generators
     ])
-    big, _ = artinian_form(power_ideal, order, ceiling)
-    small, _ = artinian_form(I.plus(list(seq)), order, ceiling)
+    big, _ = artinian_form(power_ideal, ceiling)
+    small, _ = artinian_form(I.plus(list(seq)), ceiling)
     soc_m = M.socle()
     big_socle = socle_basis(big, order, ceiling)
     base_socle = socle_basis(small, order, ceiling)

@@ -295,3 +295,21 @@ def lift_by_solve(W, targets, order):
                     F = F + base * c
         lifts.append(F)
     return lifts
+
+
+def equal_as_artinian(A, B, ceiling=64):
+    """Equality of the Artinian quotients defined by two ideals.
+
+    Each ideal is truncated at the larger of the two bounds, where it equals
+    its own Artinian form, and the reduced GREVLEX bases are compared; the
+    equality does not depend on the order.  It shares artinian_form and
+    Ideal.equals with the library.
+    """
+    from invsys.groebner import artinian_form
+
+    if not A.ring.same_as(B.ring):
+        return False
+    JA, NA = artinian_form(A, ceiling)
+    JB, NB = artinian_form(B, ceiling)
+    N = max(NA, NB, JA.trunc or 0, JB.trunc or 0)
+    return JA.truncated(N).equals(JB.truncated(N))

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from invsys import Ideal, context_from_names, equal_as_artinian, hilbert_data, ideal_intersect
+from invsys import Ideal, context_from_names, hilbert_data, ideal_intersect
 from invsys.cli import main
 from invsys.duality import DualModule, minimal_cogenerators, perp_ideal, perp_module, socle_basis
 from invsys.groebner import ArtinianQuotient, artinian_form
@@ -18,7 +18,6 @@ from invsys.limitsys import (
     LimitInverseSystem,
     dual_tower,
     grid,
-    invariants_of,
     reconstruct,
     section_lift,
     verify_lis,
@@ -28,7 +27,7 @@ from invsys.rees import MonoidIdeal, diagonal_monoid_ideal, rees_dimension_check
 from invsys.ring import GREVLEX
 
 from conftest import CURVE_H_LISTING, DATA, random_primary_ideals, theorem_class_suite
-from oracles import apery_elements, apery_order_profile, monoid_socle_oracle
+from oracles import apery_elements, apery_order_profile, equal_as_artinian, monoid_socle_oracle
 
 EXAMPLE = str(DATA / "example.ideal")
 

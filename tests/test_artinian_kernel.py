@@ -327,7 +327,7 @@ def _artinian_cases():
 def test_hilbert_profile_matches_the_rank_walk(order):
     bounds = set()
     for name, ideal in _artinian_cases():
-        J, N = artinian_form(ideal, order)
+        J, N = artinian_form(ideal)
         _, nf, _, _ = _dense_quotient(J, order, N)
         walk = [[nf[e] for e in ideal.ring.exponents_of_degree(k)] for k in range(N)]
         expected = hilbert_rank_walk(walk, None if ideal.ring.field.name == "Q" else P)
@@ -351,7 +351,7 @@ def test_hilbert_profile_inserts_only_the_stored_rows(monkeypatch):
 
 def _socle_by_colon(ideal, order):
     """(J : m)/J by the elimination colon, reduced to echelon residues."""
-    J, _ = artinian_form(ideal, order)
+    J, _ = artinian_form(ideal)
     ring = ideal.ring
     colon = ideal_colon(J, Ideal(ring, [ring.variable(i) for i in range(ring.nvars)]), order)
     aq = J.quotient(order)

@@ -7,7 +7,7 @@ import pytest
 
 import invsys.duality as duality
 import invsys.groebner as groebner
-from invsys import Ideal, context_from_names, equal_as_artinian, hilbert_data
+from invsys import Ideal, context_from_names, hilbert_data
 from invsys.duality import (
     DualModule,
     contract,
@@ -25,7 +25,7 @@ from invsys.linalg import nullspace
 from invsys.ring import GREVLEX, LEX, Polynomial, e_divides, e_sub
 
 from conftest import stage_closure
-from oracles import brute_perp
+from oracles import brute_perp, equal_as_artinian
 
 
 @pytest.fixture

@@ -11,7 +11,8 @@ reconstruct.  socle and hilbert run, as text and as --json, on Artinian
 reductions: the curve at --m 1, 2 and 3 and the complete intersection at
 --m 2,3, under both orders, and the complete intersection once more over
 F_32003.  limit's text output at d = 3, bound 5 (125 stages, over Q and
-F_32003) and at the curve's bound 20 is pinned by its SHA-256 digest
+F_32003), at the curve's bound 20 and on the rational normal quartic at
+bound 6 (data/rnc4.ideal, d = 2 and type 3) is pinned by its SHA-256 digest
 alone, and so is reconstruct's on each of those limit files.  Commands run
 with the golden directory's input copied into a scratch working directory,
 so the file name that --json echoes is the bare input name.
@@ -75,6 +76,8 @@ LIMIT_DIGESTS = {
         "abb077de759fecbfbd927797438905a7ba91704950ca71bb6240f941f3f31508",
     ("example.ideal", 20, (), "grevlex"): "6e41a6ae0ad838c21b916ee3f8dfc26763d6c0fbbed54fb1ab516aca9d5b255c",
     ("example.ideal", 20, (), "lex"): "489a50101e591c19f139c940eff693ab169d91d2b8456acf74887cbd86d72c93",
+    ("rnc4.ideal", 6, (), "grevlex"): "a6afe1207c68e131931b65daffe4c0d988e7364d2116c9a95b499d2bf21ae067",
+    ("rnc4.ideal", 6, (), "lex"): "b4b120a8a53f2903141e49b4a01d2e41067646dc407858e4c374b5cb84c305a3",
 }
 # the same cases -> SHA-256 of reconstruct's stdout on limit's text output
 RECONSTRUCT_DIGESTS = {
@@ -86,6 +89,8 @@ RECONSTRUCT_DIGESTS = {
         "7c8055942f5591bf4b55b35e36f2ee9c2fe0bd8d76eb293145929bf4bb275856",
     ("example.ideal", 20, (), "grevlex"): "9b9bfa3a5c0e4c902283f2478f93961f172378689c27513fcaa91dfea623b241",
     ("example.ideal", 20, (), "lex"): "51760c152164420fe2ecb468076d9d43f7aa3d155404bac39faa931b0eaf632e",
+    ("rnc4.ideal", 6, (), "grevlex"): "58046a8af1347923067e73eeb7b6d99dfa15ec441089bc64dba1262b7e2653c3",
+    ("rnc4.ideal", 6, (), "lex"): "74cd2ba4a32756c36d556d45d6298a2a2f529e17a3acacd010dc6efe5908e437",
 }
 REDUCTION_COMMANDS = tuple(
     (f"{command}.{kind}", command, flags)

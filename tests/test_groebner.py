@@ -13,7 +13,6 @@ from invsys import (
     UnboundedQuotientError,
     artinian_bound,
     context_from_names,
-    equal_as_artinian,
     exact_divide,
     find_linear_regular_sequence,
     hilbert_data,
@@ -23,7 +22,7 @@ from invsys import (
 )
 from invsys.groebner import ArtinianQuotient
 
-from oracles import monomial_in_monomial_ideal
+from oracles import equal_as_artinian, monomial_in_monomial_ideal
 
 
 @pytest.fixture

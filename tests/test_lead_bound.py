@@ -90,7 +90,7 @@ def _random_poly(ctx, rng, lo, hi, nterms):
 
 
 def _bound_cases(mode):
-    """Seeded (ideal, order, ceiling) over Q and F_32003 in 1-4 variables.
+    """Seeded (ideal, ceiling) over Q and F_32003 in 1-4 variables.
 
     Graded ideals are homogeneous or not; most carry a pure power of every
     variable, the rest may be positive-dimensional.
@@ -111,16 +111,17 @@ def _bound_cases(mode):
                 k = rng.randint(2, 4)
                 tail = _random_poly(ctx, rng, k, k, 1) if homogeneous else _random_poly(ctx, rng, k + 1, k + 2, 1)
                 gens.append(ctx.variable(i) ** k + tail)
-        out.append((Ideal(ctx, gens), rng.choice([GREVLEX, LEX]), rng.choice([3, 6, 12])))
+        rng.choice([GREVLEX, LEX])  # unused; kept so the seed stream, and so the ideals, stay fixed
+        out.append((Ideal(ctx, gens), rng.choice([3, 6, 12])))
     return out
 
 
 @pytest.mark.parametrize("mode", ["graded", "local"])
 def test_graded_and_lazard_leads_match_the_degree_scan(mode, handed):
     outcomes = set()
-    for ideal, order, ceiling in _bound_cases(mode):
+    for ideal, ceiling in _bound_cases(mode):
         del handed[:]
-        got = _outcome(artinian_bound, ideal, order, ceiling)
+        got = _outcome(artinian_bound, ideal, ceiling)
         (n, lms, limit, inside, value), = handed
         assert (got, limit) == (value, ceiling), ideal
         assert value == lead_bound_scan(lms, n, ceiling, inside), ideal

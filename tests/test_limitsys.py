@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import invsys.limitsys as limitsys
-from invsys import Ideal, PipelineError, artinian_form, context_from_names, equal_as_artinian
+from invsys import Ideal, PipelineError, artinian_form, context_from_names
 from invsys.duality import (
     DualModule,
     contract_exp,
@@ -23,7 +23,6 @@ from invsys.limitsys import (
     diag,
     dual_tower,
     grid,
-    invariants_of,
     reconstruct,
     section_lift,
     verify_lis,
@@ -40,7 +39,7 @@ from conftest import (
     theorem_class_suite,
     top_family,
 )
-from oracles import free_rank_by_socle, lift_by_solve
+from oracles import equal_as_artinian, free_rank_by_socle, lift_by_solve
 
 
 @pytest.fixture
@@ -152,12 +151,12 @@ def test_dual_tower_builds_the_diagonal_before_it_returns(ci_d2, curve, monkeypa
             tower = dual_tower(I, B, order, trust_regular=True)
             assert calls == {"perp_ideal": 0, "_perp_rows": 1, "artinian_reduction": 2}
             assert sorted(tower.modules) == [diag(d, k) for k in range(1, B + 1)]
-            section_lift(tower, order=order)
+            section_lift(tower)
             assert calls == {"perp_ideal": 0, "_perp_rows": 1, "artinian_reduction": 2}
             monkeypatch.undo()
             for m in grid(d, B):
                 W = tower.stage(m)
-                J, N = artinian_form(artinian_reduction(I, m, order), order)
+                J, N = artinian_form(artinian_reduction(I, m))
                 expected = perp_ideal(J, degbound=N - 1, order=order)
                 assert (W.basis, W.degbound) == (expected.basis, expected.degbound), (m, order)
             with pytest.raises(KeyError):
@@ -222,6 +221,28 @@ def _tower_family(name):
 TOWER_FAMILIES = ("curve", "ci-d2", "ci-d2 fp", "band", "d3", "d3 fp")
 
 
+@pytest.mark.parametrize("name", ("curve", "ci-d2", "d3"))
+def test_a_lex_tower_builds_only_grevlex_kernels(name, monkeypatch):
+    # lengths, bounds and W_top's span do not depend on the order, so the
+    # limit pipeline in LEX builds every kernel in GREVLEX: the order enters
+    # only at the chain key and the lift
+    import invsys.groebner as groebner
+
+    orders = []
+    init = groebner.ArtinianQuotient.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        orders.append(self.order)
+
+    monkeypatch.setattr(groebner.ArtinianQuotient, "__init__", recorded)
+    I, B = _tower_family(name)
+    tower = dual_tower(I, B, LEX)
+    assert verify_lis(section_lift(tower)).passed
+    assert tower.order == LEX
+    assert orders and set(orders) == {GREVLEX}
+
+
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
 @pytest.mark.parametrize("name", TOWER_FAMILIES + ("y2-z",))
 def test_tower_stages_are_closed_by_construction(name, order):
@@ -233,7 +254,7 @@ def test_tower_stages_are_closed_by_construction(name, order):
     d = len(I.ring.zindices)
     tower = dual_tower(I, B, order)
     for m in grid(d, B):
-        J, N = artinian_form(artinian_reduction(I, m, order), order)
+        J, N = artinian_form(artinian_reduction(I, m))
         expected = perp_ideal(J, degbound=N - 1, order=order)
         W = tower.stage(m)
         assert (W.basis, W.degbound) == (expected.basis, expected.degbound), m
@@ -249,14 +270,14 @@ def test_section_lift_hands_the_tower_top_to_the_family(name, order):
     # trust: its top module is the tower's top stage, built from the chain
     I, B = _tower_family(name)
     tower = dual_tower(I, B, order)
-    H = section_lift(tower, order=order)
+    H = section_lift(tower)
     top = diag(tower.d, B)
     W = H.module_at(top)
     generated = DualModule.generate(H.ring, H.family[top], degbound=sum(top) + H.s - H.d, order=order)
     assert (W.basis, W.degbound) == (generated.basis, generated.degbound)
     assert H._tower is tower and H.module_at(top) is W
     trusted_tower = dual_tower(I, B, order, trust_regular=True)
-    trusted = section_lift(trusted_tower, order=order)
+    trusted = section_lift(trusted_tower)
     assert trusted.family == H.family
     assert trusted._tower is trusted_tower
     assert trusted.module_at(top).basis == W.basis
@@ -271,7 +292,7 @@ def test_section_lift_matches_the_solve_in_span_lift(name, order):
     # is the socle dimension of its top stage
     I, B = _tower_family(name)
     tower = dual_tower(I, B, order)
-    H = section_lift(tower, order=order)
+    H = section_lift(tower)
     d = tower.d
     ring = I.ring
     zprod = tuple(1 if i in ring.zindices else 0 for i in range(ring.nvars))
@@ -319,7 +340,7 @@ def test_stage_annihilators_match_perp_module_of_each_stage(name, order):
     from invsys.io import load_limit_system, render_lis_file
 
     I, B = _tower_family(name)
-    H = section_lift(dual_tower(I, B, order), order=order)
+    H = section_lift(dual_tower(I, B, order))
     loaded = load_limit_system(render_lis_file(H, order))
     families = [H, loaded] + _tampered_families(loaded)
     for case, F in enumerate(families):
@@ -1060,7 +1081,7 @@ def test_limit_outputs_reproduce_by_the_filtration_bound(curve, ci_d2, order, mo
     # and no plateau check compares lengths in full
     fallbacks = counted_fallbacks(monkeypatch)
     for (_, I), B in ((curve, 9), (ci_d2, 5)):
-        res = reconstruct(section_lift(dual_tower(I, B, order), order=order), order)
+        res = reconstruct(section_lift(dual_tower(I, B, order)), order)
         assert res.stable and res.ideal.equals(I)
     assert fallbacks == []
 
@@ -1071,10 +1092,10 @@ def test_stable_only_on_a_plateau_where_the_z_block_is_regular(curve, ci_d2, ord
     # 7, grevlex at 7) strictly contain I, and x is a zero divisor modulo
     # each; from bound 9, and on the ci instance, the plateau is the ideal
     ctx, I = curve
-    H = section_lift(dual_tower(I, 9, order), order=order)
+    H = section_lift(dual_tower(I, 9, order))
     for B in (6, 7):
         assert not reconstruct(restricted(H, B), order).stable
-    for J, H_B in ((I, H), (ci_d2[1], section_lift(dual_tower(ci_d2[1], 5, order), order=order))):
+    for J, H_B in ((I, H), (ci_d2[1], section_lift(dual_tower(ci_d2[1], 5, order)))):
         res = reconstruct(H_B, order)
         assert res.stable and res.ideal.equals(J)
 
@@ -1099,7 +1120,7 @@ def test_plateaus_that_reproduce_but_fail_regularity(curve):
     # with an ideal that is not I: the check is what refuses them
     ctx, I = curve
     for order, B in ((GREVLEX, 7), (LEX, 6), (LEX, 7)):
-        H = section_lift(dual_tower(I, B, order), order=order)
+        H = section_lift(dual_tower(I, B, order))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(limitsys, "_z_regular", lambda candidate: True)
             res = reconstruct(H, order)
@@ -1140,10 +1161,16 @@ def test_cli_reconstruct_reads_no_reduced_basis_off_a_kernel(tmp_path, capsys, m
 
 
 def test_invariants(band, curve):
+    # (d, r, s), the z-block size, type and socle degree, as the family of
+    # the one-stage tower carries them
+    def invariants(I):
+        H = section_lift(dual_tower(I, 1))
+        return H.d, H.r, H.s
+
     ctx, I = band
-    assert invariants_of(I) == (1, 1, 1)
-    assert invariants_of(Ideal(ctx, [ctx.variable(0) ** 3])) == (1, 1, 2)
-    assert invariants_of(curve[1]) == (1, 2, 3)
+    assert invariants(I) == (1, 1, 1)
+    assert invariants(Ideal(ctx, [ctx.variable(0) ** 3])) == (1, 1, 2)
+    assert invariants(curve[1]) == (1, 2, 3)
 
 
 def test_total_degree_convention_matches_example(curve_H9):

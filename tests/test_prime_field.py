@@ -4,13 +4,14 @@ import time
 
 import pytest
 
-from invsys import Ideal, PrimeField, context_from_names, equal_as_artinian, hilbert_data
+from invsys import Ideal, PrimeField, context_from_names, hilbert_data
 from invsys.cli import main
 from invsys.duality import perp_ideal, perp_module
 from invsys.io import parse_lis_file, render_lis_file
 from invsys.limitsys import dual_tower, reconstruct, section_lift, verify_lis
 
 from conftest import DATA
+from oracles import equal_as_artinian
 
 EXAMPLE = str(DATA / "example.ideal")
 

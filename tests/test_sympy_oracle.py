@@ -150,7 +150,7 @@ def test_reduced_bases_normal_forms_and_profiles(mode, order_name, seed):
     I = Ideal(ctx, gens)
 
     bound, profile = _oracle_profile(ctx, gens, order_name)
-    assert artinian_bound(I, order) == bound
+    assert artinian_bound(I) == bound
     assert list(hilbert_data(I, order).values) == profile
 
     if mode == "graded":
@@ -234,13 +234,13 @@ def test_local_bound_and_length_match_sympy(seed, monkeypatch):
     I = Ideal(ctx, gens)
     if not artinian:
         with pytest.raises(UnboundedQuotientError) as exc:
-            artinian_form(I, order)
+            artinian_form(I)
         assert type(exc.value) is UnboundedQuotientError
         assert "infinitely many standard monomials" in str(exc.value)
         assert built == []
         return
     bound, profile = _oracle_profile(ctx, gens, order_name)
-    J, N = artinian_form(I, order)
+    J, N = artinian_form(I)
     assert (N, J.quotient(order).length) == (bound, sum(profile))
     assert len(built) == 1
 
@@ -261,8 +261,8 @@ def test_local_bound_beyond_the_hint(order_name, monkeypatch):
         groebner.ArtinianQuotient, "__init__", lambda self, I, *a: truncations.append(I.trunc) or init(self, I, *a)
     )
     I = Ideal(ctx, gens)
-    assert artinian_bound(I, order, hint=1) == bound
-    J, N = artinian_form(I, order)
+    assert artinian_bound(I, hint=1) == bound
+    J, N = artinian_form(I)
     assert N == bound
     G = _sympy_basis(ctx, gens, N, order_name)
     assert sorted(map(str, J.groebner(order))) == sorted(
