@@ -39,6 +39,15 @@ class TruncationLimitError(UnboundedQuotientError):
         super().__init__(message)
 
 
+class OffOriginError(TruncationLimitError):
+    """The quotient is finite, but no power of the maximal ideal lies in the
+    ideal at all: P/I has points away from the origin.
+
+    A local Artinian quotient of length L has m^L = 0, so this is decided
+    once every degree up to L = dim P/I has failed; limit names that length.
+    """
+
+
 class InvalidDivisorError(InvsysError):
     """Colon by zero requested."""
 

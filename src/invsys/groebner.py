@@ -32,6 +32,13 @@ built instead.
 The bound and the length do not depend on the order, so artinian_bound and
 artinian_form take none and build GREVLEX kernels; an order only picks the
 printed representatives: reduced bases, normal forms, socles.
+
+The kernel's columns are packed exponents (Bachmann-Schoenemann, ISSAC
+1998).  Every order here is a permutation followed by grevlex, lex or a
+block of the two, so its key is a lexicographic tuple of linear forms in
+the exponent, each with fewer than R values below degree R; mixed in radix
+R >= N they give an integer w.e that is additive and strictly increasing in
+the order on P_{<N}.  A shift is then one addition and a pivot max(row).
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from itertools import chain
 from .errors import (
     DegenerateInputError,
     InvalidDivisorError,
+    OffOriginError,
     SearchExhaustedError,
     TruncationLimitError,
     UnboundedQuotientError,
@@ -354,18 +362,26 @@ class ArtinianQuotient:
     unit rows, so the matrix is built modulo M: those rows are never
     inserted, a multiplier in M is skipped and M's columns are dropped from
     every other row.
+
+    The matrix is built over packed columns, the integers w.e of
+    ring.packing(N, order): packing is additive and strictly increasing in
+    the order on P_{<N} (MonomialOrder.weights), so a shift x^a x^e is
+    a + e, a row's pivot is max(row) and the multiples of M are an integer
+    set.  Only the stored rows and std are unpacked to tuples, at the end.
     """
 
     def __init__(self, ideal, order=GREVLEX):
         ring = ideal.ring
         N = ideal.trunc if ideal.trunc is not None else artinian_bound(ideal)
-        gens = [[(e, sum(e), c) for e, c in g.terms.items() if sum(e) < N] for g in ideal.gens]
+        pk = ring.packing(N, order)
+        levels = [pk.of_degree(k) for k in range(N)]
+        gens = [[(pk.pack(e), sum(e), c) for e, c in g.terms.items() if sum(e) < N] for g in ideal.gens]
         units = set()  # the multiples of M below N
         monomials = sorted((g[0] for g in gens if len(g) == 1), key=lambda t: t[1])
         for m, d, _ in monomials:
             if m not in units:
-                units.update(e_add(m, a) for a in ring.exponents_upto(N - 1 - d))
-        ech = Echelon(ring.field, ring.order_key(order))
+                units.update(m + a for level in levels[: N - d] for a in level)
+        ech = Echelon(ring.field, None)
         for g in gens:
             terms = [t for t in g if t[0] not in units]
             if not terms:
@@ -374,18 +390,21 @@ class ArtinianQuotient:
             # x^a g is redundant when x^a is already a lead of the earlier
             # generators (M's first): the syzygy writes it through rows with
             # smaller x^a
-            earlier = set(ech.rows)
-            for a in ring.exponents_upto(N - 1 - low):
-                if a in earlier or a in units:
-                    continue
-                room = N - sum(a)
-                shifted = ((e_add(e, a), c) for e, d, c in terms if d < room)
-                row = {e: c for e, c in shifted if e not in units}
-                if row:
-                    ech.insert(row)
-        rows = {p: row for p, row in ech.rows.items() if len(row) > 1}
-        std = [e for e in ring.exponents_upto(N - 1) if e not in units and e not in ech.rows]
-        self._adopt(ring, order, N, rows, std)
+            skip = units.union(ech.rows)
+            for k, level in enumerate(levels[: N - low]):
+                tail = [(e, c) for e, d, c in terms if d < N - k]
+                for a in level:
+                    if a in skip:
+                        continue
+                    row = {e + a: c for e, c in tail if e + a not in units}
+                    if row:
+                        ech.insert(row)
+        unpack = pk.unpack
+        rows = {
+            unpack[p]: {unpack[e]: c for e, c in row.items()} for p, row in ech.rows.items() if len(row) > 1
+        }
+        std = sorted(e for level in levels for e in level if e not in units and e not in ech.rows)
+        self._adopt(ring, order, N, rows, [unpack[e] for e in std])
 
     @classmethod
     def from_rows(cls, ring, order, N, rows, std=None):
@@ -398,18 +417,18 @@ class ArtinianQuotient:
         so rows must then hold every unit row too.  The caller vouches for
         both, and rows is kept as given.
         """
-        aq = cls.__new__(cls)
-        aq._adopt(ring, order, N, rows, std)
-        return aq
-
-    def _adopt(self, ring, order, N, rows, std=None):
         if std is None:
             std = [e for e in ring.exponents_upto(N - 1) if e not in rows]
+        aq = cls.__new__(cls)
+        aq._adopt(ring, order, N, rows, sorted(std, key=ring.order_key(order)))
+        return aq
+
+    def _adopt(self, ring, order, N, rows, std):
         self.ring = ring
         self.order = order
         self.N = N
         self.rows = rows  # pivot monomial -> row dict, for rows beyond the pivot
-        self.std = sorted(std, key=ring.order_key(order))
+        self.std = std  # increasing in the order
         self._std_set = frozenset(std)
 
     @property
@@ -524,15 +543,25 @@ def _lead_bound(ring, lms, ceiling, inside=None):
     _top_degree), with no degree scanned.  Otherwise inside(e) decides
     membership, and N is the least degree, from that one on, whose
     monomials are all inside: a monomial of the ideal is its own lead, so
-    no lower degree qualifies.
+    no lower degree qualifies.  The scan stops at L = dim P/I, the number of
+    standard monomials: an ideal holding a power of m is m-primary of
+    colength L and holds m^L, so with no degree up to L inside, P/I has
+    points away from the origin.
     """
     for i in range(ring.nvars):
         if not any(lm[i] == sum(lm) for lm in lms):
             raise UnboundedQuotientError("quotient has infinitely many standard monomials")
     N = _top_degree(lms) + 1
     if inside is not None:
-        scan = (k for k in range(N, ceiling + 1) if all(inside(e) for e in _pure_powers_first(ring, k)))
+        L = sum(not any(e_divides(lm, e) for lm in lms) for e in ring.exponents_upto(N - 1))
+        scan = (k for k in range(N, min(L, ceiling) + 1) if all(inside(e) for e in _pure_powers_first(ring, k)))
         N = next(scan, ceiling + 1)
+        if N > ceiling >= L:
+            raise OffOriginError(
+                f"no power of the maximal ideal lies in the ideal: its quotient, of length {L}, "
+                "has points away from the origin",
+                f"the length {L}",
+            )
     if N > ceiling:
         limit = f"the degree ceiling {ceiling}"
         raise TruncationLimitError(f"no power of the maximal ideal up to {limit} lies in the ideal", limit)

@@ -24,7 +24,7 @@ from .duality import (
     perp_ideal,
     perp_module,
 )
-from .errors import PipelineError, TruncationLimitError, UnboundedQuotientError
+from .errors import OffOriginError, PipelineError, TruncationLimitError, UnboundedQuotientError
 from .groebner import (
     DEFAULT_CEILING,
     Ideal,
@@ -205,9 +205,10 @@ def artinian_reduction(I, m, ceiling=DEFAULT_CEILING, hint=None, length=None):
     """The ideal I + <z_i^(m_i)>, checked Artinian.
 
     Raises PipelineError when the reduction is not Artinian, which means the
-    z-block does not map to a maximal regular sequence for this input, and
-    when it is Artinian but its bound exceeds the ceiling; that error names
-    the limit and the stage.  hint and length pass to artinian_form.
+    z-block does not map to a maximal regular sequence for this input, when
+    it is Artinian but, in graded mode, has points away from the origin, and
+    when its bound exceeds the ceiling; that error names the limit and the
+    stage.  hint and length pass to artinian_form.
     """
     ring = I.ring
     m = tuple(m)
@@ -223,6 +224,11 @@ def artinian_reduction(I, m, ceiling=DEFAULT_CEILING, hint=None, length=None):
     red = I.plus(powers)
     try:
         artinian_form(red, ceiling, hint=hint, length=length)
+    except OffOriginError as exc:
+        raise PipelineError(
+            f"the reduction at {m} is Artinian, but not supported at the origin alone (graded mode "
+            "needs an m-primary reduction; `ring local` reads the ideal at the origin)"
+        ) from exc
     except TruncationLimitError as exc:
         raise PipelineError(
             f"the reduction at {m} is Artinian, but its truncation bound lies beyond {exc.limit}"

@@ -48,7 +48,7 @@ class Echelon:
         coefficient 1, and no row may contain another row's pivot.
         """
         self.field = field
-        if not isinstance(getattr(sortkey, "__self__", None), KeyTable):
+        if sortkey is not None and not isinstance(getattr(sortkey, "__self__", None), KeyTable):
             sortkey = KeyTable(sortkey).__getitem__
         self.sortkey = sortkey
         self.rows = {}  # pivot column -> row dict, pivot coefficient 1

@@ -92,6 +92,39 @@ class MonomialOrder:
         sub = self._grevlex_key if self.base == "grevlex" else (lambda t: t)
         return (sub(head), sub(tail))
 
+    def weights(self, n, radix):
+        """w such that w.e is injective, additive and increasing in this
+        order on the exponents of degree below radix, in n variables.
+
+        key is a lexicographic tuple of linear forms in e: the permuted
+        entries for lex, the degree and then the negated permuted entries
+        from the last for grevlex, a block's forms and then the rest's for a
+        block order.  A grevlex block's first entry is fixed by the forms
+        before it and is dropped, leaving at most n forms.  Below degree
+        radix each form takes values in a range of width below radix, so
+        w.e = sum of form_j(e) * radix^(L-1-j) compares as the forms do
+        lexicographically: a later form's difference never outweighs an
+        earlier one's.
+        """
+        perm = self.perm if self.perm is not None else tuple(range(n))
+        if self.kind == "block":
+            blocks = ((perm[: self.block], self.base), (perm[self.block :], self.base))
+        else:
+            blocks = ((perm, self.kind),)
+        forms = []
+        for idx, kind in blocks:
+            if kind == "lex":
+                forms += [{i: 1} for i in idx]
+            elif idx:
+                forms.append(dict.fromkeys(idx, 1))
+                forms += [{i: -1} for i in reversed(idx[1:])]
+        w = [0] * n
+        for form in forms:
+            w = [radix * x for x in w]
+            for i, c in form.items():
+                w[i] += c
+        return tuple(w)
+
     def compare(self, a, b):
         """Return -1, 0 or 1 as a <, =, > b in this order."""
         if len(a) != len(b):
@@ -245,15 +278,24 @@ class RingContext:
         """
         if indices is not None:
             return _exponents_of_degree(self.nvars, d, tuple(indices))
-        exps = _DEGREE_TABLES.get((self.nvars, d))
-        if exps is None:
-            exps = tuple(_exponents_of_degree(self.nvars, d, range(self.nvars)))
-            exps = _DEGREE_TABLES.setdefault((self.nvars, d), exps)
-        return exps
+        return _degree_table(self.nvars, d)
 
     def exponents_upto(self, d):
         for k in range(d + 1):
             yield from self.exponents_of_degree(k)
+
+    def packing(self, N, order):
+        """The Packing of the exponents below degree N in order.
+
+        Its radix is the least power of two >= N, and it is built once per
+        process, number of variables, radix and order signature.
+        """
+        radix = 1 << (N - 1).bit_length()
+        name = (self.nvars, radix, order.signature())
+        pk = _PACKINGS.get(name)
+        if pk is None:
+            pk = _PACKINGS.setdefault(name, Packing(self.nvars, radix, order))
+        return pk
 
     # -- order keys -----------------------------------------------------------
 
@@ -281,8 +323,49 @@ class RingContext:
 
 # (number of variables, degree) -> tuple of all exponents of that degree
 _DEGREE_TABLES = {}
+# (number of variables, radix, order signature) -> Packing
+_PACKINGS = {}
 # order signature, or a sort key function -> KeyTable of that key
 _KEY_TABLES = {}
+
+
+def _degree_table(n, d):
+    exps = _DEGREE_TABLES.get((n, d))
+    if exps is None:
+        exps = tuple(_exponents_of_degree(n, d, range(n)))
+        exps = _DEGREE_TABLES.setdefault((n, d), exps)
+    return exps
+
+
+class Packing:
+    """The exponents of degree below radix as the integers w.e in one order.
+
+    w = order.weights(nvars, radix), so x^a x^e packs to a + e and packed
+    exponents compare as the order compares the exponents.  of_degree(d)
+    packs exponents_of_degree(d), in its order, on first use; unpack maps
+    every exponent packed so far back to its tuple.
+    """
+
+    __slots__ = ("nvars", "radix", "weights", "levels", "unpack")
+
+    def __init__(self, nvars, radix, order):
+        self.nvars = nvars
+        self.radix = radix
+        self.weights = order.weights(nvars, radix)
+        self.levels = {}  # degree -> packed exponents_of_degree(degree)
+        self.unpack = {}
+
+    def pack(self, e):
+        return sum(map(operator.mul, self.weights, e))
+
+    def of_degree(self, d):
+        packed = self.levels.get(d)
+        if packed is None:
+            exps = _degree_table(self.nvars, d)
+            packed = tuple(map(self.pack, exps))
+            self.unpack.update(zip(packed, exps))
+            packed = self.levels.setdefault(d, packed)
+        return packed
 
 
 def _key_table(name, key):

@@ -20,9 +20,11 @@ from invsys import (
     LEX,
     DegenerateInputError,
     Ideal,
+    MonomialOrder,
     artinian_bound,
     artinian_form,
     context_from_names,
+    elimination_order,
     hilbert_data,
     ideal_colon,
     is_regular,
@@ -125,9 +127,27 @@ def _dense_quotient(ideal, order, N):
     return sorted(std, key=key), nf, basis, bound
 
 
-@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
-def test_kernel_matches_the_dense_macaulay_matrix(order):
+def _rotation(n):
+    return tuple(range(1, n)) + (0,)
+
+
+# name -> the order on n variables: every kind the packed columns encode,
+# the block orders that colons on truncated ideals build, and permuted ones
+KERNEL_ORDERS = {
+    "grevlex": lambda n: GREVLEX,
+    "lex": lambda n: LEX,
+    "elim-grevlex": lambda n: elimination_order(1, "grevlex"),
+    "elim-lex": lambda n: elimination_order(1, "lex"),
+    "perm-grevlex": lambda n: MonomialOrder("grevlex", perm=_rotation(n)),
+    "perm-lex": lambda n: MonomialOrder("lex", perm=_rotation(n)),
+    "perm-block": lambda n: MonomialOrder("block", block=1, base="grevlex", perm=_rotation(n)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_ORDERS))
+def test_kernel_matches_the_dense_macaulay_matrix(kind):
     for name, ideal in _kernel_cases():
+        order = KERNEL_ORDERS[kind](ideal.ring.nvars)
         aq = ArtinianQuotient(ideal, order)
         std, nf, basis, bound = _dense_quotient(ideal, order, aq.N)
         assert aq.std == std, name
@@ -154,12 +174,13 @@ def _scan_minimal_leads(aq):
     return sorted(kept, key=aq.ring.order_key(aq.order))
 
 
-@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
-def test_kernel_accessors_match_their_scans(order):
+@pytest.mark.parametrize("kind", sorted(KERNEL_ORDERS))
+def test_kernel_accessors_match_their_scans(kind):
     # bound, vanishes and minimal_leads read std and the stored pivots; the
     # scans take a normal form of every monomial of each degree
     bounds = set()
     for name, ideal in _kernel_cases():
+        order = KERNEL_ORDERS[kind](ideal.ring.nvars)
         aq = ArtinianQuotient(ideal, order)
         ring = ideal.ring
         scan = [all(not aq.monomial_nf(e) for e in ring.exponents_of_degree(k)) for k in range(aq.N + 1)]

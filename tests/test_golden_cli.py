@@ -12,8 +12,9 @@ reductions: the curve at --m 1, 2 and 3 and the complete intersection at
 --m 2,3, under both orders, and the complete intersection once more over
 F_32003.  limit's text output at d = 3, bound 5 (125 stages, over Q and
 F_32003), at the curve's bound 20 and on the rational normal quartic at
-bound 6 (data/rnc4.ideal, d = 2 and type 3) is pinned by its SHA-256 digest
-alone, and so is reconstruct's on each of those limit files.  Commands run
+bounds 6 and 10 (data/rnc4.ideal, d = 2 and type 3; its top kernel at bound
+10 has 42,504 columns) is pinned by its SHA-256 digest alone, and so is
+reconstruct's on each of those limit files but the quartic's at bound 10.  Commands run
 with the golden directory's input copied into a scratch working directory,
 so the file name that --json echoes is the bare input name.
 
@@ -78,8 +79,10 @@ LIMIT_DIGESTS = {
     ("example.ideal", 20, (), "lex"): "489a50101e591c19f139c940eff693ab169d91d2b8456acf74887cbd86d72c93",
     ("rnc4.ideal", 6, (), "grevlex"): "a6afe1207c68e131931b65daffe4c0d988e7364d2116c9a95b499d2bf21ae067",
     ("rnc4.ideal", 6, (), "lex"): "b4b120a8a53f2903141e49b4a01d2e41067646dc407858e4c374b5cb84c305a3",
+    ("rnc4.ideal", 10, (), "grevlex"): "622faa33e3c4430d04752f766d0b7fe018b4b2ef02fb65ceb5ed69416e298ac0",
+    ("rnc4.ideal", 10, (), "lex"): "b30db398c6b0bff51addc4fae8664dd83489c586df77126a40fe406f0be15a23",
 }
-# the same cases -> SHA-256 of reconstruct's stdout on limit's text output
+# the cases above but rnc4 at bound 10 -> SHA-256 of reconstruct's stdout on limit's text output
 RECONSTRUCT_DIGESTS = {
     ("d3.ideal", 5, (), "grevlex"): "2811fe1be39c370e60372f999dc0eec83b706266e61e934eb441575d3fbd77e5",
     ("d3.ideal", 5, (), "lex"): "67442a2682b96e6b0c392c312518eb5f7c434b95f24eab01267a84c18772ab16",

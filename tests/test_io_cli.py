@@ -662,6 +662,25 @@ def test_cli_limit_names_the_truncation_limit(tmp_path, capsys, case):
     assert stage in lines[0] and limit in lines[0]
 
 
+@pytest.mark.parametrize("command", ["limit", "hilbert"])
+def test_cli_refuses_a_graded_reduction_away_from_the_origin(tmp_path, capsys, command):
+    # P/(x^2 - x, y) has length 2 but lives at x = 0 and x = 1: no power of
+    # the maximal ideal lies in it, which no ceiling changes
+    path = tmp_path / "input.ideal"
+    path.write_text("field Q\nring graded vars x,y\nzvars y\nideal:\nx^2 - x\n")
+    flags = ["--mmax", "3"] if command == "limit" else ["--m", "1"]
+    errors = []
+    for degcap in ("5", "200"):
+        assert main([command, "-i", str(path), *flags, "--degcap", degcap]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    lines = errors[0].splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "(1,)" in lines[0]
+    assert "not supported at the origin alone" in lines[0] and "ceiling" not in lines[0]
+
+
 @pytest.mark.parametrize("B", [14, 20])
 def test_cli_curve_round_trip_at_large_bounds(tmp_path, capsys, B):
     # the top stage (B,) is certified by its length at truncation degree

@@ -6,7 +6,9 @@ variable at a time (groebner._top_degree), with no degree scanned.  Every
 result here must be what the scan of tests/oracles.py gives on the same
 leads: on seeded random lead sets, on the leads that _graded_bound and
 _local_form's Lazard path hand over, and on two sets where the scan is
-slow.  The cost is bounded by counting the recursive calls.
+slow.  The cost is bounded by counting the recursive calls.  The
+normal-form scan of a non-homogeneous ideal stops at the length of its
+quotient.
 """
 
 import random
@@ -15,7 +17,7 @@ import pytest
 
 from invsys import GREVLEX, LEX, Ideal, artinian_bound, context_from_names
 from invsys import groebner
-from invsys.errors import TruncationLimitError, UnboundedQuotientError
+from invsys.errors import OffOriginError, TruncationLimitError, UnboundedQuotientError
 
 from oracles import lead_bound_scan, monomials_upto
 
@@ -156,3 +158,16 @@ def test_a_power_of_the_maximal_ideal_costs_two_calls_per_lead(top_calls):
     assert len(lms) == 1771
     assert groebner._lead_bound(ctx, lms, 64) == 20
     assert len(top_calls) <= 2 * len(lms)
+
+
+def test_the_normal_form_scan_stops_at_the_length():
+    # x^7 - x over F_7 vanishes at every point of the line: P/I has length 7
+    # and no power of x lies in I, which a ceiling of 7 already decides
+    x = _ring(1, field="F7").variable(0)
+    with pytest.raises(TruncationLimitError) as short:
+        artinian_bound(Ideal(x.ring, [x**7 - x]), ceiling=6)
+    assert not isinstance(short.value, OffOriginError)
+    for ceiling in (7, 200):
+        with pytest.raises(OffOriginError) as off:
+            artinian_bound(Ideal(x.ring, [x**7 - x]), ceiling=ceiling)
+        assert off.value.limit == "the length 7"

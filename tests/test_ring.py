@@ -1,5 +1,6 @@
 import gc
 import itertools
+import operator
 import sys
 import threading
 import time
@@ -20,6 +21,7 @@ from invsys import (
 )
 from invsys.duality import perp_ideal
 from invsys.linalg import KeyTable
+from invsys.ring import Packing
 
 
 @pytest.fixture
@@ -409,12 +411,13 @@ def test_exponent_tables_are_shared_by_contexts_with_as_many_variables():
 
 
 def test_threads_sharing_a_key_table_see_one_key_per_exponent():
-    # an order no other test keys, so the threads race to fill its table,
-    # each through a context of its own or that context's dual
+    # an order no other test keys, so the threads race to fill its table
+    # and its packing, each through a context of its own or that context's dual
     order = MonomialOrder("grevlex", perm=(3, 1, 0, 2))
     exps = list(context_from_names("x,y,z,w").exponents_upto(6))
     seen = []
     tuples = []
+    packs = []
 
     def work(shift):
         own = context_from_names("x,y,z,w")
@@ -422,6 +425,8 @@ def test_threads_sharing_a_key_table_see_one_key_per_exponent():
         key = ring.order_key(order)
         seen.append(all(key(e) == order.key(e) for e in exps[shift:] + exps[:shift]))
         tuples.append((shift % 5, ring.exponents_of_degree(shift % 5)))
+        pk = ring.packing(7, order)
+        packs.extend((pk, d, pk.of_degree(d)) for d in (shift % 7, 6 - shift % 7))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -440,3 +445,44 @@ def test_threads_sharing_a_key_table_see_one_key_per_exponent():
     table = ctx.order_key(order).__self__
     assert len(table) == len(exps)
     assert all(k == order.key(e) for e, k in table.items())
+    # one packing, each degree packed once, and every packed exponent unpacks
+    pk = ctx.packing(7, order)
+    assert all(p is pk and t is pk.of_degree(d) for p, d, t in packs)
+    assert pk.unpack == {k: e for d in range(7) for e, k in zip(ctx.exponents_of_degree(d), pk.of_degree(d))}
+
+
+def _every_order(n):
+    """Each kind on n variables under every permutation: grevlex, lex and
+    the block orders of every block size over both bases."""
+    for perm in itertools.permutations(range(n)):
+        yield MonomialOrder("grevlex", perm=perm)
+        yield MonomialOrder("lex", perm=perm)
+        for block in range(n + 1):
+            for base in ("grevlex", "lex"):
+                yield MonomialOrder("block", block=block, base=base, perm=perm)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_packed_exponents_sort_as_the_order_does(n):
+    # the kernel packs P_{<N} with the radix ctx.packing picks for N; a
+    # packing is checked once per radix, on P_{<radix}, which holds P_{<N}
+    ctx = context_from_names(",".join(f"x{i}" for i in range(n)))
+    radices = set()
+    for N in range(9):
+        radix = ctx.packing(N, GREVLEX).radix
+        assert radix >= N and radix & (radix - 1) == 0, N
+        radices.add(radix)
+    assert sorted(radices) == [1, 2, 4, 8]
+    for radix in radices:
+        box = [e for d in range(radix) for e in ctx.exponents_of_degree(d)]
+        units = [box.index(tuple(int(j == i) for j in range(n))) for i in range(n)] if radix > 1 else []
+        for order in _every_order(n):
+            pk = Packing(n, radix, order)
+            packed = [k for d in range(radix) for k in pk.of_degree(d)]
+            assert len(set(packed)) == len(box) and pk.unpack == dict(zip(packed, box)), order
+            # increasing packed keys are increasing order keys
+            keys = [order.key(box[i]) for i in sorted(range(len(box)), key=packed.__getitem__)]
+            assert all(map(operator.lt, keys, keys[1:])), order
+            # additive: k(e) = sum of e_i k(x_i), so k(a + e) = k(a) + k(e)
+            kx = [packed[i] for i in units]
+            assert all(k == sum(map(operator.mul, kx, e)) for e, k in zip(box, packed)), order
