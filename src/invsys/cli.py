@@ -26,6 +26,7 @@ from .limitsys import (
     section_lift,
     verify_lis,
 )
+from .linalg import echelon_basis
 from .rees import MonoidIdeal, rees_dimension_check
 from .ring import order_from_name
 
@@ -199,8 +200,10 @@ def _run(args):
 
     if args.command == "perp":
         red = _maybe_reduce(ideal, _parse_multiindex(args.m), ceiling)
-        W = perp_ideal(red, degbound=args.degbound, order=order, ceiling=ceiling)
-        results = [F.render(order) for F in W.basis]
+        W = perp_ideal(red, degbound=args.degbound, ceiling=ceiling)
+        # the span's one reduced echelon in --order
+        rows = echelon_basis(ctx.field, ctx.order_key(order), [F.terms for F in W.basis])
+        results = [ctx.dual.from_terms(row).render(order) for row in rows]
         diag = {"dim": W.dim, "degbound": W.degbound}
         _emit(args, _payload(args, ctx, results, diag), results)
         return 0
@@ -214,7 +217,7 @@ def _run(args):
 
     if args.command == "hilbert":
         red = _maybe_reduce(ideal, _parse_multiindex(args.m), ceiling)
-        hd = hilbert_data(red, order, ceiling)
+        hd = hilbert_data(red, ceiling)
         results = list(hd.values)
         lines = [
             "profile " + ",".join(str(v) for v in hd.values),

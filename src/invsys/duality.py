@@ -68,8 +68,8 @@ def dual_pairing(p, F):
 class DualModule:
     """Contraction-closed, degree-bounded P-submodule of D.
 
-    The basis is kept in unique reduced row echelon form with respect to the
-    monomial order on dual exponents, so module equality is basis equality.
+    The basis is kept in unique reduced row echelon form, so module equality
+    is basis equality.
     A module built from arbitrary elements is only their span; _closed
     records that the span is known to be contraction-closed, and lets
     perp_module skip the closure.  It is set by the constructions that are
@@ -80,18 +80,17 @@ class DualModule:
     held as echelons only, never as modules (limitsys._stage_annihilators).
     """
 
-    __slots__ = ("ring", "degbound", "basis", "order", "_closed")
+    __slots__ = ("ring", "degbound", "basis", "_closed")
 
-    def __init__(self, ring, degbound, elements, order=GREVLEX, _canonical=False):
+    def __init__(self, ring, degbound, elements, _canonical=False):
         self.ring = ring
         self.degbound = degbound
-        self.order = order
         self._closed = False
         if _canonical:
             self.basis = tuple(elements)
             return
         dual = ring.dual
-        ech = Echelon(ring.field, ring.order_key(order))
+        ech = Echelon(ring.field, ring.order_key(GREVLEX))
         for F in elements:
             dual.check_same(F.ring, "dual module elements")
             ech.insert(F.terms)
@@ -105,14 +104,10 @@ class DualModule:
         return not self.basis
 
     def _echelon(self):
-        key = self.ring.order_key(self.order)
-        return Echelon(self.ring.field, key, (F.terms for F in self.basis))
+        return Echelon(self.ring.field, self.ring.order_key(GREVLEX), (F.terms for F in self.basis))
 
     def contains(self, F):
         return self._echelon().contains(F.terms)
-
-    def reduce(self, F):
-        return Polynomial(self.ring.dual, self._echelon().reduce(F.terms))
 
     def equals(self, other):
         return (
@@ -128,34 +123,34 @@ class DualModule:
     def sum_with(self, other):
         self.ring.check_same(other.ring)
         bound = max(self.degbound, other.degbound)
-        return DualModule(self.ring, bound, self.basis + other.basis, self.order)
+        return DualModule(self.ring, bound, self.basis + other.basis)
 
     def intersect(self, other):
         self.ring.check_same(other.ring)
         rows = intersect_spans(
             self.ring.field,
-            self.ring.order_key(self.order),
+            self.ring.order_key(GREVLEX),
             [F.terms for F in self.basis],
             [F.terms for F in other.basis],
         )
         bound = min(self.degbound, other.degbound)
         dual = self.ring.dual
-        return DualModule(self.ring, bound, [Polynomial(dual, r) for r in rows], self.order)
+        return DualModule(self.ring, bound, [Polynomial(dual, r) for r in rows])
 
     def contract_by(self, e):
         """Image of the module under contraction by the monomial x^e."""
         bound = max(self.degbound - sum(e), 0)
-        ech = Echelon(self.ring.field, self.ring.order_key(self.order)).extend(
+        ech = Echelon(self.ring.field, self.ring.order_key(GREVLEX)).extend(
             _contract_terms(e, F.terms) for F in self.basis
         )
         dual = self.ring.dual
         rows = [Polynomial(dual, row, _clean=False) for row in ech.basis()]
-        out = DualModule(self.ring, bound, rows, self.order, _canonical=True)
+        out = DualModule(self.ring, bound, rows, _canonical=True)
         out._closed = self._closed  # x^a . (P . W) = P . (x^a . W)
         return out
 
     @classmethod
-    def generate(cls, ring, elements, degbound=None, order=GREVLEX):
+    def generate(cls, ring, elements, degbound=None):
         """P-closure of the given dual elements: span of all contractions."""
         dual = ring.dual
         elements = list(elements)
@@ -164,16 +159,16 @@ class DualModule:
         if degbound is None:
             degs = [F.degree for F in elements if not F.is_zero()]
             degbound = int(max(degs)) if degs else 0
-        # the closure's rows are already the reduced echelon form under the
-        # order's key, which is unique: no second echelon is needed
-        ech = _closure(ring, elements, ring.order_key(order))
+        # the closure's rows are already the reduced echelon form, which is
+        # unique: no second echelon is needed
+        ech = _closure(ring, elements, ring.order_key(GREVLEX))
         rows = [Polynomial(dual, r, _clean=False) for r in ech.basis()]
-        W = cls(ring, degbound, rows, order, _canonical=True)
+        W = cls(ring, degbound, rows, _canonical=True)
         W._closed = True
         return W
 
     def __repr__(self):
-        head = ", ".join(F.render(self.order) for F in self.basis[:4])
+        head = ", ".join(F.render() for F in self.basis[:4])
         more = "" if self.dim <= 4 else f", ... ({self.dim} total)"
         return f"DualModule<deg<={self.degbound}: {head}{more}>"
 
@@ -192,7 +187,7 @@ def _closure(ring, elements, sortkey):
     return ech
 
 
-def perp_ideal(I, degbound=None, order=GREVLEX, ceiling=DEFAULT_CEILING):
+def perp_ideal(I, degbound=None, ceiling=DEFAULT_CEILING):
     """Inverse system of an Artinian ideal inside the bounded dual.
 
     W is the orthogonal complement of the rows of the ideal's quotient
@@ -201,8 +196,7 @@ def perp_ideal(I, degbound=None, order=GREVLEX, ceiling=DEFAULT_CEILING):
     it is closed under contraction by construction, with no check: J.P lies
     in J, and <p, x^a . F> = <x^a p, F> puts x^a . F in J^perp for F in
     J^perp; m^N lies in J, so J^perp lies in degrees below N and the bound
-    degbound >= N - 1 cuts nothing.  J^perp does not depend on the order, so
-    its rows come off the GREVLEX matrix; W is echelonized in order.
+    degbound >= N - 1 cuts nothing.
     """
     J, N = artinian_form(I, ceiling)
     if degbound is None:
@@ -211,7 +205,7 @@ def perp_ideal(I, degbound=None, order=GREVLEX, ceiling=DEFAULT_CEILING):
         raise ValueError(f"degbound {degbound} below the required {N - 1}")
     dual = I.ring.dual
     basis = [Polynomial(dual, vec) for vec in _perp_rows(J.quotient())]
-    W = DualModule(I.ring, degbound, basis, order)
+    W = DualModule(I.ring, degbound, basis)
     W._closed = True
     return W
 

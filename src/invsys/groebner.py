@@ -29,9 +29,10 @@ takes normal forms against its basis instead).  A caller that knows a local
 truncation certifying itself passes it as a hint, and that one kernel is
 built instead.
 
-The bound and the length do not depend on the order, so artinian_bound and
-artinian_form take none and build GREVLEX kernels; an order only picks the
-printed representatives: reduced bases, normal forms, socles.
+An order only picks printed representatives: reduced bases, normal forms,
+socles.  Membership, equality, intersection, the colon, regularity, the
+bound, the length and the Hilbert profile do not depend on it, so they take
+none and run in GREVLEX.
 
 The kernel's columns are packed exponents (Bachmann-Schoenemann, ISSAC
 1998).  Every order here is a permutation followed by grevlex, lex or a
@@ -295,11 +296,11 @@ class Ideal:
             self._cache[key] = reducers
         return reducers
 
-    def contains(self, p, order=GREVLEX):
-        return self.normal_form(p, order).is_zero()
+    def contains(self, p):
+        return self.normal_form(p).is_zero()
 
-    def is_unit(self, order=GREVLEX):
-        gb = self.groebner(order)
+    def is_unit(self):
+        gb = self.groebner()
         return len(gb) == 1 and gb[0].terms == self.ring.one().terms
 
     def plus(self, extra):
@@ -324,10 +325,10 @@ class Ideal:
             gens.extend(self.ring.monomial(e) for e in self.ring.exponents_of_degree(self.trunc))
         return gens
 
-    def equals(self, other, order=GREVLEX):
+    def equals(self, other):
         if not self.ring.same_as(other.ring):
             return False
-        return self.groebner(order) == other.groebner(order)
+        return self.groebner() == other.groebner()
 
     def __repr__(self):
         tail = f" + m^{self.trunc}" if self.trunc is not None else ""
@@ -691,7 +692,7 @@ def _smallest_first(e):
     return (-sum(e), tuple(reversed(e)))
 
 
-def hilbert_data(ideal, order=GREVLEX, ceiling=DEFAULT_CEILING):
+def hilbert_data(ideal, ceiling=DEFAULT_CEILING):
     """values[k] = dim of (m^k + I)/(m^(k+1) + I), exact over the field.
 
     Rank counts of the quotient matrix.  For k <= N, (J + m^k) & P_{<k} is
@@ -702,7 +703,7 @@ def hilbert_data(ideal, order=GREVLEX, ceiling=DEFAULT_CEILING):
     echelonized again: values[k] = #std_k + #rows_k - #pivots_k.
     """
     J, _ = artinian_form(ideal, ceiling)
-    aq = J.quotient(order)
+    aq = J.quotient()
     ring = ideal.ring
     low = Echelon(ring.field, ring.sort_key(_smallest_first)).extend(aq.rows.values())
     dims = [0] * aq.N
@@ -729,15 +730,13 @@ def _fresh_name(names):
     return f"{base}{k}"
 
 
-def ideal_intersect(I, J, order=GREVLEX):
+def ideal_intersect(I, J):
     """I & J via one auxiliary variable and block elimination."""
     I.ring.check_same(J.ring)
     ring = I.ring
-    if order.kind not in ("grevlex", "lex"):
-        raise ValueError("intersection needs a grevlex or lex base order")
     tname = _fresh_name(ring.names)
     ext = RingContext(ring.field, (tname,) + ring.names, "graded", ())
-    eorder = elimination_order(1, base=order.kind)
+    eorder = elimination_order(1)
 
     def lift(p, tdeg):
         return Polynomial(ext, {(tdeg,) + e: c for e, c in p.terms.items()})
@@ -754,15 +753,15 @@ def ideal_intersect(I, J, order=GREVLEX):
     return Ideal(ring, out)
 
 
-def exact_divide(p, f, order=GREVLEX):
+def exact_divide(p, f):
     """Quotient p/f when f divides p in the polynomial ring."""
     ring = p.ring
     fld = ring.field
-    lm, lc = f.lead(order)
+    lm, lc = f.lead(GREVLEX)
     tail = [(e, c) for e, c in f.terms.items() if e != lm]
     work = dict(p.terms)
     quot = {}
-    key = ring.order_key(order)
+    key = ring.order_key(GREVLEX)
     while work:
         t = max(work, key=key)
         if not e_divides(lm, t):
@@ -774,7 +773,7 @@ def exact_divide(p, f, order=GREVLEX):
     return Polynomial(ring, quot, _clean=False)
 
 
-def ideal_colon(I, divisor, order=GREVLEX):
+def ideal_colon(I, divisor):
     """(I : f) = {p : p f in I}, or the intersection over an ideal's generators.
 
     (I : f) = (I & <f>)/f: each element of the intersection's basis is
@@ -787,17 +786,17 @@ def ideal_colon(I, divisor, order=GREVLEX):
             raise InvalidDivisorError("colon by the zero ideal")
         result = None
         for g in divisor.gens:
-            c = ideal_colon(I, g, order)
-            result = c if result is None else ideal_intersect(result, c, order)
+            c = ideal_colon(I, g)
+            result = c if result is None else ideal_intersect(result, c)
         return Ideal(I.ring, result.gens, trunc=I.trunc)
     if divisor.is_zero():
         raise InvalidDivisorError("colon by zero")
-    T = ideal_intersect(I, Ideal(I.ring, [divisor]), order)
-    gens = [exact_divide(g, divisor, order) for g in T.groebner(order)]
+    T = ideal_intersect(I, Ideal(I.ring, [divisor]))
+    gens = [exact_divide(g, divisor) for g in T.groebner()]
     return Ideal(I.ring, gens, trunc=I.trunc)
 
 
-def is_regular(f, I, order=GREVLEX):
+def is_regular(f, I):
     """Nonzerodivisor test: (I : f) = I, read off one homogeneous basis.
 
     f gets a variable v of its own: f itself when f is a variable up to a
@@ -806,8 +805,7 @@ def is_regular(f, I, order=GREVLEX):
     fresh h keeps v regular or not (Cox-Little-O'Shea, Ch. 8 Sec. 4), and
     for the homogeneous ideal K so obtained, in grevlex with v last,
     in(K : v) = in(K) : v (Bayer-Stillman).  So v is regular exactly when no
-    lead monomial of K's reduced basis contains v.  The verdict does not
-    depend on order, which serves the membership test only.  A truncated I
+    lead monomial of K's reduced basis contains v.  A truncated I
     needs no basis: P/(J + m^N) is Artinian local, so f is regular on it
     exactly when f is a unit there, that is when f(0) != 0.
 
@@ -817,7 +815,7 @@ def is_regular(f, I, order=GREVLEX):
     """
     ring = I.ring
     ring.check_same(f.ring)
-    if f.is_zero() or I.contains(f, order):
+    if f.is_zero() or I.contains(f):
         raise DegenerateInputError("regularity test of an element of the ideal")
     if I.trunc is not None:
         # P/(J + m^N) is Artinian local: f is regular exactly when it is a unit
@@ -840,7 +838,7 @@ def is_regular(f, I, order=GREVLEX):
     return not any(g.lead(last)[0][v] for g in buchberger(hom, gens, last))
 
 
-def find_linear_regular_sequence(I, d, trials=300, seed=0, order=GREVLEX):
+def find_linear_regular_sequence(I, d, trials=300, seed=0):
     """d linear forms, each regular modulo I plus the previous ones.
 
     Deterministic given the seed: plain variables are probed first, then
@@ -876,7 +874,7 @@ def find_linear_regular_sequence(I, d, trials=300, seed=0, order=GREVLEX):
         if len(found) == d:
             break
         try:
-            ok = is_regular(f, current, order)
+            ok = is_regular(f, current)
         except DegenerateInputError:
             continue
         if ok:

@@ -64,44 +64,24 @@ def diag(d, k):
 
 @dataclass(frozen=True)
 class VSpace:
-    """The degree-and-z_j-bounded monomial submodule of D used by condition (c).
-
-    Realized two ways: as its perp ideal <x>^(|m|+k+1) + <z_j^(m_j - 1)>, and
-    as the monomial slice {X^kappa : |kappa| <= |m|+k, kappa_(z_j) < m_j - 1}.
+    """The degree-and-z_j-bounded monomial submodule of D used by condition (c):
+    the monomial slice {X^kappa : |kappa| <= |m|+k, kappa_(z_j) < m_j - 1},
+    the perp of <x>^(|m|+k+1) + <z_j^(m_j - 1)>.
     """
 
     j: int  # z-slot, 0-based
     k: int
     m: tuple
 
-    def perp_generators(self, ring):
-        total = sum(self.m) + self.k + 1
-        gens = [ring.monomial(e) for e in ring.exponents_of_degree(total)]
-        power = self.m[self.j] - 1
-        zexp = _zpower_exp(ring, self.j, power)
-        if power >= 0:
-            gens.append(ring.monomial(zexp))
-        return gens
-
     def contains(self, ring, e):
         """True when the dual monomial X^e lies in the slice."""
         return sum(e) <= sum(self.m) + self.k and e[ring.zindices[self.j]] < self.m[self.j] - 1
 
-    def slice_exponents(self, ring):
-        zi = ring.zindices[self.j]
-        limit = self.m[self.j] - 1
-        total = sum(self.m) + self.k
-        for e in ring.exponents_upto(total):
-            if e[zi] < limit:
-                yield e
-
     def meet(self, W):
-        """Canonical echelon basis of W cap V in W's order, as term dicts."""
+        """Canonical echelon basis of W cap V, as term dicts."""
         ring = W.ring
         rows = (F.terms for F in W.basis)
-        return coordinate_meet(
-            ring.field, ring.order_key(W.order), rows, lambda e: self.contains(ring, e)
-        )
+        return coordinate_meet(ring.field, ring.order_key(GREVLEX), rows, lambda e: self.contains(ring, e))
 
 
 @dataclass
@@ -120,18 +100,16 @@ class LimitInverseSystem:
     def module_at(self, m):
         """The module P.H_m, with degree bound |m| + s - d.
 
-        The top stage runs the contraction closure of H_top in GREVLEX,
-        unless section_lift handed over its tower: then it is the tower's
+        The top stage runs the contraction closure of H_top, unless section_lift handed over its tower: then it is the tower's
         W_top (DualTower.stage), which H_top generates.  A stage
         whose H_m is z^(top - m) . H_top, entry by entry, is one contraction
         of the top module, P.H_m = z^(top - m) . P.H_top, with the same
-        canonical basis, in the top module's order, and degree bound as its
-        own closure; any other stage runs its own closure in GREVLEX.
+        canonical basis and degree bound as its own closure; any other stage
+        runs its own closure.
 
         Built once per stage: the family is not mutated after construction,
         so verify_lis and reconstruct share the top module, the only one
-        reconstruct asks for when each H_k is z_1...z_d . H_(k+1).  Nothing
-        read off a module depends on the order of its echelon basis.
+        reconstruct asks for when each H_k is z_1...z_d . H_(k+1).
         """
         m = tuple(m)
         W = self._modules.get(m)
@@ -182,15 +160,15 @@ class DualTower:
     modules: dict  # (k,...,k) -> chain of W_(k,...,k), pivot -> term dict
 
     def stage(self, m):
-        """W_m = z^(k - m) . W_k, k = max(m), as the canonical module in the
-        tower's order, with its top degree as its degree bound: one echelon
-        of W_k's contracted chain rows, built when asked for and not kept."""
+        """W_m = z^(k - m) . W_k, k = max(m), as the canonical module, with its
+        top degree as its degree bound: one echelon of W_k's contracted chain
+        rows, built when asked for and not kept."""
         if len(m) != self.d or min(m, default=1) < 1:
             raise KeyError(m)
         k = diag(self.d, max(m, default=self.bound))
         e = _zshift(self.ring, m, k)
         rows = [Polynomial(self.ring.dual, _contract_terms(e, row), _clean=False) for row in self.modules[k].values()]
-        W = DualModule(self.ring, 0, rows, self.order)
+        W = DualModule(self.ring, 0, rows)
         W.degbound, W._closed = max(W.max_degree(), 0), True
         return W
 
@@ -435,8 +413,7 @@ def verify_lis(H):
     H_m; (c) W_m meets the V-space inside W_(m - e_j); (d) the top degree of
     H_m is |m| + s - d.  Failures carry witnesses.  No rank, kill, degree,
     dimension or containment depends on a monomial order, so the report
-    does not either: H_m is echelonized in GREVLEX, and each module in its
-    own order.
+    does not either: every echelon is GREVLEX.
 
     (c) is decided in one of two ways.  When every compat, (b) and (d) check
     passes, H_m = z^(top - m) . H_top, so W_m = z^(top - m) . W_top.  W_m

@@ -85,9 +85,8 @@ class FiltrationOrder:
 class FiltrationContext:
     """An ideal-adic filtration with cached ideal powers."""
 
-    def __init__(self, ideal, order=GREVLEX):
+    def __init__(self, ideal):
         self.ideal = ideal
-        self.order = order
         self._powers = {1: ideal}
 
     def power(self, k):
@@ -105,11 +104,13 @@ class FiltrationContext:
 
     def ord(self, p, cap=16):
         """max{k : p in J^k}; exact below the cap, flagged at or above it."""
+        if cap < 0:
+            raise ValueError(f"cap {cap} must be at least 0")
         if p.is_zero():
             return FiltrationOrder(None, False)
         k = 0
         while k < cap:
-            if not self.power(k + 1).contains(p, self.order):
+            if not self.power(k + 1).contains(p):
                 return FiltrationOrder(k, True)
             k += 1
         return FiltrationOrder(cap, False)
@@ -122,8 +123,8 @@ def _product(ring, polys):
     return out
 
 
-def filtration_order(I, p, cap=16, order=GREVLEX):
-    return FiltrationContext(I, order).ord(p, cap)
+def filtration_order(I, p, cap=16):
+    return FiltrationContext(I).ord(p, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +154,12 @@ class ReesCheckReport:
 
 
 def _sequence_regular(seq, I, order):
+    """(True, "") for a regular sequence, else (False, the reason), which
+    names the failing element rendered in order."""
     current = I
     for f in seq:
         try:
-            if not is_regular(f, current, order):
+            if not is_regular(f, current):
                 return False, f"{f.render(order)} is a zerodivisor modulo the previous part"
         except DegenerateInputError:
             return False, f"{f.render(order)} lies in the ideal generated by the previous part"
@@ -173,8 +176,9 @@ def rees_dimension_check(seq, I, level, degcap=3, order=GREVLEX):
     Rees isomorphism predicts for a regular sequence; a non-regular sequence
     is rejected up front and the comparison is skipped.
 
-    Local-mode inputs are measured on polynomial representatives, with the
-    same caveat as the regularity test.
+    Every count runs in GREVLEX; order only renders the element that a
+    rejection names.  Local-mode inputs are measured on polynomial
+    representatives, with the same caveat as the regularity test.
     """
     if level < 0:
         raise ValueError(f"level {level} must be at least 0")
@@ -186,7 +190,7 @@ def rees_dimension_check(seq, I, level, degcap=3, order=GREVLEX):
         return ReesCheckReport(False, reason)
     t = degcap
     base = I.plus(list(seq)).truncated(t)
-    base_dim = base.quotient(order).length
+    base_dim = base.quotient().length
     one = ring.field.one
     report = ReesCheckReport(True)
     # the generators of J^(l+1) are those of J^l times each f with index at
@@ -199,10 +203,10 @@ def rees_dimension_check(seq, I, level, degcap=3, order=GREVLEX):
         for w in ring.exponents_of_degree(t):
             denom_gens.extend(g.mul_term(w, one) for g, _ in G_l)
         denom = Ideal(ring, denom_gens)
-        ech = Echelon(ring.field, ring.order_key(order))
+        ech = Echelon(ring.field, ring.order_key(GREVLEX))
         for g, _ in G_l:
             for v in ring.exponents_upto(t - 1):
-                nf = denom.normal_form(g.mul_term(v, one), order)
+                nf = denom.normal_form(g.mul_term(v, one))
                 if nf:
                     ech.insert(nf.terms)
         report.rows.append(ReesCheckRow(l, ech.rank, len(G_l) * base_dim))
@@ -237,7 +241,8 @@ def socle_product_check(I, seq, M, order=GREVLEX, ceiling=DEFAULT_CEILING):
     R = P/I, h = seq maps to a regular sequence.  The predicted socle basis
     consists of the products (base socle representative) * h^m over socle
     exponents m of the monoid ideal; the check verifies these are socle
-    members, linearly independent, and of the full predicted count.
+    members, linearly independent, and of the full predicted count, all
+    in GREVLEX; order only renders the element that a rejection names.
     """
     ring = I.ring
     if len(seq) != M.t:
@@ -252,17 +257,17 @@ def socle_product_check(I, seq, M, order=GREVLEX, ceiling=DEFAULT_CEILING):
     big, _ = artinian_form(power_ideal, ceiling)
     small, _ = artinian_form(I.plus(list(seq)), ceiling)
     soc_m = M.socle()
-    big_socle = socle_basis(big, order, ceiling)
-    base_socle = socle_basis(small, order, ceiling)
+    big_socle = socle_basis(big, GREVLEX, ceiling)
+    base_socle = socle_basis(small, GREVLEX, ceiling)
     report = SocleProductReport(
         True,
         socle_dim=len(big_socle),
         base_socle_dim=len(base_socle),
         monoid_socle_size=len(soc_m),
     )
-    aq = big.quotient(order)
+    aq = big.quotient()
     variables = [ring.variable(i) for i in range(ring.nvars)]
-    ech = Echelon(ring.field, ring.order_key(order))
+    ech = Echelon(ring.field, ring.order_key(GREVLEX))
     ok_products = True
     for m in soc_m:
         hm = _product(ring, [f for f, k in zip(seq, m) for _ in range(k)])

@@ -7,7 +7,6 @@ from invsys import Ideal, context_from_names, is_regular
 from invsys.io import parse_ideal_file
 from invsys.duality import DualModule, contract_exp
 from invsys.limitsys import LimitInverseSystem, dual_tower, grid, section_lift
-from invsys.ring import GREVLEX
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -143,10 +142,10 @@ def theorem_class_suite(seed=11, randoms=7):
     return out
 
 
-def stage_closure(H, m, order=GREVLEX):
-    """P.H_m as its own contraction closure in order, with the degree bound
+def stage_closure(H, m):
+    """P.H_m as its own contraction closure, with the degree bound
     LimitInverseSystem.module_at gives it."""
-    return DualModule.generate(H.ring, H.family[m], degbound=max(sum(m) + H.s - H.d, 0), order=order)
+    return DualModule.generate(H.ring, H.family[m], degbound=max(sum(m) + H.s - H.d, 0))
 
 
 def top_family(ctx, B, s, top):

@@ -297,6 +297,24 @@ def lift_by_solve(W, targets, order):
     return lifts
 
 
+def vspace_slice_exponents(vs, ring):
+    """The exponents of limitsys.VSpace's monomial slice, enumerated:
+    |e| <= |m| + k and e at z_j below m_j - 1."""
+    zi = ring.zindices[vs.j]
+    return [e for e in monomials_upto(ring.nvars, sum(vs.m) + vs.k) if e[zi] < vs.m[vs.j] - 1]
+
+
+def vspace_perp_generators(vs, ring):
+    """Monomial generators of <x>^(|m|+k+1) + <z_j^(m_j - 1)>, whose perp is
+    the slice of vspace_slice_exponents."""
+    total = sum(vs.m) + vs.k + 1
+    gens = [ring.monomial(e) for e in monomials_upto(ring.nvars, total) if sum(e) == total]
+    power = vs.m[vs.j] - 1
+    if power >= 0:
+        gens.append(ring.monomial(tuple(power if i == ring.zindices[vs.j] else 0 for i in range(ring.nvars))))
+    return gens
+
+
 def equal_as_artinian(A, B, ceiling=64):
     """Equality of the Artinian quotients defined by two ideals.
 

@@ -22,7 +22,7 @@ from invsys.duality import (
 from invsys.groebner import ArtinianQuotient
 from invsys.limitsys import dual_tower, grid, section_lift
 from invsys.linalg import nullspace
-from invsys.ring import GREVLEX, LEX, Polynomial, e_divides, e_sub
+from invsys.ring import GREVLEX, Polynomial, e_divides, e_sub
 
 from conftest import stage_closure
 from oracles import brute_perp, equal_as_artinian
@@ -34,7 +34,7 @@ def ctx2():
 
 
 def spans_equal(W, elements):
-    other = DualModule(W.ring, W.degbound, elements, W.order)
+    other = DualModule(W.ring, W.degbound, elements)
     return W.basis == other.basis
 
 
@@ -98,7 +98,7 @@ def test_perp_matches_bruteforce_oracle(ctx2):
         W = perp_ideal(I)
         oracle = brute_perp([{e: Fraction(c) for e, c in g.terms.items()} for g in gens], 2, W.degbound)
         dual = ctx2.dual
-        oracle_W = DualModule(ctx2, W.degbound, [dual.from_terms(v) for v in oracle], W.order)
+        oracle_W = DualModule(ctx2, W.degbound, [dual.from_terms(v) for v in oracle])
         assert W.basis == oracle_W.basis
 
 
@@ -374,7 +374,7 @@ def _closed_modules(curve, curve_H9):
     stages = [(f"curve{k}", curve_H9, (k,)) for k in (1, 5, 9)]
     stages += [(f"ci{m}", H_ci, m) for m in grid(2, 3)]
     out = [(name, H.module_at(m)) for name, H, m in stages]
-    out += [(f"{name}-lex", stage_closure(H, m, LEX)) for name, H, m in stages]
+    out += [(f"{name}-closure", stage_closure(H, m)) for name, H, m in stages]
     dual = ctx.dual
     generated = DualModule.generate(ctx, [dual.parse("Y^3*X^2 + Z^2*W"), dual.parse("Z^3")])
     out.append(("generate", generated))
@@ -402,7 +402,7 @@ def contractions(monkeypatch):
 def test_closed_modules_skip_the_closure(curve, curve_H9, contractions):
     for name, W in _closed_modules(curve, curve_H9):
         assert W._closed, name
-        open_copy = DualModule(W.ring, W.degbound, W.basis, W.order)
+        open_copy = DualModule(W.ring, W.degbound, W.basis)
         assert not open_copy._closed
         expected = perp_module(open_copy)
         assert contractions, name  # the open copy ran the closure
@@ -437,18 +437,17 @@ def test_failed_closure_check_leaves_the_module_open(ctx2):
     assert not W._closed
 
 
-@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
-def test_generate_keeps_the_closure_echelon(curve_H9, order):
+def test_generate_keeps_the_closure_echelon(curve_H9):
     # generate hands its closure's rows over as they are: they must be the
     # basis a fresh echelon gives, of those rows and of every contraction
     H_ci = section_lift(dual_tower(_ci_d2_ideal(), 5))
     for H in (curve_H9, H_ci):
         top = (H.bound,) * H.d
-        W = DualModule.generate(H.ring, H.family[top], order=order)
+        W = DualModule.generate(H.ring, H.family[top])
         assert W._closed
-        assert W.basis == DualModule(H.ring, W.degbound, W.basis, order).basis, top
+        assert W.basis == DualModule(H.ring, W.degbound, W.basis).basis, top
         images = [contract_exp(e, F) for F in H.family[top] for e in H.ring.exponents_upto(W.degbound)]
-        assert W.basis == DualModule(H.ring, W.degbound, images, order).basis, top
+        assert W.basis == DualModule(H.ring, W.degbound, images).basis, top
 
 
 def test_contract_by_matches_termwise_contraction(curve_H9):
@@ -456,7 +455,7 @@ def test_contract_by_matches_termwise_contraction(curve_H9):
     # nonzero; its basis must be the canonical echelon basis of the
     # termwise images, for zero, one-slot and many-slot exponents
     H_ci = section_lift(dual_tower(_ci_d2_ideal(), 3))
-    for W in [curve_H9.module_at((5,)), stage_closure(curve_H9, (5,), LEX), H_ci.module_at((3, 3))]:
+    for W in [curve_H9.module_at((5,)), stage_closure(curve_H9, (5,)), H_ci.module_at((3, 3))]:
         ctx = W.ring
         for e in itertools.product(range(3), repeat=ctx.nvars):
             got = W.contract_by(e)
@@ -464,5 +463,5 @@ def test_contract_by_matches_termwise_contraction(curve_H9):
                 Polynomial(ctx.dual, {e_sub(m, e): b for m, b in F.terms.items() if e_divides(e, m)})
                 for F in W.basis
             ]
-            expected = DualModule(ctx, max(W.degbound - sum(e), 0), images, W.order)
+            expected = DualModule(ctx, max(W.degbound - sum(e), 0), images)
             assert (got.basis, got.degbound) == (expected.basis, expected.degbound), e

@@ -14,7 +14,10 @@ F_32003.  limit's text output at d = 3, bound 5 (125 stages, over Q and
 F_32003), at the curve's bound 20 and on the rational normal quartic at
 bounds 6 and 10 (data/rnc4.ideal, d = 2 and type 3; its top kernel at bound
 10 has 42,504 columns) is pinned by its SHA-256 digest alone, and so is
-reconstruct's on each of those limit files but the quartic's at bound 10.  Commands run
+reconstruct's on each of those limit files but the quartic's at bound 10.
+perp (text and --json) and rees-check, whose answers do not depend on the
+order but which print in --order (perp its basis, rees-check the polynomial
+named in a rejection), are pinned by digest under both orders.  Commands run
 with the golden directory's input copied into a scratch working directory,
 so the file name that --json echoes is the bare input name.
 
@@ -22,8 +25,8 @@ To record the goldens again, when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-which also prints the digests of LIMIT_DIGESTS and RECONSTRUCT_DIGESTS,
-to be pasted in.
+which also prints the digests of LIMIT_DIGESTS, RECONSTRUCT_DIGESTS and
+ORDER_DIGESTS, to be pasted in.
 """
 
 import contextlib
@@ -95,6 +98,38 @@ RECONSTRUCT_DIGESTS = {
     ("rnc4.ideal", 6, (), "grevlex"): "58046a8af1347923067e73eeb7b6d99dfa15ec441089bc64dba1262b7e2653c3",
     ("rnc4.ideal", 6, (), "lex"): "74cd2ba4a32756c36d556d45d6298a2a2f529e17a3acacd010dc6efe5908e437",
 }
+# the order-reading commands whose answer does not depend on the order:
+# perp prints its basis, and rees-check the polynomial named in a
+# rejection, in --order.  (argv without --order, order) -> (exit code,
+# SHA-256 of stdout); the input is argv[2]
+ORDER_DIGESTS = {
+    (("perp", "-i", "ci_d2.ideal", "--m", "2,2"), "grevlex"):
+        (0, "f2a1769045f26288bba8bd130f12bffb37e69af466dc3d7017965e2c6128adf8"),
+    (("perp", "-i", "ci_d2.ideal", "--m", "2,2"), "lex"):
+        (0, "9f2b396712150e025b48a242cfcf90272c01f7f21a8fe00112753eaffb926bd4"),
+    (("perp", "-i", "ci_d2.ideal", "--m", "2,2", "--json"), "grevlex"):
+        (0, "4b142e745cb7ac3f74d77421ffc3fef9759c9d7dfa28783e164a767ef537ac0a"),
+    (("perp", "-i", "ci_d2.ideal", "--m", "2,2", "--json"), "lex"):
+        (0, "2b24d5371b1c792ff138060342652ca44db9d028489876c523997615fed4a3c8"),
+    (("perp", "-i", "example.ideal", "--m", "2"), "grevlex"):
+        (0, "7b84b646e7a687e0b207c57f5ad7a183ecd889f83a5643953bdbb0a726c4764f"),
+    (("perp", "-i", "example.ideal", "--m", "2"), "lex"):
+        (0, "cf75730dbb87f5483ac4c25348e849804124f389a2a7cd2a677b2371102489a4"),
+    (("perp", "-i", "example.ideal", "--m", "2", "--json"), "grevlex"):
+        (0, "d04a85852b1e29246b41df276d10c4d5d397cd2245cffde21718edc36a873d9a"),
+    (("perp", "-i", "example.ideal", "--m", "2", "--json"), "lex"):
+        (0, "87bcb28ac60e1b0548f289447ce28944723a66c2b4c4dc9421e374909a9f0667"),
+    (("rees-check", "-i", "ci_d2.ideal", "--seq", "z0,z1", "--level", "3"), "grevlex"):
+        (0, "81d6bfd31a955f3446446fc2d0a25975b1bd66b234517687115f26be6257184a"),
+    (("rees-check", "-i", "ci_d2.ideal", "--seq", "z0,z1", "--level", "3"), "lex"):
+        (0, "81d6bfd31a955f3446446fc2d0a25975b1bd66b234517687115f26be6257184a"),
+    (("rees-check", "-i", "xy_empty.ideal", "--seq", "x + y^2,x^2 + x*y^2",
+      "--level", "2", "--degcap", "2"), "grevlex"):
+        (1, "6caf74a9932979af8ee9cc7d748b04264d09e24d562f6a59c2276ed112dcbf07"),
+    (("rees-check", "-i", "xy_empty.ideal", "--seq", "x + y^2,x^2 + x*y^2",
+      "--level", "2", "--degcap", "2"), "lex"):
+        (1, "cfc94f6f5c870ac79352720269bd75510cadd8a7f87d17fdf7a2e559c06f31d3"),
+}
 REDUCTION_COMMANDS = tuple(
     (f"{command}.{kind}", command, flags)
     for command in ("socle", "hilbert")
@@ -155,6 +190,13 @@ def _reconstruct_run(case, workdir):
     return _run(["reconstruct", "-i", "H.lis", "--order", case[3]])
 
 
+def _order_run(case, workdir):
+    """(exit code, stdout) of one ORDER_DIGESTS case."""
+    argv, order = case
+    _copy_input(argv[2], workdir)
+    return _run([*argv, "--order", order])
+
+
 def _digest(code, out):
     return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
 
@@ -192,6 +234,12 @@ def test_reconstruct_outputs_match_digests(case, tmp_path, monkeypatch):
     assert _digest(*_reconstruct_run(case, tmp_path)) == (0, RECONSTRUCT_DIGESTS[case])
 
 
+@pytest.mark.parametrize("case", sorted(ORDER_DIGESTS), ids=lambda case: "-".join(case[0][:1] + case[0][2:] + case[1:]))
+def test_order_outputs_match_digests(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _digest(*_order_run(case, tmp_path)) == ORDER_DIGESTS[case]
+
+
 @pytest.mark.parametrize("name", ("curve9", "ci_d2"))
 def test_verify_prints_the_same_for_both_orders(name, tmp_path, monkeypatch):
     # the report holds ranks, kills, degrees and the dimensions and
@@ -227,6 +275,8 @@ def record():
                 print(case, *_digest(*_limit_run(case, Path(tmp))))
             for case in RECONSTRUCT_DIGESTS:
                 print(case, *_digest(*_reconstruct_run(case, Path(tmp))))
+            for case in ORDER_DIGESTS:
+                print(case, *_digest(*_order_run(case, Path(tmp))))
         finally:
             os.chdir(here)
 

@@ -44,6 +44,16 @@ def test_ord_flags(ctx2):
     assert (o.value, o.exact) == (4, False)
 
 
+def test_ord_refuses_a_negative_cap(ctx2):
+    # a negative cap would flag >=cap, a bound that says nothing
+    x = ctx2.variable(0)
+    for p in (x ** 2, ctx2.zero()):
+        with pytest.raises(ValueError, match=r"^cap -1 must be at least 0$"):
+            filtration_order(Ideal(ctx2, [x]), p, cap=-1)
+    o = filtration_order(Ideal(ctx2, [x]), x ** 2, cap=0)
+    assert (o.value, o.exact) == (0, False)
+
+
 def test_ord_superadditive(ctx2):
     rng = random.Random(12)
     x, y = ctx2.variable(0), ctx2.variable(1)
