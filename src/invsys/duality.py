@@ -75,9 +75,10 @@ class DualModule:
     perp_module skip the closure.  It is set by the constructions that are
     closed by construction: generate, contract_by of a closed module,
     perp_ideal and limitsys.DualTower.stage, a contraction of a perp;
-    also by a passing verify_closed, the test-side oracle.  reconstruct's
-    stages below the top are contractions of closed stages too, but are
-    held as echelons only, never as modules (limitsys._stage_annihilators).
+    also by a passing verify_closed, the test-side oracle.  The diagonal
+    stages that verify and reconstruct read off a limit file are closed
+    too, but are held as echelons only, never as modules
+    (limitsys.LimitInverseSystem.diagonal_echelons).
     """
 
     __slots__ = ("ring", "degbound", "basis", "_closed")
@@ -161,7 +162,8 @@ class DualModule:
             degbound = int(max(degs)) if degs else 0
         # the closure's rows are already the reduced echelon form, which is
         # unique: no second echelon is needed
-        ech = _closure(ring, elements, ring.order_key(GREVLEX))
+        ech = Echelon(ring.field, ring.order_key(GREVLEX))
+        _closure(ech, (F.terms for F in elements), range(ring.nvars))
         rows = [Polynomial(dual, r, _clean=False) for r in ech.basis()]
         W = cls(ring, degbound, rows, _canonical=True)
         W._closed = True
@@ -173,14 +175,19 @@ class DualModule:
         return f"DualModule<deg<={self.degbound}: {head}{more}>"
 
 
-def _closure(ring, elements, sortkey):
-    """Echelon, under sortkey, of the span of all contractions of the elements."""
-    ech = Echelon(ring.field, sortkey)
-    queue = [F.terms for F in elements if ech.insert(F.terms) is not None]
-    n = ring.nvars
+def _closure(ech, rows, variables):
+    """ech extended by the rows and every contraction of them by monomials in variables.
+
+    The span ech already holds must be closed under contraction by those
+    variables; the closure continues from it.  Each row that enlarges the
+    span is queued, and so is each contraction of a queued row that does:
+    every dependent row lies in the span of the queued ones and of ech's,
+    so their contractions do too.
+    """
+    queue = [row for row in rows if ech.insert(row) is not None]
     while queue:
         terms = queue.pop()
-        for i in range(n):
+        for i in variables:
             G = _contract_var(i, terms)
             if G and ech.insert(G) is not None:
                 queue.append(G)
@@ -249,22 +256,21 @@ def perp_module(W):
     its basis is echelonized as it is, otherwise the closure inserts every
     contraction.
     """
-    return _annihilator(W.ring, _perp_echelon(W), W.degbound, W.max_degree())
+    return _annihilator(W.ring, _perp_echelon(W).rows, W.degbound, W.max_degree())
 
 
 def _perp_echelon(W):
     """The reduced echelon of W's contraction closure under the smallest-first key."""
-    key = W.ring.sort_key(_smallest_first)
-    if W._closed:
-        return Echelon(W.ring.field, key).extend(F.terms for F in W.basis)
-    return _closure(W.ring, W.basis, key)
+    ech = Echelon(W.ring.field, W.ring.sort_key(_smallest_first))
+    rows = (F.terms for F in W.basis)
+    return ech.extend(rows) if W._closed else _closure(ech, rows, range(W.ring.nvars))
 
 
 def _annihilator(ring, closure, B, top):
     """Ann(C), truncated at B + 1, for C a closed dual module of top degree top.
 
-    closure is C's reduced echelon under the smallest-first key
-    (groebner._smallest_first), which is unique, so any spanning set of C
+    closure holds the rows, pivot -> term dict, of C's reduced echelon under
+    the smallest-first key (groebner._smallest_first), which is unique, so any spanning set of C
     gives the same ideal.  Terms above B are cut, which leaves the rows
     reduced because the order is degree-compatible.  The pivots v of
     degree <= B are the standard monomials.  Every other monomial u of
@@ -277,13 +283,13 @@ def _annihilator(ring, closure, B, top):
     Ann(C) contains m^(B+1) and the rows are the quotient matrix of the
     returned ideal, which takes them over as its GREVLEX kernel.
     """
-    if not closure.rows:
+    if not closure:
         warnings.warn("annihilator of the zero module is the unit ideal")
         return Ideal(ring, [ring.one()])
     fld = ring.field
     std = []
     rows = {}  # lead -> row, for the leads that occur in C
-    for v, row in closure.rows.items():
+    for v, row in closure.items():
         if sum(v) <= B:
             std.append(v)
             for u, c in row.items():

@@ -563,10 +563,15 @@ def _lead_bound(ring, lms, ceiling, inside=None):
                 "has points away from the origin",
                 f"the length {L}",
             )
+    _check_ceiling(N, ceiling)
+    return N
+
+
+def _check_ceiling(N, ceiling):
+    """Raise TruncationLimitError when the bound N lies beyond the ceiling."""
     if N > ceiling:
         limit = f"the degree ceiling {ceiling}"
         raise TruncationLimitError(f"no power of the maximal ideal up to {limit} lies in the ideal", limit)
-    return N
 
 
 def _graded_bound(ideal, ceiling):
@@ -645,6 +650,9 @@ def artinian_bound(ideal, ceiling=DEFAULT_CEILING, hint=None, length=None):
     by reaching length (see _local_form).  A truncated ideal reads N off
     its own kernel.  N does not depend on the order, so every kernel built
     here is GREVLEX, the one ideal.quotient() caches.
+
+    The form is cached on the ideal, and every call, the first or a later
+    one, raises TruncationLimitError when N lies beyond its own ceiling.
     """
     if ideal._form is None:
         if ideal.trunc is not None:
@@ -653,6 +661,7 @@ def artinian_bound(ideal, ceiling=DEFAULT_CEILING, hint=None, length=None):
             ideal._form = (ideal, _graded_bound(ideal, ceiling))
         else:
             ideal._form = _local_form(ideal, ceiling, hint, length)
+    _check_ceiling(ideal._form[1], ceiling)
     return ideal._form[1]
 
 

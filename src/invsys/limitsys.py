@@ -16,8 +16,8 @@ from dataclasses import dataclass, field as dc_field
 from .duality import (
     DualModule,
     _annihilator,
+    _closure,
     _contract_terms,
-    _perp_echelon,
     _perp_rows,
     contract_exp,
     minimal_cogenerators,
@@ -28,6 +28,7 @@ from .errors import OffOriginError, PipelineError, TruncationLimitError, Unbound
 from .groebner import (
     DEFAULT_CEILING,
     Ideal,
+    _smallest_first,
     artinian_form,
     is_regular,
 )
@@ -95,21 +96,24 @@ class LimitInverseSystem:
     bound: int
     family: dict  # m in {1..B}^d -> tuple of dual Polynomials
     _modules: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
+    _echelons: dict = dc_field(default=None, init=False, compare=False, repr=False)
     _tower: object = dc_field(default=None, init=False, compare=False, repr=False)
 
     def module_at(self, m):
-        """The module P.H_m, with degree bound |m| + s - d.
+        """The module P.H_m, with its degree bound, |m| + s - d but where said.
 
-        The top stage runs the contraction closure of H_top, unless section_lift handed over its tower: then it is the tower's
-        W_top (DualTower.stage), which H_top generates.  A stage
-        whose H_m is z^(top - m) . H_top, entry by entry, is one contraction
-        of the top module, P.H_m = z^(top - m) . P.H_top, with the same
-        canonical basis and degree bound as its own closure; any other stage
-        runs its own closure.
+        The top stage runs the contraction closure of H_top, unless
+        section_lift handed over its tower: then it is the tower's W_top
+        (DualTower.stage), which H_top generates, with its top degree as its
+        bound.  A stage whose H_m is z^(top - m) . H_top, entry by entry, is
+        one contraction of the top module, P.H_m = z^(top - m) . P.H_top,
+        whose bound is the top's less |top - m|, clamped at 0; any other
+        stage runs its own closure.
 
-        Built once per stage: the family is not mutated after construction,
-        so verify_lis and reconstruct share the top module, the only one
-        reconstruct asks for when each H_k is z_1...z_d . H_(k+1).
+        Built once per stage: the family is not mutated after construction.
+        verify_lis asks for stage modules only when its gate fails or W_top
+        is not free, and reconstruct only at d = 0; otherwise both read
+        diagonal_echelons.
         """
         m = tuple(m)
         W = self._modules.get(m)
@@ -125,6 +129,58 @@ class LimitInverseSystem:
             self._modules[m] = W
         return W
 
+    def diagonal_echelons(self):
+        """k -> the rows, pivot -> term dict, of the reduced echelon of
+        W_k = P.H_(k,...,k) under the smallest-first key
+        (groebner._smallest_first), for k = 1..B; built once, bottom up.
+
+        W_k = K[y].span{z^b . G : G in H_k}, as y- and z-contractions
+        commute, so level k seeds the z-contractions of H_k, b up to each
+        G's own z-exponents, and closes them under the non-z variables
+        alone.  Where H_(k-1) = z_1...z_d . H_k, entry by entry, W_(k-1)
+        lies in W_k and holds every seed with min(b) >= 1, as
+        z^b . G = z^(b - 1) . (z_1...z_d . G): the level continues the
+        echelon of the one below with the seeds of min(b) = 0 alone.  Any
+        other level starts a fresh echelon.  The rows of a level continued
+        from are copied first: they are that stage's unique reduced echelon.
+        """
+        if self._echelons is None:
+            ring, d = self.ring, self.d
+            nonz = [i for i in range(ring.nvars) if i not in ring.zindices]
+            key = ring.sort_key(_smallest_first)
+            ech, out = None, {}
+            for k in range(1, self.bound + 1):
+                m = diag(d, k)
+                carry = ech is not None and _contracts(self, diag(d, k - 1), m)
+                if carry:
+                    out[k - 1] = {p: dict(row) for p, row in ech.rows.items()}
+                else:
+                    ech = Echelon(ring.field, key)
+                _closure(ech, _zseeds(ring, self.family.get(m, ()), carry), nonz)
+                out[k] = ech.rows
+            self._echelons = out
+        return self._echelons
+
+    def free_rank(self):
+        """The rank of W_top over R = K[z]/(z_1^B, ..., z_d^B) when W_top is
+        free, else None, for a family that passes verify_lis's (b), compat
+        and (d).
+
+        W_top is killed by every z_i^B.  sigma = (z_1...z_d)^(B-1) spans the
+        socle of the Gorenstein ring R, so dim sigma . W_top is the number e
+        of free summands of W_top: a summand N with sigma . N != 0 holds a
+        copy of R, which is injective over itself and so splits off, and
+        sigma kills the rest.  So W_top is free exactly when
+        dim W_top = e * B^d.  H_1 = sigma . H_top entry by entry, so
+        sigma . W_top = P.H_1 = W_1: both dimensions are counts, off the
+        tower's chains (DualTower.free_rank) or off diagonal_echelons.
+        """
+        if self._tower is not None:
+            return self._tower.free_rank()
+        echelons = self.diagonal_echelons()
+        rank = len(echelons[1])
+        return rank if len(echelons[self.bound]) == rank * self.bound ** self.d else None
+
 
 def _zshift(ring, m, n):
     """The exponent of z^(n - m), for stages m <= n."""
@@ -132,6 +188,17 @@ def _zshift(ring, m, n):
     for i, a, b in zip(ring.zindices, m, n):
         e[i] = b - a
     return tuple(e)
+
+
+def _zseeds(ring, elements, carry):
+    """The term dicts of z^b . G for G in elements, b up to G's own
+    z-exponents, slot by slot; with carry, only those of min(b) = 0."""
+    zero = (0,) * len(ring.zindices)
+    for G in elements:
+        tops = (max((e[i] for e in G.terms), default=-1) for i in ring.zindices)
+        for b in itertools.product(*(range(t + 1) for t in tops)):
+            if not (carry and min(b, default=0)):
+                yield _contract_terms(_zshift(ring, zero, b), G.terms)
 
 
 def _step(m, slot, delta):
@@ -173,8 +240,10 @@ class DualTower:
         return W
 
     def free_rank(self):
-        """_free_rank of W_top by a count: sigma . W_top is W_1, whose chain
-        rows are the top rows with pivot min z-exponent >= B - 1, shifted."""
+        """The rank of W_top over R = K[z]/(z_1^B, ..., z_d^B) when W_top is
+        free, else None (see LimitInverseSystem.free_rank), by a count:
+        sigma . W_top is W_1, whose chain rows are the top rows with pivot
+        min z-exponent >= B - 1, shifted."""
         rank = len(self.modules[diag(self.d, 1)])
         return rank if len(self.modules[diag(self.d, self.bound)]) == rank * self.bound ** self.d else None
 
@@ -331,8 +400,8 @@ def section_lift(tower):
     their pivots, so F is that one.  Off-diagonal stages are contractions from the
     smallest dominating diagonal stage: compatibility is automatic.
 
-    The family holds the tower, so verify_lis and reconstruct never close
-    H_top (see LimitInverseSystem.module_at and DualTower.free_rank).
+    The family holds the tower, so verify_lis counts W_top's free rank off
+    its chains and closes no stage (see LimitInverseSystem.free_rank).
     The tower certified A/(z^B) free over R = K[z]/(z_1^B, ..., z_d^B)
     (see dual_tower), so each A/(z^k) is free over K[z]/(z^k): a flat local
     extension of a Gorenstein ring, whose type is then that of its fibre
@@ -420,16 +489,15 @@ def verify_lis(H):
     lies in degrees <= |m| + s - d, so W_m cap V is the kernel of
     z_j^(m_j - 1) on W_m, which holds W_(m - e_j) = z_j . W_m.  W_top is a
     module over R = K[z]/(z_1^B, ..., z_d^B) with some e free summands, and
-    it is free exactly when dim W_top = e * B^d (see _free_rank).  A free
-    W_top makes every W_m free of rank e over
-    K[z]/(z_1^(m_1), ..., z_d^(m_d)), so W_m cap V has the dimension
-    e * prod(m - e_j) of W_(m - e_j): every (c) check passes, and no module
-    but W_top is built.  A family that section_lift made holds its tower,
-    whose chains give the rank by a count (DualTower.free_rank), so it
-    builds no module at all; any other family reads W_top off
-    H.module_at.  When the gate fails or W_top is not free, each (c)
-    check meets W_m with the V-space and tests containment in W_(m - e_j),
-    which builds every stage module.
+    it is free exactly when dim W_top = e * B^d (see
+    LimitInverseSystem.free_rank).  A free W_top makes every W_m free of
+    rank e over K[z]/(z_1^(m_1), ..., z_d^(m_d)), so W_m cap V has the
+    dimension e * prod(m - e_j) of W_(m - e_j): every (c) check passes.
+    The rank is a count, off the tower's chains for a family that
+    section_lift made and off the diagonal echelons for any other, so no
+    stage module is built.  When the gate fails or W_top is not free, each
+    (c) check meets W_m with the V-space and tests containment in
+    W_(m - e_j), which builds every stage module.
     """
     ring = H.ring
     d, r, s, B = H.d, H.r, H.s, H.bound
@@ -501,9 +569,7 @@ def verify_lis(H):
 
     # (c): W_m cap V^(j, s-d)_m inside W_(m - e_j)
     gate = all(c.ok for c in rep.checks if c.condition in ("b", "compat", "d"))
-    rank = None
-    if gate:
-        rank = H._tower.free_rank() if H._tower is not None else _free_rank(H.module_at(diag(d, B)), B)
+    rank = H.free_rank() if gate else None
     for m in stages:
         for slot in range(d):
             prev = _step(m, slot, -1)
@@ -524,22 +590,6 @@ def verify_lis(H):
     return rep
 
 
-def _free_rank(W, B):
-    """The rank of W over R = K[z]/(z_1^B, ..., z_d^B) when W is free, else None.
-
-    W must be killed by every z_i^B.  sigma = (z_1...z_d)^(B-1) spans the
-    socle of the Gorenstein ring R, so dim sigma . W is the number of free
-    summands of W: a summand N with sigma . N != 0 holds a copy of R, which
-    is injective over itself and so splits off, and sigma kills the rest.
-    W is free exactly when dim W = B^d * dim sigma . W, one contraction.
-    DualTower.free_rank counts the same rank off the tower's chains.
-    """
-    zi = W.ring.zindices
-    sigma = tuple(B - 1 if i in zi else 0 for i in range(W.ring.nvars))
-    rank = W.contract_by(sigma).dim
-    return rank if W.dim == rank * B ** len(zi) else None
-
-
 # ---------------------------------------------------------------------------
 # reconstruction
 
@@ -556,13 +606,12 @@ def reconstruct(H, order=GREVLEX):
     """Recover the defining ideal from a limit inverse system.
 
     Each diagonal stage contributes the annihilator of the generated
-    submodule, read stage by stage down from the top: a stage that is a
-    contraction of the one above is echelonized from that stage's echelon,
-    and no module below the top is built (see _stage_annihilators).  The
-    survivors of a stage are its reduced-basis elements that lie in the
-    full finite intersection, i.e. in every computed stage; junk congruent
-    to a high z-power modulo the true ideal falls out of some visible
-    stage.  Survivors accumulate over stage prefixes, and the result
+    submodule, read off the stage's echelon in H.diagonal_echelons, which
+    verify_lis may already have built; no stage module is built (see
+    _stage_annihilators).  The survivors of a stage are its reduced-basis
+    elements that lie in the full finite intersection, i.e. in every
+    computed stage; junk congruent to a high z-power modulo the true ideal
+    falls out of some visible stage.  Survivors accumulate over stage prefixes, and the result
     is the first plateau of the accumulated ideals that reproduces every
     visible stage (one kernel for the plateau, then a containment and a
     length test per stage; see reproduces) and on which the z-block is a
@@ -624,33 +673,31 @@ def reconstruct(H, order=GREVLEX):
 
 
 def _stage_annihilators(H):
-    """k -> perp_module(H.module_at((k,...,k))) for k = 1..B, as one chain.
+    """k -> perp_module(H.module_at((k,...,k))) for k = 1..B, read off
+    H.diagonal_echelons, which are the stages' smallest-first echelons.
 
-    Each stage is echelonized once, top down, under perp_module's
-    smallest-first key.  The top stage is echelonized from its module's
-    basis.  Where H_k = zprod . H_(k+1), zprod = z_1...z_d, entry by entry,
-    P.H_k = zprod . P.H_(k+1), spanned by the contracted rows of stage
-    k + 1's echelon (dim W_(k+1) rows, not dim W_top), with degree bound
-    stage k + 1's minus d, clamped at 0, as DualModule.contract_by gives it,
-    and top degree read off the rows.  That echelon is unique, so the
-    annihilator is the one perp_module reads off module_at; any other stage
-    is read off its module.
+    Each stage's degree bound is the one module_at gives it: the top
+    stage's is the top degree of W_top when section_lift handed over its
+    tower, and |m| + s - d otherwise; a stage whose H_m is
+    z^(top - m) . H_top, entry by entry, takes the top's less d per stage
+    below it, clamped at 0, and any other stage its own |m| + s - d.  The
+    top degree of W_k is that of H_k, as contractions lower degrees.
     """
-    ring, d = H.ring, H.d
-    zprod = _zshift(ring, diag(d, 1), diag(d, 2))
+    ring, d, B, s = H.ring, H.d, H.bound, H.s
+    top = diag(d, B)
+    echelons = H.diagonal_echelons()
+    degrees = {
+        k: max((F.degree for F in H.family.get(diag(d, k), ()) if not F.is_zero()), default=float("-inf"))
+        for k in echelons
+    }
+    top_bound = max(degrees[B], 0) if H._tower is not None else B * d + s - d
     anns = {}
-    ech = None
-    for k in range(H.bound, 0, -1):
-        m = diag(d, k)
-        if ech is not None and _contracts(H, m, diag(d, k + 1)):
-            rows = (_contract_terms(zprod, row) for row in ech.rows.values())
-            ech = Echelon(ring.field, ech.sortkey).extend(filter(None, rows))
-            bound = max(bound - d, 0)
-            top = max(map(sum, itertools.chain.from_iterable(ech.rows.values())), default=float("-inf"))
+    for k, rows in echelons.items():
+        if k == B or _contracts(H, diag(d, k), top):
+            bound = top_bound - d * (B - k)
         else:
-            W = H.module_at(m)
-            ech, bound, top = _perp_echelon(W), W.degbound, W.max_degree()
-        anns[k] = _annihilator(ring, ech, bound, top)
+            bound = k * d + s - d
+        anns[k] = _annihilator(ring, rows, max(bound, 0), degrees[k])
     return anns
 
 

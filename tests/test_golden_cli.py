@@ -19,7 +19,11 @@ perp (text and --json) and rees-check, whose answers do not depend on the
 order but which print in --order (perp its basis, rees-check the polynomial
 named in a rejection), are pinned by digest under both orders.  Commands run
 with the golden directory's input copied into a scratch working directory,
-so the file name that --json echoes is the bare input name.
+so the file name that --json echoes is the bare input name.  verify and
+reconstruct also run on ci_d2_tampered.lis, the ci-d2 limit file under
+grevlex with Y0^6*Y1*Z0*Z1 added to H_(2,2) and H_(1,1) replaced by its
+contraction Y0^6*Y1 + Y0^2*Y1: compat and (d) fail, so (c) is decided on
+the stage modules themselves.
 
 To record the goldens again, when an output is meant to change:
 
@@ -240,6 +244,21 @@ def test_order_outputs_match_digests(case, tmp_path, monkeypatch):
     assert _digest(*_order_run(case, tmp_path)) == ORDER_DIGESTS[case]
 
 
+TAMPERED = "ci_d2_tampered"
+
+
+def _tampered_runs(workdir):
+    """(suffix, exit code, stdout) of verify and reconstruct on the tampered limit file."""
+    _copy_input(f"{TAMPERED}.lis", workdir)
+    return [(f"{command}.txt", *_run([command, "-i", f"{TAMPERED}.lis"])) for command in ("verify", "reconstruct")]
+
+
+def test_tampered_limit_file_outputs_match_goldens(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for suffix, code, out in _tampered_runs(tmp_path):
+        assert (code, out) == _golden(TAMPERED, "grevlex", suffix), suffix
+
+
 @pytest.mark.parametrize("name", ("curve9", "ci_d2"))
 def test_verify_prints_the_same_for_both_orders(name, tmp_path, monkeypatch):
     # the report holds ranks, kills, degrees and the dimensions and
@@ -271,6 +290,9 @@ def record():
                     for suffix, code, out in _outputs(name, order, Path(tmp)):
                         path = GOLDEN / f"{name}.{order}.{suffix}"
                         path.write_text(f"exit {code}\n{out}", encoding="utf-8")
+            for suffix, code, out in _tampered_runs(Path(tmp)):
+                path = GOLDEN / f"{TAMPERED}.grevlex.{suffix}"
+                path.write_text(f"exit {code}\n{out}", encoding="utf-8")
             for case in LIMIT_DIGESTS:
                 print(case, *_digest(*_limit_run(case, Path(tmp))))
             for case in RECONSTRUCT_DIGESTS:

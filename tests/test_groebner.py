@@ -12,6 +12,7 @@ from invsys import (
     MonomialOrder,
     UnboundedQuotientError,
     artinian_bound,
+    artinian_form,
     context_from_names,
     exact_divide,
     find_linear_regular_sequence,
@@ -20,6 +21,7 @@ from invsys import (
     ideal_intersect,
     is_regular,
 )
+from invsys.errors import TruncationLimitError
 from invsys.groebner import ArtinianQuotient
 
 from oracles import equal_as_artinian, monomial_in_monomial_ideal
@@ -350,6 +352,45 @@ def test_artinian_bound_local_nonartinian(curve):
     ctx, I = curve
     with pytest.raises(UnboundedQuotientError):
         artinian_bound(I, ceiling=12)
+
+
+def _bound_outcome(ideal, ceiling, **kwargs):
+    """artinian_bound and artinian_form's bound, or the failure they raise:
+    its type, and the limit a TruncationLimitError names."""
+    try:
+        return artinian_bound(ideal, ceiling, **kwargs), artinian_form(ideal, ceiling, **kwargs)[1]
+    except Exception as exc:
+        return type(exc), getattr(exc, "limit", None)
+
+
+def _bound_cases():
+    """(id, fresh copy maker, keyword arguments, bound N) for a graded
+    ideal, a local ideal with hints that do and do not certify, and a
+    truncated ideal."""
+    graded = context_from_names("x,y")
+    x, y = graded.variable(0), graded.variable(1)
+    local = context_from_names("x,y", mode="local")
+    u, v = local.variable(0), local.variable(1)
+    yield "graded", lambda: Ideal(graded, [x ** 6, y ** 6]), {}, 11
+    for hint in (2, 4, 5, 9):
+        yield f"local-hint{hint}", lambda: Ideal(local, [u ** 2 - v ** 3 + u * v ** 3, u * v]), {"hint": hint}, 4
+    yield "truncated", lambda: Ideal(graded, [x ** 2, x * y ** 3], trunc=7), {}, 7
+
+
+@pytest.mark.parametrize("make, kwargs, N", [pytest.param(*case[1:], id=case[0]) for case in _bound_cases()])
+def test_a_cached_bound_answers_as_a_fresh_copy(make, kwargs, N):
+    # the bound is cached on the ideal once certified; a later call with a
+    # ceiling below it, or one that is not a degree, must fail as it does
+    # on a fresh copy of the ideal
+    cached = make()
+    assert artinian_bound(cached, **kwargs) == N
+    for ceiling in (1, 3, N - 1, N, N + 1, 64, "lex"):
+        got = _bound_outcome(cached, ceiling, **kwargs)
+        assert got == _bound_outcome(make(), ceiling, **kwargs), ceiling
+        if ceiling == "lex":
+            assert got == (TypeError, None)
+        else:
+            assert got == ((N, N) if ceiling >= N else (TruncationLimitError, f"the degree ceiling {ceiling}"))
 
 
 def test_local_truncation_consistency(curve):

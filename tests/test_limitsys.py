@@ -9,6 +9,7 @@ import invsys.limitsys as limitsys
 from invsys import Ideal, PipelineError, artinian_form, context_from_names
 from invsys.duality import (
     DualModule,
+    _perp_echelon,
     contract_exp,
     minimal_cogenerators,
     perp_ideal,
@@ -218,6 +219,8 @@ def _tower_family(name):
     if name == "band":
         ctx = context_from_names("y,z", zvars="z")
         return Ideal(ctx, [ctx.parse("y^2")]), 3
+    if name == "rnc4":
+        return parse_ideal_file((DATA / "rnc4.ideal").read_text())[1], 3
     # z = y^2 in K[[y]]: a free tower whose socle degree grows by two per
     # stage, so each stage's own bound is not its contraction's shifted one
     ctx = context_from_names("y,z", mode="local", zvars="z")
@@ -337,12 +340,12 @@ def _tampered_families(H):
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
 @pytest.mark.parametrize("name", TOWER_FAMILIES + ("y2-z",))
 def test_stage_annihilators_match_perp_module_of_each_stage(name, order):
-    # reconstruct reads each diagonal stage's annihilator off the contracted
-    # smallest-first echelon of the stage above; each must be the one
+    # reconstruct reads each diagonal stage's annihilator off the stage's
+    # smallest-first echelon in diagonal_echelons; each must be the one
     # perp_module reads off the stage's own module: the same generators,
     # truncation and adopted kernel, on the family section_lift made, on its
     # round trip through a limit file, and on two families whose H_2 is not
-    # z_1...z_d . H_3, where the stage is read off its own module
+    # z_1...z_d . H_3, where the bottom-up pass starts fresh echelons
     from invsys.io import load_limit_system, render_lis_file
 
     I, B = _tower_family(name)
@@ -360,13 +363,78 @@ def test_stage_annihilators_match_perp_module_of_each_stage(name, order):
                 assert _annihilator_parts(A)[2] is not None, k
 
 
+def _stage_echelon_rows(H, k):
+    """The smallest-first echelon rows of P.H_(k,...,k) by the stage's own closure."""
+    return _perp_echelon(DualModule.generate(H.ring, H.family[diag(H.d, k)])).rows
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+@pytest.mark.parametrize("name", TOWER_FAMILIES + ("rnc4", "y2-z"))
+def test_diagonal_echelons_match_each_stage_module(name, order):
+    # each level of the bottom-up pass, continued from the level below where
+    # H_(k-1) = z_1...z_d . H_k and closed under the non-z variables alone,
+    # must be the smallest-first echelon of the stage module module_at
+    # gives, and of the stage's own full closure: on the family section_lift
+    # made, on its round trip through a limit file, and on two families
+    # whose H_2 is not z_1...z_d . H_3, which start fresh echelons
+    from invsys.io import load_limit_system, render_lis_file
+
+    I, B = _tower_family(name)
+    H = section_lift(dual_tower(I, B, order))
+    loaded = load_limit_system(render_lis_file(H, order))
+    for case, F in enumerate([H, loaded] + _tampered_families(loaded)):
+        echelons = F.diagonal_echelons()
+        assert sorted(echelons) == list(range(1, B + 1))
+        assert F.diagonal_echelons() is echelons
+        for k, rows in echelons.items():
+            assert rows == _perp_echelon(F.module_at(diag(F.d, k))).rows, (case, k)
+            assert rows == _stage_echelon_rows(F, k), (case, k)
+
+
+def random_diagonal_family(rng, d, B, compatible):
+    """A family over y0,y1,z_1..z_d given on its diagonal stages alone.
+
+    H_B holds one or two random elements killed by every z_j^B.  Each lower
+    stage is z_1...z_d . H_(k+1); when compatible is false, each lower
+    stage is instead, with even odds, a new random set, or the contraction
+    with one element doubled.
+    """
+    ctx = context_from_names(",".join(["y0", "y1"] + [f"z{j}" for j in range(d)]), zvars=",".join(f"z{j}" for j in range(d)))
+    zprod = tuple(1 if i in ctx.zindices else 0 for i in range(ctx.nvars))
+    pool = [e for e in ctx.exponents_upto(B + 2) if all(e[i] < B for i in ctx.zindices)]
+
+    def element():
+        return ctx.dual.from_terms({rng.choice(pool): rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(1, 4))})
+
+    r = rng.randint(1, 2)
+    family = {diag(d, B): tuple(element() for _ in range(r))}
+    for k in range(B - 1, 0, -1):
+        below = [contract_exp(zprod, F) for F in family[diag(d, k + 1)]]
+        if not compatible:
+            if rng.random() < 0.5:
+                below = [element() for _ in range(r)]
+            else:
+                below[0] = below[0] + below[0]
+        family[diag(d, k)] = tuple(below)
+    return LimitInverseSystem(ctx, d, r, 1, B, family)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.sampled_from([2, 3]), st.booleans())
+def test_diagonal_echelons_match_per_stage_generation(seed, d, B, compatible):
+    H = random_diagonal_family(random.Random(seed), d, B, compatible)
+    echelons = H.diagonal_echelons()
+    for k in range(1, B + 1):
+        assert echelons[k] == _stage_echelon_rows(H, k), k
+
+
 def test_cli_limit_builds_no_closure_on_a_checked_tower(capsys, monkeypatch):
     # verify_lis counts W_top's free rank off the tower's chains, so no
-    # module is closed, checked for closure or contracted for the rank, with
+    # module is closed, checked for closure or echelonized for the rank, with
     # the z-block checked or taken on trust, and both print the same family
     from invsys.cli import main
 
-    calls = {"generate": 0, "verify_closed": 0, "_free_rank": 0}
+    calls = {"generate": 0, "verify_closed": 0, "diagonal_echelons": 0}
     generate = DualModule.generate.__func__
 
     def counted_generate(cls, *args, **kwargs):
@@ -377,14 +445,14 @@ def test_cli_limit_builds_no_closure_on_a_checked_tower(capsys, monkeypatch):
         calls["verify_closed"] += 1
         return verify_closed(W)
 
-    free_rank = limitsys._free_rank
+    diagonal_echelons = LimitInverseSystem.diagonal_echelons
 
-    def counted_free_rank(*args):
-        calls["_free_rank"] += 1
-        return free_rank(*args)
+    def counted_echelons(H):
+        calls["diagonal_echelons"] += 1
+        return diagonal_echelons(H)
 
     monkeypatch.setattr(DualModule, "generate", classmethod(counted_generate))
-    monkeypatch.setattr(limitsys, "_free_rank", counted_free_rank)
+    monkeypatch.setattr(LimitInverseSystem, "diagonal_echelons", counted_echelons)
     for module in list(sys.modules.values()):
         if module and module.__name__.startswith("invsys") and hasattr(module, "verify_closed"):
             monkeypatch.setattr(module, "verify_closed", counted_verify_closed)
@@ -392,10 +460,10 @@ def test_cli_limit_builds_no_closure_on_a_checked_tower(capsys, monkeypatch):
     for path, B in ((DATA / "example.ideal", 9), (golden / "ci_d2.ideal", 5)):
         outs = []
         for flags in ((), ("--trust-regular",)):
-            calls.update(generate=0, verify_closed=0, _free_rank=0)
+            calls.update(generate=0, verify_closed=0, diagonal_echelons=0)
             assert main(["limit", "-i", str(path), "--mmax", str(B), *flags]) == 0
             outs.append(capsys.readouterr().out)
-            assert calls == {"generate": 0, "verify_closed": 0, "_free_rank": 0}, (path.name, flags)
+            assert calls == {"generate": 0, "verify_closed": 0, "diagonal_echelons": 0}, (path.name, flags)
         assert outs[0] == outs[1]
 
 
@@ -708,7 +776,7 @@ def random_top_family(rng, B):
 
 
 def free_top(H):
-    return limitsys._free_rank(H.module_at(diag(H.d, H.bound)), H.bound) is not None
+    return H.free_rank() is not None
 
 
 @settings(max_examples=40, deadline=None)
@@ -723,19 +791,23 @@ def test_condition_c_by_rank_matches_reference_on_random_tops(seed, B, order):
 
 
 def test_free_rank_by_contraction_matches_the_socle_meet(curve_H9, ci_d2):
-    # dim sigma . W_top for sigma = (z_1...z_d)^(B-1) against the socle
-    # dimension by dense elimination, on random tops at B = 2..4, the
-    # families that are not free, and the curve, ci-d2 and d3 tower tops
+    # dim sigma . W_top = dim W_1 for sigma = (z_1...z_d)^(B-1), counted off
+    # the diagonal echelons, against the socle dimension by dense
+    # elimination, on random tops at B = 2..4, the families that are not
+    # free, and the curve, ci-d2 and d3 tower tops, read without their tower
     families = [random_top_family(random.Random(seed), B) for B in (2, 3, 4) for seed in range(40)]
     families += [non_free_family(4), non_free_family(6), non_free_family_d2(), curve_H9]
     _, d3 = parse_ideal_file((DATA / "d3.ideal").read_text())
     families += [section_lift(dual_tower(I, B)) for I, B in ((ci_d2[1], 5), (d3, 2))]
     free = set()
     for H in families:
+        fresh = LimitInverseSystem(H.ring, H.d, H.r, H.s, H.bound, H.family)
         W = H.module_at(diag(H.d, H.bound))
         p = getattr(H.ring.field, "p", None)
         rank = free_rank_by_socle([F.terms for F in W.basis], H.ring.zindices, H.bound, p)
-        assert limitsys._free_rank(W, H.bound) == rank
+        assert fresh.free_rank() == rank
+        if H._tower is not None:
+            assert H.free_rank() == rank
         free.add(rank is not None)
     assert free == {True, False}
 
@@ -812,11 +884,11 @@ def test_reconstruct_needs_bound(curve):
 
 
 def test_verify_and_reconstruct_share_stage_modules(curve_H9, ci_d2, tmp_path, capsys, monkeypatch):
-    # a free top module settles every (c) check, so verify builds the top
-    # stage alone, plus the one contraction that reads its free rank;
-    # reconstruct builds no stage module below the top: each lower stage's
-    # annihilator is read off the contracted echelon of the stage above, so
-    # its one contraction is verify's free rank
+    # a limit file holds no tower, but a family that passes (b), compat and
+    # (d) reads W_top's free rank off the diagonal echelons, which
+    # reconstruct's annihilators read too: neither closes a stage module nor
+    # contracts one.  A tampered file whose gate fails still closes its
+    # stage modules for (c), and reconstruct refuses it
     from invsys.cli import main
     from invsys.io import render_lis_file
 
@@ -841,11 +913,15 @@ def test_verify_and_reconstruct_share_stage_modules(curve_H9, ci_d2, tmp_path, c
         calls.update(generate=0, contract_by=0)
         assert main(["verify", "-i", str(path)]) == 0
         assert "verdict PASS" in capsys.readouterr().out
-        assert calls == {"generate": 1, "contract_by": 1}
-        calls.update(generate=0, contract_by=0)
+        assert calls == {"generate": 0, "contract_by": 0}
         assert main(["reconstruct", "-i", str(path)]) == 0
         assert "stable True" in capsys.readouterr().out
-        assert calls == {"generate": 1, "contract_by": 1}
+        assert calls == {"generate": 0, "contract_by": 0}
+    tampered = Path(__file__).resolve().parent / "golden" / "ci_d2_tampered.lis"
+    assert main(["verify", "-i", str(tampered)]) == 1
+    assert calls["generate"] > 0
+    assert main(["reconstruct", "-i", str(tampered)]) == 1
+    capsys.readouterr()
 
 
 def test_reconstruct_reuses_annihilator_kernels(curve_H9, monkeypatch):
